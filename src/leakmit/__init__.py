@@ -24,7 +24,7 @@ from .clustering import (
     penalty_matrix,
     write_classset,
 )
-from .deterministic import DpTables, brute_force_det, synthesize_det
+from .deterministic import DpTables, synthesize_det
 from .enforcement import (
     DecisionTree,
     EnforcementReport,
@@ -91,7 +91,6 @@ __all__ = [
     "apply_buckets",
     "blocks_policy",
     "branch_loop_counts",
-    "brute_force_det",
     "build_report",
     "classset_from_json",
     "classset_to_json",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import ObservationClassSet, cluster_functions
+from .clustering import RECLUSTER_EPS, ObservationClassSet, cluster_functions
 from .timing import TimingDataset
 
 __all__ = [
@@ -24,8 +24,6 @@ __all__ = [
     "fit_buckets",
     "apply_buckets",
 ]
-
-RECLUSTER_EPS = 1e-9
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,7 @@ Subcommands: generate, cluster, entropy, synthesize, baseline, enforce,
 sweep, compare.  Inputs come from a CSV dataset (--input) or a generator
 (--gen); an optional JSON config file supplies defaults that explicit flags
 override.  All artifacts are written atomically (temp file + rename) and are
-byte-identical across reruns with the same config and seed.  LEAKMIT_THREADS
-caps worker threads for sweep and compare.
+byte-identical across reruns with the same config and seed.
 
 Exit codes: 0 ok, 1 configuration error, 2 data error, 3 solver error.
 """
@@ -18,7 +17,7 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from . import baselines, clustering, enforcement, timing
 from .deterministic import synthesize_det
 from .entropy import EntropyMeasure, entropy
 from .errors import SolverError
-from .policy import build_report, expected_overhead, policy_to_json
+from .policy import build_report, expected_overhead, expected_sizes, policy_to_json
 from .stochastic import synthesize_local, synthesize_minguess
 
 __all__ = ["ConfigError", "PipelineConfig", "run_pipeline", "sweep", "compare", "main"]
@@ -63,38 +62,30 @@ class PipelineConfig:
     dump_tables: bool = False
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("LEAKMIT_THREADS")
-    if raw is None:
-        return min(8, os.cpu_count() or 1)
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigError(f"LEAKMIT_THREADS must be an integer, got {raw!r}")
-    if workers < 1:
-        raise ConfigError("LEAKMIT_THREADS must be >= 1")
-    return workers
-
-
-def _pmap(fn, items):
-    """Order-preserving map; thread count never changes results."""
-    items = list(items)
-    workers = min(_max_workers(), len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, write) -> None:
+    """Call ``write(tmp_path)``, then rename the temp file over ``path``."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    write(tmp)
     os.replace(tmp, path)
 
 
+def _write_text(path: Path, text: str) -> None:
+    _write_atomic(path, lambda tmp: tmp.write_text(text))
+
+
 def _write_json(path: Path, data) -> None:
-    _write_atomic(path, json.dumps(data, indent=2) + "\n")
+    _write_text(path, json.dumps(data, indent=2) + "\n")
+
+
+def _write_dataset(path: Path, dataset) -> None:
+    _write_atomic(path, lambda tmp: timing.write_csv(dataset, tmp))
+
+
+def _overhead(original, mitigated) -> float:
+    """Relative added time (mitigated - original) / original."""
+    base = float(original.times.sum())
+    return (float(mitigated.times.sum()) - base) / base
 
 
 def _csv_text(header, rows) -> str:
@@ -133,15 +124,9 @@ def _load_dataset(config: PipelineConfig):
     raise ConfigError("provide --input CSV or --gen {mod_exp,branch_loop}")
 
 
-def _features(dataset, counts):
-    if counts is None:
-        return enforcement.timing_features(dataset)
-    return enforcement.counter_features(dataset, counts)
-
-
 def _synthesize(classes, config: PipelineConfig, algo: str, delta: float,
                 warm_starts=()):
-    """Returns (policy, diagnostics or None)."""
+    """Returns (policy, diagnostics or None, DP tables or None)."""
     measure = EntropyMeasure(config.measure)
     if algo == "det":
         policy, tables = synthesize_det(
@@ -165,9 +150,7 @@ def _synthesize(classes, config: PipelineConfig, algo: str, delta: float,
 def cmd_generate(config: PipelineConfig) -> list[Path]:
     dataset, _ = _load_dataset(config)
     out = Path(config.out) / "dataset.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    timing.write_csv(dataset, out.with_name(out.name + ".tmp"))
-    os.replace(out.with_name(out.name + ".tmp"), out)
+    _write_dataset(out, dataset)
     print(f"wrote {out} ({dataset.n_secrets} secrets x {len(dataset.grid)} points)")
     return [out]
 
@@ -212,7 +195,7 @@ def cmd_synthesize(config: PipelineConfig) -> list[Path]:
     written = [out]
     if tables is not None and config.dump_tables:
         tables_path = Path(config.out) / "dp_tables.csv"
-        tables.to_csv(tables_path)
+        _write_atomic(tables_path, tables.to_csv)
         written.append(tables_path)
     print(
         f"{algo} policy: entropy {report.entropy_before!r} -> "
@@ -235,8 +218,7 @@ def cmd_baseline(config: PipelineConfig) -> list[Path]:
         )
     else:
         raise ConfigError(f"unknown baseline {config.baseline!r}")
-    original = float(dataset.times.sum())
-    overhead = (float(mitigated.times.sum()) - original) / original
+    overhead = _overhead(dataset, mitigated)
     report = {
         "method": config.baseline,
         "classes_before": classes.k,
@@ -253,9 +235,7 @@ def cmd_baseline(config: PipelineConfig) -> list[Path]:
     }
     out_dir = Path(config.out)
     csv_path = out_dir / "mitigated.csv"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    timing.write_csv(mitigated, csv_path.with_name(csv_path.name + ".tmp"))
-    os.replace(csv_path.with_name(csv_path.name + ".tmp"), csv_path)
+    _write_dataset(csv_path, mitigated)
     classes_path = out_dir / "baseline_classes.json"
     _write_json(classes_path, clustering.classset_to_json(after))
     report_path = out_dir / "baseline_report.json"
@@ -275,7 +255,10 @@ def run_pipeline(config: PipelineConfig) -> list[Path]:
     policy, diag, _ = _synthesize(classes, config, algo, config.delta)
     report = build_report(policy, classes, config.measure, config.delta)
 
-    features = _features(dataset, counts)
+    if counts is None:
+        features = enforcement.timing_features(dataset)
+    else:
+        features = enforcement.counter_features(dataset, counts)
     samples = enforcement.training_samples(features, classes)
     tree = enforcement.learn_tree(samples, config.max_depth, config.min_leaf)
     mitigated, enforce_report = enforcement.enforce(
@@ -284,7 +267,6 @@ def run_pipeline(config: PipelineConfig) -> list[Path]:
     )
 
     out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     artifacts: list[Path] = []
 
     classes_path = out_dir / "classes.json"
@@ -301,8 +283,7 @@ def run_pipeline(config: PipelineConfig) -> list[Path]:
     artifacts.append(tree_path)
 
     mitigated_path = out_dir / "mitigated.csv"
-    timing.write_csv(mitigated, mitigated_path.with_name(mitigated_path.name + ".tmp"))
-    os.replace(mitigated_path.with_name(mitigated_path.name + ".tmp"), mitigated_path)
+    _write_dataset(mitigated_path, mitigated)
     artifacts.append(mitigated_path)
 
     enforcement_path = out_dir / "enforcement.json"
@@ -329,7 +310,7 @@ def run_pipeline(config: PipelineConfig) -> list[Path]:
         _fmt(enforce_report.realized_overhead),
         _fmt(enforce_report.misclassification_rate),
     )
-    _write_atomic(summary_path, _csv_text(header, [row]))
+    _write_text(summary_path, _csv_text(header, [row]))
     artifacts.append(summary_path)
 
     print(
@@ -448,21 +429,16 @@ def sweep(config: PipelineConfig) -> list[Path]:
     rows = []
     for algo in algos:
         cfg = det_config if algo == "det" else config
-
-        def solve(delta, algo=algo, cfg=cfg):
+        repaired = []
+        for delta in grid:
             policy, _, _ = _synthesize(classes, cfg, algo, delta)
             report = build_report(policy, classes, measure, delta)
-            return report.entropy_after, report.expected_overhead, policy
-
-        solved = _pmap(solve, grid)
-        # A feasible policy stays feasible at any larger budget, so carrying
-        # the best-so-far forward repairs any local-search wobble.
-        repaired = []
-        for i, (ent, over, policy) in enumerate(solved):
+            ent, over = report.entropy_after, report.expected_overhead
+            # A feasible policy stays feasible at any larger budget, so
+            # carrying the best-so-far forward repairs any local-search wobble.
             if repaired and repaired[-1][0] > ent:
-                ent, over, policy = repaired[-1]
-            repaired.append((ent, over, policy))
-        for delta, (ent, over, _) in zip(grid, repaired):
+                ent, over = repaired[-1]
+            repaired.append((ent, over))
             rows.append((delta, algo, ent, over))
         ents = [r[0] for r in repaired]
         if any(b < a for a, b in zip(ents, ents[1:])):
@@ -475,14 +451,14 @@ def sweep(config: PipelineConfig) -> list[Path]:
         (_fmt(delta), algo, measure.value, _fmt(ent), _fmt(over))
         for delta, algo, ent, over in rows
     ]
-    _write_atomic(csv_path, _csv_text(header, csv_rows))
+    _write_text(csv_path, _csv_text(header, csv_rows))
 
     series = {
         algo: [(delta, ent) for delta, a, ent, _ in rows if a == algo]
         for algo in algos
     }
     svg_path = out_dir / "sweep.svg"
-    _write_atomic(
+    _write_text(
         svg_path,
         _svg_line_chart(
             series, "overhead budget", f"{measure.value} entropy", "budget sweep"
@@ -497,42 +473,25 @@ def compare(config: PipelineConfig) -> list[Path]:
     """One table row per mitigation approach on a shared dataset."""
     dataset, _ = _load_dataset(config)
     classes = clustering.cluster_functions(dataset, config.epsilon)
-    original_total = float(dataset.times.sum())
 
     def all_entropies(sizes):
         return {m: entropy(sizes, m) for m in EntropyMeasure}
 
-    def row_initial():
-        ents = all_entropies(classes.sizes)
-        return ("initial", classes.k, ents, 0.0)
-
-    def row_double():
-        mitigated, after = baselines.double_scheme(dataset, epsilon=config.epsilon)
-        overhead = (float(mitigated.times.sum()) - original_total) / original_total
-        return ("double", after.k, all_entropies(after.sizes), overhead)
-
-    def row_bucketing():
-        buckets = baselines.fit_buckets(dataset.times.ravel(), config.buckets)
-        mitigated, after = baselines.apply_buckets(
-            dataset, buckets, epsilon=config.epsilon
+    results = [("initial", classes.k, all_entropies(classes.sizes), 0.0)]
+    mitigated, after = baselines.double_scheme(dataset, epsilon=config.epsilon)
+    results.append(("double", after.k, all_entropies(after.sizes),
+                    _overhead(dataset, mitigated)))
+    buckets = baselines.fit_buckets(dataset.times.ravel(), config.buckets)
+    mitigated, after = baselines.apply_buckets(dataset, buckets, epsilon=config.epsilon)
+    results.append(("bucketing", after.k, all_entropies(after.sizes),
+                    _overhead(dataset, mitigated)))
+    for algo in ("det", "stoch"):
+        policy, _, _ = _synthesize(classes, config, algo, config.delta)
+        post = expected_sizes(policy, classes.sizes)
+        nonzero = int((post > 1e-9).sum())
+        results.append(
+            (algo, nonzero, all_entropies(post), expected_overhead(policy, classes))
         )
-        overhead = (float(mitigated.times.sum()) - original_total) / original_total
-        return ("bucketing", after.k, all_entropies(after.sizes), overhead)
-
-    def row_synth(algo):
-        def run():
-            policy, _, _ = _synthesize(classes, config, algo, config.delta)
-            from .policy import expected_sizes
-
-            post = expected_sizes(policy, classes.sizes)
-            nonzero = int((post > 1e-9).sum())
-            return (algo, nonzero, all_entropies(post), expected_overhead(policy, classes))
-
-        return run
-
-    builders = [row_initial, row_double, row_bucketing, row_synth("det"),
-                row_synth("stoch")]
-    results = _pmap(lambda fn: fn(), builders)
 
     out_dir = Path(config.out)
     csv_path = out_dir / "compare.csv"
@@ -548,7 +507,7 @@ def compare(config: PipelineConfig) -> list[Path]:
         )
         for name, n_classes, ents, overhead in results
     ]
-    _write_atomic(csv_path, _csv_text(header, csv_rows))
+    _write_text(csv_path, _csv_text(header, csv_rows))
     print(f"wrote {csv_path}")
     return [csv_path]
 
@@ -615,8 +574,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _json_fits(value, hint) -> bool:
+    """Whether a JSON config value has the type of a PipelineConfig field."""
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return isinstance(value, list) and all(_json_fits(v, item) for v in value)
+    if typing.get_args(hint):  # an optional field: X | None
+        return any(_json_fits(value, arg) for arg in typing.get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
     fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
+    hints = typing.get_type_hints(PipelineConfig)
     values = {"command": args.command}
     if args.config is not None:
         try:
@@ -630,10 +602,12 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
         for key, value in raw.items():
             if key not in fields or key == "command":
                 raise ConfigError(f"unknown config key {key!r}")
-            if key in ("group_sizes",):
-                value = tuple(int(v) for v in value)
-            elif key in ("slopes",):
-                value = tuple(float(v) for v in value)
+            if not _json_fits(value, hints[key]):
+                raise ConfigError(
+                    f"config key {key!r} must be {fields[key].type}, got {value!r}"
+                )
+            if isinstance(value, list):
+                value = tuple(map(typing.get_args(hints[key])[0], value))
             values[key] = value
     for name in fields:
         flag_value = getattr(args, name, None)

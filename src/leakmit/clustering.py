@@ -35,6 +35,9 @@ __all__ = [
     "write_classset",
 ]
 
+# Re-clustering tolerance: padded functions that should coincide differ by rounding.
+RECLUSTER_EPS = 1e-9
+
 
 @dataclass(frozen=True)
 class ObservationClass:

@@ -1,10 +1,11 @@
 """Runtime enforcement: classify an execution, then pad it to its target.
 
-A small CART-style decision tree is trained on per-execution feature vectors
+A small CART-style decision tree is trained on per-execution features
 (simulated instrumentation counters for the synthetic benchmarks, or
-time-derived ratios as a fallback) labeled with observation classes.  At
-enforcement time each secret draws one target class from its policy row, the
-tree classifies every execution, and the execution is padded by the gap
+time-derived ratios as a fallback) labeled with observation classes.  All
+features of a dataset live in one ``(n_secrets, n_grid, n_features)`` array.
+At enforcement time each secret draws one target class from its policy row,
+the tree classifies every execution, and the execution is padded by the gap
 between the predicted class representative and the target representative.
 """
 
@@ -13,17 +14,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .clustering import ObservationClassSet, cluster_functions
+from .clustering import RECLUSTER_EPS, ObservationClassSet, cluster_functions
 from .entropy import EntropyMeasure, entropy
 from .policy import MitigationPolicy, ensure_valid
 from .timing import TimingDataset
 
 __all__ = [
-    "FeatureVector",
     "FeatureTable",
     "TreeLeaf",
     "TreeSplit",
@@ -42,11 +42,31 @@ __all__ = [
     "write_tree",
 ]
 
-FeatureVector = Mapping[str, float]
-# secret id -> one FeatureVector per grid point, aligned with the dataset grid
-FeatureTable = Mapping[int, Sequence[FeatureVector]]
 
-RECLUSTER_EPS = 1e-9
+@dataclass(frozen=True)
+class FeatureTable:
+    """Features of every execution of a dataset.
+
+    ``values[i, p, f]`` is feature ``names[f]`` of ``secrets[i]`` at grid
+    point ``p``.  The array is frozen, finite and non-negative.
+    """
+
+    names: tuple[str, ...]
+    values: np.ndarray
+    secrets: tuple[int, ...]
+
+    def __post_init__(self):
+        names = tuple(self.names)
+        secrets = tuple(self.secrets)
+        values = np.array(self.values, dtype=float)
+        if values.ndim != 3 or values.shape[::2] != (len(secrets), len(names)):
+            raise ValueError("feature values must be n_secrets x n_grid x n_features")
+        if not np.all(np.isfinite(values) & (values >= 0)):
+            raise ValueError("feature values must be finite and non-negative")
+        values.flags.writeable = False
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "secrets", secrets)
 
 
 @dataclass(frozen=True)
@@ -69,18 +89,22 @@ class DecisionTree:
     max_depth: int
     train_accuracy: float
 
-    def predict(self, features: FeatureVector) -> int:
-        node = self.root
-        while isinstance(node, TreeSplit):
-            value = float(features[self.feature_names[node.feature]])
-            node = node.left if value <= node.threshold else node.right
-        return node.class_id
-
-    def _predict_row(self, row: np.ndarray) -> int:
-        node = self.root
-        while isinstance(node, TreeSplit):
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node.class_id
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Class id of every row of an ``(N, n_features)`` array."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != len(self.feature_names):
+            raise ValueError("predict expects an n_samples x n_features array")
+        out = np.empty(x.shape[0], dtype=int)
+        pending = [(self.root, np.arange(x.shape[0]))]
+        while pending:
+            node, rows = pending.pop()
+            if isinstance(node, TreeLeaf):
+                out[rows] = node.class_id
+                continue
+            left = x[rows, node.feature] <= node.threshold
+            pending.append((node.left, rows[left]))
+            pending.append((node.right, rows[~left]))
+        return out
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -136,33 +160,31 @@ def _grow(x: np.ndarray, y: np.ndarray, depth: int, max_depth: int, min_leaf: in
 
 
 def learn_tree(
-    samples: Sequence[tuple[FeatureVector, int]],
+    samples: tuple[np.ndarray, np.ndarray, Sequence[str]],
     max_depth: int = 6,
     min_leaf: int = 1,
 ) -> DecisionTree:
-    """Fit a Gini-split CART tree on (features, class id) pairs."""
-    if not samples:
+    """Fit a Gini-split CART tree on ``(x, y, feature names)``.
+
+    ``x`` is an ``(N, n_features)`` feature array and ``y`` the ``N`` class
+    ids, as :func:`training_samples` returns them.
+    """
+    x, y, names = samples
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=int)
+    names = tuple(names)
+    if y.size == 0:
         raise ValueError("need at least one training sample")
     if max_depth < 1 or min_leaf < 1:
         raise ValueError("max_depth and min_leaf must be >= 1")
-    names = tuple(sorted(samples[0][0]))
-    x = np.empty((len(samples), len(names)))
-    y = np.empty(len(samples), dtype=int)
-    for r, (fv, cid) in enumerate(samples):
-        if tuple(sorted(fv)) != names:
-            raise ValueError("all samples must share one feature-name set")
-        for c, name in enumerate(names):
-            v = float(fv[name])
-            if v < 0:
-                raise ValueError("feature values must be non-negative")
-            x[r, c] = v
-        y[r] = int(cid)
+    if y.ndim != 1 or x.shape != (y.size, len(names)):
+        raise ValueError("x must be n_samples x n_features, y one id per sample")
     if np.any(y < 0):
         raise ValueError("class ids must be non-negative")
     root = _grow(x, y, 0, int(max_depth), int(min_leaf))
     tree = DecisionTree(root, names, int(max_depth), 0.0)
-    hits = sum(tree._predict_row(x[r]) == y[r] for r in range(len(samples)))
-    return DecisionTree(root, names, int(max_depth), hits / len(samples))
+    hits = int(np.count_nonzero(tree.predict(x) == y))
+    return DecisionTree(root, names, int(max_depth), hits / y.size)
 
 
 def mod_exp_counts(dataset: TimingDataset) -> np.ndarray:
@@ -190,35 +212,33 @@ def counter_features(
     counts = np.asarray(counts, dtype=float)
     if counts.shape != dataset.times.shape:
         raise ValueError("counts must be n_secrets x n_grid_points")
-    grid = dataset.grid.array
-    return {
-        secret: [{name: float(counts[i, p] / grid[p])} for p in range(grid.size)]
-        for i, secret in enumerate(dataset.secrets)
-    }
+    per_unit = counts / dataset.grid.array
+    return FeatureTable((name,), per_unit[:, :, None], dataset.secrets)
 
 
 def timing_features(dataset: TimingDataset) -> FeatureTable:
     """Fallback features when no instrumentation model is available."""
-    grid = dataset.grid.array
-    return {
-        secret: [
-            {"time_per_unit": float(dataset.times[i, p] / grid[p])}
-            for p in range(grid.size)
-        ]
-        for i, secret in enumerate(dataset.secrets)
-    }
+    per_unit = dataset.times / dataset.grid.array
+    return FeatureTable(("time_per_unit",), per_unit[:, :, None], dataset.secrets)
+
+
+def _labels(classes: ObservationClassSet, secrets: Sequence[int]) -> np.ndarray:
+    label = classes.class_of()
+    return np.asarray([label[s] for s in secrets], dtype=int)
 
 
 def training_samples(
     features: FeatureTable, classes: ObservationClassSet
-) -> list[tuple[FeatureVector, int]]:
-    """One labeled sample per execution (secret, grid point)."""
-    label = classes.class_of()
-    samples: list[tuple[FeatureVector, int]] = []
-    for secret, per_point in features.items():
-        for fv in per_point:
-            samples.append((fv, label[secret]))
-    return samples
+) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """One labeled sample per execution (secret, grid point), secret-major.
+
+    Returns ``(x, y, names)``: the ``(N, n_features)`` feature array, the
+    ``N`` class ids and the feature names.
+    """
+    n_secrets, n_grid, n_features = features.values.shape
+    x = features.values.reshape(n_secrets * n_grid, n_features)
+    y = np.repeat(_labels(classes, features.secrets), n_grid)
+    return x, y, features.names
 
 
 @dataclass(frozen=True)
@@ -250,31 +270,26 @@ def enforce(
     re-clustered to report the realized class structure.
     """
     ensure_valid(policy, classes)
-    label = classes.class_of()
+    n_grid = len(dataset.grid)
+    if features.secrets != dataset.secrets or features.values.shape[1] != n_grid:
+        raise ValueError("features must cover the dataset secrets and grid")
+    labels = _labels(classes, dataset.secrets)
     reps = np.vstack([c.representative.values for c in classes.classes])
     rng = np.random.default_rng(seed)
     k = classes.k
 
-    targets: dict[int, int] = {}
-    for secret in dataset.secrets:
-        row = policy.matrix[label[secret]]
-        if policy.deterministic:
-            targets[secret] = int(np.argmax(row))
-        else:
-            targets[secret] = int(rng.choice(k, p=row / row.sum()))
+    rows = policy.matrix[labels]
+    if policy.deterministic:
+        targets = np.argmax(rows, axis=1)
+    else:
+        targets = np.asarray([rng.choice(k, p=row / row.sum()) for row in rows])
 
-    mitigated_times = np.array(dataset.times)
-    wrong = 0
-    total_cells = dataset.n_secrets * len(dataset.grid)
-    for i, secret in enumerate(dataset.secrets):
-        per_point = features[secret]
-        g = targets[secret]
-        for p in range(len(dataset.grid)):
-            predicted = tree.predict(per_point[p])
-            if predicted != label[secret]:
-                wrong += 1
-            delay = max(0.0, float(reps[g, p] - reps[predicted, p]))
-            mitigated_times[i, p] += delay
+    x = features.values.reshape(dataset.n_secrets * n_grid, -1)
+    pred = tree.predict(x).reshape(dataset.n_secrets, n_grid)
+    wrong = int(np.count_nonzero(pred != labels[:, None]))
+    points = np.arange(n_grid)
+    delays = np.maximum(0.0, reps[targets[:, None], points] - reps[pred, points])
+    mitigated_times = dataset.times + delays
 
     mitigated = dataset.with_times(mitigated_times)
     original_total = float(dataset.times.sum())
@@ -286,7 +301,7 @@ def enforce(
     )
     report = EnforcementReport(
         realized_overhead=overhead,
-        misclassification_rate=wrong / total_cells,
+        misclassification_rate=wrong / pred.size,
         classes_after=after,
         entropies=entropies,
     )

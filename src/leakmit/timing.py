@@ -10,6 +10,7 @@ secret-dependent branch whose loop count grows linearly in the public value.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -46,6 +47,8 @@ class PublicGrid:
         pts = tuple(float(p) for p in self.points)
         if not pts:
             raise ValueError("public grid must contain at least one point")
+        if not all(math.isfinite(p) for p in pts):
+            raise ValueError("public grid points must be finite")
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("public grid points must be strictly increasing")
         object.__setattr__(self, "points", pts)
@@ -69,6 +72,8 @@ class TimingFunction:
         vals = _frozen_array(self.values)
         if vals.ndim != 1 or vals.size != len(self.grid):
             raise ValueError("timing values must align with the public grid")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("execution times must be finite")
         if np.any(vals < 0):
             raise ValueError("execution times must be non-negative")
         object.__setattr__(self, "values", vals)
@@ -116,6 +121,8 @@ class TimingDataset:
         times = _frozen_array(self.times)
         if times.shape != (len(secrets), len(self.grid)):
             raise ValueError("times matrix must be n_secrets x n_grid_points")
+        if not np.all(np.isfinite(times)):
+            raise ValueError("execution times must be finite")
         if np.any(times < 0):
             raise ValueError("execution times must be non-negative")
         object.__setattr__(self, "secrets", secrets)
@@ -241,6 +248,8 @@ def read_csv(path: str | Path) -> TimingDataset:
                 time = float(row[2])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if not (math.isfinite(public) and math.isfinite(time)):
+                raise ValueError(f"{path}:{lineno}: values must be finite")
             per_secret = cells.setdefault(secret, {})
             if not per_secret:
                 order.append(secret)

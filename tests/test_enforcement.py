@@ -3,7 +3,7 @@ import pytest
 
 from leakmit.clustering import cluster_functions
 from leakmit.enforcement import (
-    DecisionTree,
+    FeatureTable,
     TreeLeaf,
     TreeSplit,
     branch_loop_counts,
@@ -18,6 +18,7 @@ from leakmit.enforcement import (
     write_tree,
 )
 from leakmit.policy import (
+    MitigationPolicy,
     blocks_policy,
     expected_overhead,
     full_merge_policy,
@@ -37,16 +38,20 @@ def fitted(dataset, classes, features):
     return learn_tree(training_samples(features, classes))
 
 
+def one_feature(values, labels):
+    """Samples with a single feature ``f``, as training_samples returns them."""
+    return np.asarray(values, dtype=float)[:, None], np.asarray(labels), ("f",)
+
+
 class TestLearnTree:
     def test_single_class_collapses_to_a_leaf(self):
-        samples = [({"f": float(v)}, 0) for v in range(5)]
-        tree = learn_tree(samples)
+        tree = learn_tree(one_feature(range(5), [0] * 5))
         assert isinstance(tree.root, TreeLeaf)
         assert tree.train_accuracy == 1.0
 
     def test_one_threshold_separates_two_classes(self):
-        samples = [({"f": float(v)}, int(v >= 3)) for v in range(6)]
-        tree = learn_tree(samples, max_depth=1)
+        tree = learn_tree(one_feature(range(6), [int(v >= 3) for v in range(6)]),
+                          max_depth=1)
         assert isinstance(tree.root, TreeSplit)
         assert tree.root.threshold == pytest.approx(2.5)
         assert tree.train_accuracy == 1.0
@@ -61,27 +66,51 @@ class TestLearnTree:
                 )
                 for _ in range(20)
             ]
-            tree = learn_tree(samples, max_depth=1)
+            x = np.array([[fv["a"], fv["b"]] for fv, _ in samples])
+            y = np.array([label for _, label in samples])
+            tree = learn_tree((x, y, ("a", "b")), max_depth=1)
             _, _, oracle_acc = stump_oracle(samples)
-            hits = sum(tree.predict(fv) == y for fv, y in samples)
+            hits = np.count_nonzero(tree.predict(x) == y)
             # equal-gain splits may differ; accuracy of the chosen stump
             # must still match the best achievable
             assert hits / len(samples) == pytest.approx(oracle_acc)
+            assert tree.train_accuracy == hits / len(samples)
 
     def test_min_leaf_blocks_thin_splits(self):
-        samples = [({"f": float(v)}, int(v >= 5)) for v in range(6)]
+        samples = one_feature(range(6), [int(v >= 5) for v in range(6)])
         assert isinstance(learn_tree(samples, min_leaf=1).root, TreeSplit)
         assert isinstance(learn_tree(samples, min_leaf=4).root, TreeLeaf)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one"):
-            learn_tree([])
+            learn_tree(one_feature([], []))
         with pytest.raises(ValueError, match=">= 1"):
-            learn_tree([({"f": 1.0}, 0)], max_depth=0)
-        with pytest.raises(ValueError, match="feature-name set"):
-            learn_tree([({"f": 1.0}, 0), ({"g": 1.0}, 1)])
+            learn_tree(one_feature([1.0], [0]), max_depth=0)
+        with pytest.raises(ValueError, match="n_samples x n_features"):
+            learn_tree((np.ones((2, 2)), np.array([0, 1]), ("f",)))
         with pytest.raises(ValueError, match="non-negative"):
-            learn_tree([({"f": -1.0}, 0)])
+            learn_tree(one_feature([1.0], [-1]))
+
+
+class TestPredict:
+    def test_routes_every_row_like_a_walk_down_the_tree(self):
+        rng = np.random.default_rng(11)
+        x = rng.integers(0, 8, size=(200, 3)).astype(float)
+        y = rng.integers(0, 4, size=200)
+        tree = learn_tree((x, y, ("a", "b", "c")), max_depth=4)
+
+        def walk(row):
+            node = tree.root
+            while isinstance(node, TreeSplit):
+                node = node.left if row[node.feature] <= node.threshold else node.right
+            return node.class_id
+
+        assert tree.predict(x).tolist() == [walk(row) for row in x]
+
+    def test_feature_count_checked(self):
+        tree = learn_tree(one_feature(range(4), [0, 0, 1, 1]))
+        with pytest.raises(ValueError, match="n_features"):
+            tree.predict(np.ones((3, 2)))
 
 
 class TestFeatures:
@@ -93,18 +122,40 @@ class TestFeatures:
 
     def test_counter_features_are_constant_per_secret(self, binomial_dataset):
         table = perfect_features(binomial_dataset)
-        for secret, per_point in table.items():
-            values = {fv["iterations_per_unit"] for fv in per_point}
-            assert values == {float(int(secret).bit_count())}
+        assert table.names == ("iterations_per_unit",)
+        assert table.secrets == binomial_dataset.secrets
+        assert table.values.shape == binomial_dataset.times.shape + (1,)
+        for secret, per_point in zip(table.secrets, table.values):
+            assert set(per_point[:, 0]) == {float(int(secret).bit_count())}
 
     def test_timing_features_divide_by_grid(self):
         ds = gen_mod_exp(3, 2.0, 0.0, seed=0)
         table = timing_features(ds)
+        assert table.names == ("time_per_unit",)
         i = ds.secrets.index(1)
         for p, y in enumerate(ds.grid.points):
-            assert table[1][p]["time_per_unit"] == pytest.approx(
-                ds.times[i, p] / y
-            )
+            assert table.values[i, p, 0] == pytest.approx(ds.times[i, p] / y)
+
+    def test_feature_table_validation(self):
+        ok = np.ones((2, 3, 1))
+        with pytest.raises(ValueError, match="n_secrets x n_grid x n_features"):
+            FeatureTable(("f",), ok, (1, 2, 3))
+        with pytest.raises(ValueError, match="n_secrets x n_grid x n_features"):
+            FeatureTable(("f", "g"), ok, (1, 2))
+        with pytest.raises(ValueError, match="n_secrets x n_grid x n_features"):
+            FeatureTable(("f",), np.ones((2, 3)), (1, 2))
+        for bad in (np.nan, np.inf):
+            values = ok.copy()
+            values[1, 2, 0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                FeatureTable(("f",), values, (1, 2))
+        values = ok.copy()
+        values[0, 0, 0] = -1.0
+        with pytest.raises(ValueError, match="non-negative"):
+            FeatureTable(("f",), values, (1, 2))
+        table = FeatureTable(("f",), ok, (1, 2))
+        with pytest.raises(ValueError):
+            table.values[0, 0, 0] = 5.0
 
     def test_branch_loop_counts_group_validation(self, grouped_dataset):
         counts = branch_loop_counts(grouped_dataset, (5, 5, 5, 10), (1, 2, 3, 4))
@@ -118,11 +169,15 @@ class TestFeatures:
 
     def test_training_samples_label_by_class(self, binomial_dataset, binomial_classes):
         table = perfect_features(binomial_dataset)
-        samples = training_samples(table, binomial_classes)
-        assert len(samples) == binomial_dataset.n_secrets * len(binomial_dataset.grid)
+        x, y, names = training_samples(table, binomial_classes)
+        n_grid = len(binomial_dataset.grid)
+        assert x.shape == (binomial_dataset.n_secrets * n_grid, 1)
+        assert names == ("iterations_per_unit",)
         label = binomial_classes.class_of()
-        fv, cid = samples[0]
-        assert cid == label[binomial_dataset.secrets[0]]
+        # secret-major: row i * n_grid + p is secret i at grid point p
+        for i, secret in enumerate(binomial_dataset.secrets):
+            assert set(y[i * n_grid:(i + 1) * n_grid]) == {label[secret]}
+            assert x[i * n_grid + 2, 0] == table.values[i, 2, 0]
 
 
 class TestEnforce:
@@ -186,8 +241,6 @@ class TestEnforce:
         matrix[0] = 0.0
         matrix[0, 0] = 0.5
         matrix[0, k - 1] = 0.5
-        from leakmit.policy import MitigationPolicy
-
         policy = MitigationPolicy(matrix, deterministic=False)
         first, _ = enforce(
             binomial_dataset, binomial_classes, policy, tree, 3, features
@@ -221,6 +274,43 @@ class TestEnforce:
         assert sorted(measures) == ["guessing", "minguess", "shannon"]
         for _, before, after in report.entropies:
             assert after >= before  # full merge maximizes every measure
+
+    def test_padding_matches_a_per_execution_loop(self):
+        # noisy timing features and a shallow tree misclassify some
+        # executions; a stochastic policy exercises the target draws
+        ds = gen_branch_loop((5, 5, 5, 10), (1, 2, 3, 4), 20, 0.3, seed=1)
+        classes = cluster_functions(ds, 2.0)
+        features = timing_features(ds)
+        tree = learn_tree(training_samples(features, classes), max_depth=2)
+        k = classes.k
+        matrix = np.triu(np.ones((k, k)))
+        matrix /= matrix.sum(axis=1, keepdims=True)
+        policy = MitigationPolicy(matrix, deterministic=False)
+        mitigated, report = enforce(ds, classes, policy, tree, 5, features)
+
+        label = classes.class_of()
+        reps = [c.representative.values for c in classes.classes]
+        rng = np.random.default_rng(5)
+        want = np.array(ds.times)
+        wrong = 0
+        for i, secret in enumerate(ds.secrets):
+            row = matrix[label[secret]]
+            target = int(rng.choice(k, p=row / row.sum()))
+            for p in range(len(ds.grid)):
+                (pred,) = tree.predict(features.values[i, p][None, :])
+                wrong += int(pred != label[secret])
+                want[i, p] += max(0.0, float(reps[target][p] - reps[pred][p]))
+        assert wrong > 0
+        assert np.array_equal(mitigated.times, want)
+        assert report.misclassification_rate == wrong / want.size
+
+    def test_features_must_match_the_dataset(self, grouped_dataset, grouped_classes):
+        features = timing_features(grouped_dataset)
+        tree = fitted(grouped_dataset, grouped_classes, features)
+        other = gen_branch_loop((5, 5, 5, 10), (1, 2, 3, 4), 40, 0.0, seed=0)
+        policy = identity_policy(grouped_classes.k)
+        with pytest.raises(ValueError, match="cover the dataset"):
+            enforce(other, grouped_classes, policy, tree, 0, features)
 
     def test_noisy_classifier_still_pads_upward(self):
         # sigma > 0 breaks perfect classification; delays stay non-negative

@@ -36,6 +36,11 @@ class TestPublicGrid:
         with pytest.raises(ValueError):
             PublicGrid(())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PublicGrid((1.0, bad))
+
     def test_frozen(self):
         g = grid(1, 2, 3)
         with pytest.raises(AttributeError):
@@ -53,6 +58,11 @@ class TestTimingFunction:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             func(grid(1, 2, 3), 1.0, 2.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            func(grid(1, 2), 1.0, bad)
 
     def test_mean(self):
         assert func(grid(1, 2), 1.0, 3.0).mean() == 2.0
@@ -212,6 +222,13 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="missing"):
             read_csv(path)
 
+    @pytest.mark.parametrize("cell", ["1,nan,1.0", "1,1,inf", "1,1,nan"])
+    def test_non_finite_rejected_with_line(self, tmp_path, cell):
+        path = tmp_path / "nan.csv"
+        path.write_text(f"secret_id,public_value,time_seconds\n1,2,1.0\n{cell}\n")
+        with pytest.raises(ValueError, match=r":3: values must be finite"):
+            read_csv(path)
+
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_csv(tmp_path / "absent.csv")
@@ -222,6 +239,11 @@ class TestDatasetInvariants:
         g = grid(1, 2)
         with pytest.raises(ValueError):
             TimingDataset((1, 1), g, np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_times_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TimingDataset((1, 2), grid(1, 2), [[1.0, 2.0], [bad, 2.0]])
 
     def test_times_are_read_only(self):
         ds = gen_mod_exp(3, 1.0, 0.0, seed=0)
