@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 import typing
@@ -331,6 +332,8 @@ def _parse_sweep_grid(raw: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ConfigError("--sweep expects numeric start:stop:step")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError("--sweep expects finite start:stop:step")
     if step <= 0 or stop < start:
         raise ConfigError("--sweep needs step > 0 and stop >= start")
     grid = []
@@ -512,6 +515,15 @@ def compare(config: PipelineConfig) -> list[Path]:
     return [csv_path]
 
 
+# Allowed values of the string settings, for flags and config files alike.
+_CHOICES = {
+    "gen": ("mod_exp", "branch_loop"),
+    "measure": tuple(m.value for m in EntropyMeasure),
+    "algo": ("det", "stoch"),
+    "baseline": ("double", "bucketing"),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
@@ -548,7 +560,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON file with flag defaults")
         p.add_argument("--input", help="dataset CSV path")
-        p.add_argument("--gen", choices=["mod_exp", "branch_loop"])
+        p.add_argument("--gen", choices=_CHOICES["gen"])
         p.add_argument("--n-bits", dest="n_bits", type=int)
         p.add_argument("--unit-cost", dest="unit_cost", type=float)
         p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
@@ -556,13 +568,13 @@ def _build_parser() -> _Parser:
         p.add_argument("--slopes", type=_float_list)
         p.add_argument("--n-publics", dest="n_publics", type=int)
         p.add_argument("--epsilon", type=float)
-        p.add_argument("--measure", choices=[m.value for m in EntropyMeasure])
+        p.add_argument("--measure", choices=_CHOICES["measure"])
         p.add_argument("--delta", type=float)
-        p.add_argument("--algo", choices=["det", "stoch"])
+        p.add_argument("--algo", choices=_CHOICES["algo"])
         p.add_argument("--scan-all-r", dest="scan_all_r", action="store_true",
                        default=None)
         p.add_argument("--n-starts", dest="n_starts", type=int)
-        p.add_argument("--baseline", choices=["double", "bucketing"])
+        p.add_argument("--baseline", choices=_CHOICES["baseline"])
         p.add_argument("--buckets", type=int)
         p.add_argument("--sweep", help="budget grid start:stop:step")
         p.add_argument("--seed", type=int)
@@ -614,9 +626,14 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
         if flag_value is not None:
             values[name] = flag_value
     config = PipelineConfig(**values)
-    if config.delta < 0:
+    for name, allowed in _CHOICES.items():
+        value = getattr(config, name)
+        if value is not None and value not in allowed:
+            raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
+    # Written as "not >=" so that NaN fails too.
+    if not config.delta >= 0:
         raise ConfigError("delta must be >= 0")
-    if config.epsilon <= 0:
+    if not config.epsilon > 0:
         raise ConfigError("epsilon must be > 0")
     if config.seed < 0:
         raise ConfigError("seed must be >= 0")

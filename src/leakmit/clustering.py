@@ -3,9 +3,13 @@
 Two secrets belong to the same observation class when their timing functions
 are indistinguishable up to a tolerance: classes are built by complete-linkage
 agglomerative clustering under the mean absolute (L1) distance, merging while
-the closest pair of clusters is within epsilon.  Classes are ordered by the
-mean of their representative function, which for monotone benchmarks realizes
-the pointwise order on functions: a class can be padded up to any later class.
+the closest pair of clusters is within epsilon.  The greedy merge caches each
+row's nearest neighbour and its distance (Muellner 2011, the "generic
+algorithm"), so on U distinct rows it costs O(U^2) rather than a full matrix
+rescan per merge, and it merges tied pairs in the same order as that rescan.
+Classes are ordered by the mean of their representative function, which for
+monotone benchmarks realizes the pointwise order on functions: a class can be
+padded up to any later class.
 
 The penalty matrix prices each upward move i -> j as the mean extra delay
 needed to lift the i-th representative onto the j-th, normalized by the
@@ -100,33 +104,65 @@ class ObservationClassSet:
         return out
 
 
+def _unique_rows(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows in lexicographic order and each row's index among them.
+
+    Same result as ``np.unique(times, axis=0, return_inverse=True)``, from
+    one stable lexsort and an adjacent-row comparison.
+    """
+    order = np.lexsort(times.T[::-1])
+    ordered = times[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[starts], inverse
+
+
 def _mean_l1_matrix(rows: np.ndarray) -> np.ndarray:
     n = rows.shape[0]
     dist = np.zeros((n, n))
-    for i in range(n):
-        dist[i] = np.abs(rows - rows[i]).mean(axis=1)
+    for i in range(n - 1):
+        upper = np.abs(rows[i + 1:] - rows[i]).mean(axis=1)
+        dist[i, i + 1:] = upper
+        dist[i + 1:, i] = upper
     return dist
 
 
 def _complete_linkage_groups(dist: np.ndarray, epsilon: float) -> list[list[int]]:
-    """Merge greedily while the smallest complete-linkage distance is <= epsilon."""
+    """Merge greedily while the smallest complete-linkage distance is <= epsilon.
+
+    Each step merges the pair a flat ``argmin`` over the symmetric matrix
+    would pick, so ties go to the lowest ``(i, j)``.  ``nn[r]`` caches the
+    first argmin of row r and ``rowmin[r]`` its value.  A merge only grows
+    entries, and only in columns a and b, so a row keeps its cache unless it
+    pointed at a or b; only those rows are rescanned.  A merged-away row gets
+    ``nn = -1``.  ``dist`` is overwritten.
+    """
     n = dist.shape[0]
-    work = dist.copy()
-    np.fill_diagonal(work, np.inf)
+    np.fill_diagonal(dist, np.inf)
+    nn = np.argmin(dist, axis=1)
+    rowmin = dist[np.arange(n), nn]
     groups: dict[int, list[int]] = {i: [i] for i in range(n)}
     while len(groups) > 1:
-        flat = int(np.argmin(work))
-        i, j = divmod(flat, n)
-        if work[i, j] > epsilon:
+        # Row a is the first to hold the smallest entry, so by symmetry
+        # b > a, and row a itself is rescanned below because nn[a] == b.
+        a = int(np.argmin(rowmin))
+        b = int(nn[a])
+        if rowmin[a] > epsilon:
             break
-        a, b = (i, j) if i < j else (j, i)
         groups[a].extend(groups.pop(b))
-        merged = np.maximum(work[a], work[b])
-        work[a, :] = merged
-        work[:, a] = merged
-        work[a, a] = np.inf
-        work[b, :] = np.inf
-        work[:, b] = np.inf
+        merged = np.maximum(dist[a], dist[b])
+        dist[a, :] = merged
+        dist[:, a] = merged
+        dist[a, a] = np.inf
+        dist[b, :] = np.inf
+        dist[:, b] = np.inf
+        nn[b] = -1
+        rowmin[b] = np.inf
+        rows = np.flatnonzero((nn == a) | (nn == b))
+        nn[rows] = np.argmin(dist[rows], axis=1)
+        rowmin[rows] = dist[rows, nn[rows]]
     return [groups[g] for g in sorted(groups)]
 
 
@@ -157,8 +193,8 @@ def cluster_functions(dataset: TimingDataset, epsilon: float) -> ObservationClas
         raise ValueError("epsilon must be positive")
     times = dataset.times
     # Identical rows always merge first at distance zero and never change a
-    # complete-linkage distance, so collapse them before the O(U^3) loop.
-    uniq, inverse = np.unique(times, axis=0, return_inverse=True)
+    # complete-linkage distance, so collapse them before the O(U^2) linkage.
+    uniq, inverse = _unique_rows(times)
     dist = _mean_l1_matrix(uniq)
     groups = _complete_linkage_groups(dist, float(epsilon))
 

@@ -43,14 +43,12 @@ class DpTables:
 
     ``value[i][r]`` is the best feasible objective (entropy scale) over
     partitions of the first i classes into r blocks, ``penalty[i][r]`` the
-    budget spent by that best point (inf when the state is infeasible), and
-    ``split[i][r]`` the prefix length before the last block (-1 when unset).
+    budget spent by that best point (inf when the state is infeasible).
     Row and column 0 are padding so indices read naturally.
     """
 
     value: np.ndarray
     penalty: np.ndarray
-    split: np.ndarray
     measure: EntropyMeasure
     delta: float
 
@@ -141,7 +139,6 @@ def synthesize_det(
 
     value = np.full((k + 1, k + 1), -np.inf)
     penalty = np.full((k + 1, k + 1), np.inf)
-    split = np.full((k + 1, k + 1), -1, dtype=int)
 
     # states[i] holds the frontier for (i, r) at the r currently being filled;
     # each point is (raw objective, spent budget, predecessor i, point index).
@@ -154,7 +151,6 @@ def synthesize_det(
         if cost <= delta:
             states[i][1] = [(block_raw[0, i - 1], cost, 0, -1)]
             penalty[i][1] = cost
-            split[i][1] = 0
 
     chosen_r = 0
     feasible_r: list[int] = []
@@ -184,7 +180,6 @@ def synthesize_det(
                     best = max(frontier, key=lambda p: p[0])
                     value[i][r] = _finalize(measure, best[0], total)
                     penalty[i][r] = best[1]
-                    split[i][r] = best[2]
             if states[k][r]:
                 feasible_r.append(r)
                 if not scan_all_r:
@@ -208,7 +203,7 @@ def synthesize_det(
         i, r, idx = j, r - 1, prev_idx
     blocks.reverse()
 
-    tables = DpTables(value, penalty, split, measure, float(delta))
+    tables = DpTables(value, penalty, measure, float(delta))
     return blocks_policy(blocks, k), tables
 
 

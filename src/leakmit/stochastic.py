@@ -42,7 +42,6 @@ from .simplex import solve_lp
 __all__ = ["SolveDiagnostics", "synthesize_minguess", "synthesize_local"]
 
 INT_TOL = 1e-9
-GAP_TOL = 1e-6
 STEP_TOL = 1e-8
 MAX_ASCENT_ITERS = 10_000
 
@@ -125,7 +124,7 @@ def _matrix_from_mu(x: np.ndarray, mu_index, k: int) -> np.ndarray:
 
 
 def synthesize_minguess(
-    classes: ObservationClassSet, delta: float, gap: float = GAP_TOL
+    classes: ObservationClassSet, delta: float
 ) -> tuple[MitigationPolicy, SolveDiagnostics]:
     """Exact min-guess maximization by branch and bound over the indicators."""
     if not delta >= 0:

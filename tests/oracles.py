@@ -3,7 +3,9 @@
 Everything here is written with plain loops and, where it matters, different
 algorithms than the library (naive clustering instead of Lance-Williams,
 basis enumeration instead of simplex pivoting, subset enumeration instead of
-dynamic programming).  Slow on purpose; only run on small inputs.
+dynamic programming).  Where the library's result depends on tie order, the
+earlier library algorithm is kept here verbatim as the reference.  Slow on
+purpose; only run on small inputs.
 """
 
 from __future__ import annotations
@@ -74,6 +76,33 @@ def linkage_oracle(vectors, eps: float) -> list[frozenset[int]]:
         clusters = [c for t, c in enumerate(clusters) if t not in (a, b)]
         clusters.append(merged)
     return clusters
+
+
+def greedy_linkage_oracle(dist, eps: float) -> list[list[int]]:
+    """The cubic greedy complete linkage, frozen as the tie-order reference.
+
+    Rescans the whole working matrix for its flat argmin at every merge, so
+    tied pairs merge lowest ``(i, j)`` first.  Returns the groups in order of
+    their lowest member, each group in merge order.
+    """
+    n = dist.shape[0]
+    work = dist.copy()
+    np.fill_diagonal(work, np.inf)
+    groups: dict[int, list[int]] = {i: [i] for i in range(n)}
+    while len(groups) > 1:
+        flat = int(np.argmin(work))
+        i, j = divmod(flat, n)
+        if work[i, j] > eps:
+            break
+        a, b = (i, j) if i < j else (j, i)
+        groups[a].extend(groups.pop(b))
+        merged = np.maximum(work[a], work[b])
+        work[a, :] = merged
+        work[:, a] = merged
+        work[a, a] = np.inf
+        work[b, :] = np.inf
+        work[:, b] = np.inf
+    return [groups[g] for g in sorted(groups)]
 
 
 def envelope_oracle(functions):

@@ -204,10 +204,11 @@ class TestPipeline:
 
 
 class TestGoldenArtifacts:
-    """Every ``enforce`` artifact of two small runs, pinned by sha256 across
+    """Every ``enforce`` artifact of three small runs, pinned by sha256 across
     commits.  Run (a) covers counter features and stochastic target draws;
     run (b) covers timing features and padding of executions the depth-2
-    tree gets wrong (misclassification 0.2)."""
+    tree gets wrong (misclassification 0.2); run (c) clusters 200 distinct
+    noisy rows into 4 classes, so the linkage makes 196 merges."""
 
     RUNS = {
         "a": (
@@ -232,6 +233,18 @@ class TestGoldenArtifacts:
                 "policy.json": "3c0b5732e09d8e0e4091b1ecaf57443ef035a4ec6680f820d59e927a6fb2612d",
                 "summary.csv": "23ac3d81d6f967ba812a0436c1bd7a149a38a00ab15f42542813ba346958dbe2",
                 "tree.json": "e1f70d0235f7b464ffc85681a99a890b901782cd5c1702c05c52c98447fbfe50",
+            },
+        ),
+        "c": (
+            ["--gen", "branch_loop", "--group-sizes", "40,40,40,80",
+             "--noise-sigma", "0.05", "--epsilon", "1.0", "--algo", "det"],
+            {
+                "classes.json": "7c8694f3edec52e4730b57b0fffb1d9540b893851af4ba898d46e835875b8cb2",
+                "enforcement.json": "d345abbcbabc46b4987da0161f53dc7f2ed74cdcadce845e4655267a8ccb828d",
+                "mitigated.csv": "73f955085eaede3445ba51b0406d4390f386e95cbea6afcb6c9e9deb84f54801",
+                "policy.json": "a6f9cbd96975088ef511fa72dd2c93ad43620dcc0a978f93e0300d62f83631fd",
+                "summary.csv": "3679e4d1dea926e89c9d8a163fcc5dfeab6cde8eca8baec81d7def0d5880d725",
+                "tree.json": "19db7bd33c8f443f8e6218d2eb4fe35b03b7bfad65031516723cc48405088a0e",
             },
         ),
     }
@@ -328,6 +341,29 @@ class TestConfigFile:
         assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "classes.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, raw, flags",
+        [
+            ("synthesize", {"measure": "bogus"}, []),
+            ("synthesize", {"algo": "both"}, []),
+            ("cluster", {"gen": "rsa"}, []),
+            ("baseline", {"baseline": "none"}, []),
+            ("cluster", {}, ["--epsilon", "nan"]),
+            ("synthesize", {}, ["--delta", "nan"]),
+            ("sweep", {}, ["--sweep", "nan:1:0.25"]),
+            ("sweep", {}, ["--sweep", "0:inf:0.25"]),
+        ],
+        ids=["measure", "algo", "gen", "baseline", "epsilon-nan", "delta-nan",
+             "sweep-nan", "sweep-inf"],
+    )
+    def test_value_outside_its_domain_rejected(self, tmp_path, capsys,
+                                               command, raw, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gen": "mod_exp", "n_bits": 4, **raw}))
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path)] + flags)
+        assert rc == 1
+        assert "configuration error" in capsys.readouterr().err
 
     def test_unreadable_config(self, tmp_path):
         assert main(["cluster", "--config", str(tmp_path / "nope.json")]) == 1

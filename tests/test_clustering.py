@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from leakmit.clustering import (
+    _complete_linkage_groups,
+    _mean_l1_matrix,
+    _unique_rows,
     classset_from_json,
     classset_to_json,
     cluster_functions,
@@ -14,7 +17,7 @@ from leakmit.clustering import (
 from leakmit.timing import PublicGrid, TimingDataset, TimingFunction, gen_mod_exp
 
 from conftest import BINOMIAL_SIZES
-from oracles import linkage_oracle, mean_l1_oracle
+from oracles import greedy_linkage_oracle, linkage_oracle, mean_l1_oracle
 
 
 def dataset_from_rows(rows, grid_points=None):
@@ -85,6 +88,51 @@ class TestClusterFunctions:
         got = {frozenset(c.members) for c in cluster_functions(ds, eps).classes}
         want = set(linkage_oracle([list(r) for r in rows], eps))
         assert got == want
+
+
+class TestLinkageTieOrder:
+    """The cached-minimum linkage merges in the same order as the cubic
+    rescan it replaced, so groups and their member order agree exactly."""
+
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_tie_heavy_inputs_match_greedy_oracle(self, eps):
+        rng = np.random.default_rng(int(eps * 10))
+        for _ in range(80):
+            n = int(rng.integers(2, 61))
+            rows = rng.integers(0, 4, size=(n, int(rng.integers(1, 4))))
+            dist = _mean_l1_matrix(rows.astype(float))
+            want = greedy_linkage_oracle(dist, eps)
+            assert _complete_linkage_groups(dist.copy(), eps) == want, rows
+
+    def test_continuous_input_matches_greedy_oracle(self):
+        rows = np.random.default_rng(3).normal(0.0, 1.0, size=(300, 8))
+        dist = _mean_l1_matrix(rows)
+        want = greedy_linkage_oracle(dist, 1.0)
+        assert 1 < len(want) < 300
+        assert _complete_linkage_groups(dist.copy(), 1.0) == want
+
+    @pytest.mark.parametrize("n_cols", [1, 5, 17, 50])
+    def test_mean_l1_matrix_matches_full_row_loop(self, n_cols):
+        # Same per-pair arithmetic as a full row at a time, so equal exactly:
+        # linkage ties depend on the last bit.
+        rows = np.random.default_rng(n_cols).uniform(0.0, 10.0, size=(40, n_cols))
+        dist = _mean_l1_matrix(rows)
+        for i in range(40):
+            assert np.array_equal(dist[i], np.abs(rows - rows[i]).mean(axis=1))
+        for i, j in [(0, 1), (3, 39), (20, 7)]:
+            assert dist[i, j] == pytest.approx(mean_l1_oracle(rows[i], rows[j]))
+
+    @pytest.mark.parametrize("signed_zeros", [False, True])
+    def test_unique_rows_matches_numpy(self, signed_zeros):
+        rng = np.random.default_rng(5)
+        times = rng.integers(0, 3, size=(200, 3)).astype(float)
+        if signed_zeros:
+            times[rng.random(times.shape) < 0.3] = -0.0
+        want_uniq, want_inverse = np.unique(times, axis=0, return_inverse=True)
+        uniq, inverse = _unique_rows(times)
+        assert len(uniq) < len(times)
+        assert np.array_equal(uniq, want_uniq)
+        assert np.array_equal(inverse, want_inverse)
 
 
 class TestPenaltyMatrix:
