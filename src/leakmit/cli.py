@@ -83,12 +83,6 @@ def _write_dataset(path: Path, dataset) -> None:
     _write_atomic(path, lambda tmp: timing.write_csv(dataset, tmp))
 
 
-def _overhead(original, mitigated) -> float:
-    """Relative added time (mitigated - original) / original."""
-    base = float(original.times.sum())
-    return (float(mitigated.times.sum()) - base) / base
-
-
 def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     buf.write(",".join(header) + "\n")
@@ -219,7 +213,7 @@ def cmd_baseline(config: PipelineConfig) -> list[Path]:
         )
     else:
         raise ConfigError(f"unknown baseline {config.baseline!r}")
-    overhead = _overhead(dataset, mitigated)
+    overhead = timing.relative_overhead(dataset, mitigated)
     report = {
         "method": config.baseline,
         "classes_before": classes.k,
@@ -483,11 +477,11 @@ def compare(config: PipelineConfig) -> list[Path]:
     results = [("initial", classes.k, all_entropies(classes.sizes), 0.0)]
     mitigated, after = baselines.double_scheme(dataset, epsilon=config.epsilon)
     results.append(("double", after.k, all_entropies(after.sizes),
-                    _overhead(dataset, mitigated)))
+                    timing.relative_overhead(dataset, mitigated)))
     buckets = baselines.fit_buckets(dataset.times.ravel(), config.buckets)
     mitigated, after = baselines.apply_buckets(dataset, buckets, epsilon=config.epsilon)
     results.append(("bucketing", after.k, all_entropies(after.sizes),
-                    _overhead(dataset, mitigated)))
+                    timing.relative_overhead(dataset, mitigated)))
     for algo in ("det", "stoch"):
         policy, _, _ = _synthesize(classes, config, algo, config.delta)
         post = expected_sizes(policy, classes.sizes)

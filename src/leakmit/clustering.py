@@ -176,14 +176,13 @@ def penalty_matrix(
     """
     if baseline_mean <= 0:
         raise ValueError("baseline mean must be positive")
-    reps = list(representatives)
-    k = len(reps)
+    v = np.array([r.values for r in representatives], dtype=float)
+    k = v.shape[0]
     pen = np.full((k, k), np.inf)
     for i in range(k):
         pen[i, i] = 0.0
-        for j in range(i + 1, k):
-            gap = np.maximum(0.0, reps[j].values - reps[i].values)
-            pen[i, j] = float(gap.mean()) / baseline_mean
+        gap = np.maximum(0.0, v[i + 1 :] - v[i])
+        pen[i, i + 1 :] = gap.mean(axis=1) / baseline_mean
     return pen
 
 

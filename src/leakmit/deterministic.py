@@ -1,20 +1,22 @@
-"""Deterministic policy synthesis over contiguous class merges.
+"""Deterministic policy synthesis, exact over contiguous merges.
 
-Because the classes are totally ordered and padding is the only move, an
-optimal deterministic policy merges contiguous runs of classes and elevates
-each run to its top class.  The search space is therefore the set of
-contiguous partitions of the k classes, and the dynamic program below walks
-it exactly:
+The classes are totally ordered and padding is the only move, so merging a
+contiguous run of classes and elevating it to its top class is always
+feasible.  The dynamic program below searches exactly the contiguous
+partitions of the k classes.  It is not exact over all deterministic
+policies: a non-contiguous upward map (say 0 -> 2 with 1 kept apart) can
+beat every contiguous partition under the same budget.
 
     state (i, r) = partitions of the first i classes into r blocks
 
 Each state keeps the Pareto frontier of (objective, spent budget) pairs, so a
 cheaper prefix with a worse objective survives whenever it might enable a
 better completion under the budget.  That bookkeeping is what makes the
-program agree with brute-force enumeration for every instance, not just the
-friendly ones.  Objectives decompose per block: min-guess combines blocks with
-``min``, while shannon and guessing accumulate additive block terms that are
-rescaled into entropies at the end.
+program agree with brute-force enumeration of contiguous partitions for
+every instance, not just the friendly ones.  Objectives decompose per block:
+each block contributes its measure's ``term`` of the block size, blocks are
+folded with the measure's ``combine`` (``+`` or ``min``), and the raw result
+is mapped onto the entropy scale by ``finalize`` (see ``entropy.MEASURES``).
 
 ``scan_all_r=False`` stops at the smallest feasible block count (coarsest
 useful answer first); ``scan_all_r=True`` examines every block count and
@@ -25,13 +27,14 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from .clustering import ObservationClassSet
-from .entropy import EntropyMeasure
+from .entropy import MEASURES, EntropyMeasure
 from .policy import MitigationPolicy, blocks_policy
 
 __all__ = ["DpTables", "synthesize_det", "brute_force_det"]
@@ -41,9 +44,10 @@ __all__ = ["DpTables", "synthesize_det", "brute_force_det"]
 class DpTables:
     """Per-state summaries of the synthesis run.
 
-    ``value[i][r]`` is the best feasible objective (entropy scale) over
-    partitions of the first i classes into r blocks, ``penalty[i][r]`` the
-    budget spent by that best point (inf when the state is infeasible).
+    ``value[i][r]`` is the best feasible objective over partitions of the
+    first i classes into r blocks, mapped onto the entropy scale by the
+    measure's ``finalize``; ``penalty[i][r]`` is the budget spent by that best
+    point (inf when the state is infeasible).
     Row and column 0 are padding so indices read naturally.
     """
 
@@ -73,8 +77,10 @@ def _block_tables(classes: ObservationClassSet, measure: EntropyMeasure):
     """Raw objective and budget cost of every contiguous block [lo, hi].
 
     Shared by the dynamic program and the brute-force oracle so both sides
-    make feasibility calls on bit-identical floats.
+    make feasibility calls on bit-identical floats.  An empty block's raw
+    value is 0.0.
     """
+    term = MEASURES[measure].term
     sizes = classes.sizes
     k = classes.k
     total = sizes.sum()
@@ -89,27 +95,9 @@ def _block_tables(classes: ObservationClassSet, measure: EntropyMeasure):
             cost += weights[lo] * pen[lo, hi]
             size += sizes[lo]
             block_cost[lo, hi] = cost
-            if measure is EntropyMeasure.MINGUESS:
-                block_raw[lo, hi] = (size + 1.0) / 2.0
-            elif measure is EntropyMeasure.SHANNON:
-                block_raw[lo, hi] = size * np.log2(size) if size > 0 else 0.0
-            else:
-                block_raw[lo, hi] = size * size
+            if size > 0:
+                block_raw[lo, hi] = term(size)
     return block_cost, block_raw, total
-
-
-def _combine(measure: EntropyMeasure, prefix: float, block: float) -> float:
-    if measure is EntropyMeasure.MINGUESS:
-        return min(prefix, block)
-    return prefix + block
-
-
-def _finalize(measure: EntropyMeasure, raw: float, total: float) -> float:
-    if measure is EntropyMeasure.MINGUESS:
-        return raw
-    if measure is EntropyMeasure.SHANNON:
-        return raw / total
-    return raw / (2.0 * total) + 0.5
 
 
 def _pareto(points: list[tuple[float, float, int, int]]):
@@ -136,6 +124,8 @@ def synthesize_det(
         raise ValueError("delta must be >= 0")
     k = classes.k
     block_cost, block_raw, total = _block_tables(classes, measure)
+    combine = MEASURES[measure].combine
+    finalize = MEASURES[measure].finalize
 
     value = np.full((k + 1, k + 1), -np.inf)
     penalty = np.full((k + 1, k + 1), np.inf)
@@ -146,7 +136,7 @@ def synthesize_det(
         [[] for _ in range(k + 1)] for _ in range(k + 1)
     ]
     for i in range(1, k + 1):
-        value[i][1] = _finalize(measure, block_raw[0, i - 1], total)
+        value[i][1] = finalize(block_raw[0, i - 1], total)
         cost = block_cost[0, i - 1]
         if cost <= delta:
             states[i][1] = [(block_raw[0, i - 1], cost, 0, -1)]
@@ -168,7 +158,7 @@ def synthesize_det(
                         if new_cost <= delta:
                             candidates.append(
                                 (
-                                    _combine(measure, raw, block_raw[j, i - 1]),
+                                    combine(raw, block_raw[j, i - 1]),
                                     new_cost,
                                     j,
                                     idx,
@@ -178,7 +168,7 @@ def synthesize_det(
                 states[i][r] = frontier
                 if frontier:
                     best = max(frontier, key=lambda p: p[0])
-                    value[i][r] = _finalize(measure, best[0], total)
+                    value[i][r] = finalize(best[0], total)
                     penalty[i][r] = best[1]
             if states[k][r]:
                 feasible_r.append(r)
@@ -224,21 +214,21 @@ def brute_force_det(
     if k > 12:
         raise ValueError("brute force is limited to k <= 12 classes")
     block_cost, block_raw, total = _block_tables(classes, measure)
+    row = MEASURES[measure]
 
     best = None
     for n_cuts in range(k):
         for cuts in combinations(range(1, k), n_cuts):
             edges = (0,) + cuts + (k,)
-            raw = np.inf if measure is EntropyMeasure.MINGUESS else 0.0
+            blocks = [(lo, nxt - 1) for lo, nxt in zip(edges, edges[1:])]
             cost = 0.0
-            for lo, nxt in zip(edges, edges[1:]):
-                cost += block_cost[lo, nxt - 1]
-                raw = _combine(measure, raw, block_raw[lo, nxt - 1])
+            for lo, hi in blocks:
+                cost += block_cost[lo, hi]
             if cost > delta:
                 continue
-            key = (_finalize(measure, raw, total), -len(edges), tuple(-c for c in cuts))
+            raw = reduce(row.combine, (block_raw[lo, hi] for lo, hi in blocks))
+            key = (row.finalize(raw, total), -len(edges), tuple(-c for c in cuts))
             if best is None or key > best[0]:
-                blocks = [(lo, nxt - 1) for lo, nxt in zip(edges, edges[1:])]
                 best = (key, blocks)
     if best is None:
         raise ValueError("no feasible partition, which is impossible for delta >= 0")

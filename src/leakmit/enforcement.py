@@ -21,7 +21,7 @@ import numpy as np
 from .clustering import RECLUSTER_EPS, ObservationClassSet, cluster_functions
 from .entropy import EntropyMeasure, entropy
 from .policy import MitigationPolicy, ensure_valid
-from .timing import TimingDataset
+from .timing import TimingDataset, relative_overhead
 
 __all__ = [
     "FeatureTable",
@@ -292,8 +292,7 @@ def enforce(
     mitigated_times = dataset.times + delays
 
     mitigated = dataset.with_times(mitigated_times)
-    original_total = float(dataset.times.sum())
-    overhead = float(mitigated_times.sum() - original_total) / original_total
+    overhead = relative_overhead(dataset, mitigated)
     after = cluster_functions(mitigated, epsilon)
     entropies = tuple(
         (m, entropy(classes.sizes, m), entropy(after.sizes, m))

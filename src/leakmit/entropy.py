@@ -9,15 +9,22 @@ the secret survives once the attacker has pinned down the class:
 * minguess:  min over non-empty classes of (B_i + 1) / 2
 
 with B the total size.  Empty classes contribute nothing.
+
+``MEASURES`` is the one home of these formulas.  The solvers optimize a
+measure's raw value (sum B_i log2 B_i, sum B_i**2, or the smallest class
+size) and map it onto the entropy scale with the row's ``finalize``.
 """
 
 from __future__ import annotations
 
+import operator
+from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
-__all__ = ["EntropyMeasure", "entropy", "post_policy_entropy"]
+__all__ = ["EntropyMeasure", "MeasureRow", "MEASURES", "entropy", "post_policy_entropy"]
 
 
 class EntropyMeasure(str, Enum):
@@ -26,9 +33,53 @@ class EntropyMeasure(str, Enum):
     MINGUESS = "minguess"
 
 
+@dataclass(frozen=True)
+class MeasureRow:
+    """How one measure is computed.
+
+    ``term`` maps positive class sizes (scalar or array) to their per-class
+    contributions; ``combine`` folds two raw values on Python floats (``+`` or
+    ``min``); ``finalize(raw, B)`` rescales a raw value with total size B onto
+    the entropy scale; ``slope`` is d term / d size for gradient ascent, or
+    None for min-guess.
+    """
+
+    term: Callable
+    combine: Callable[[float, float], float]
+    finalize: Callable[[float, float], float]
+    slope: Callable | None
+
+    def raw(self, sizes: np.ndarray) -> float:
+        """Raw value of a size vector: its non-empty classes' terms, folded."""
+        terms = self.term(sizes[sizes > 0])
+        return float(terms.min() if self.combine is min else terms.sum())
+
+
+MEASURES: dict[EntropyMeasure, MeasureRow] = {
+    EntropyMeasure.SHANNON: MeasureRow(
+        term=lambda b: b * np.log2(b),
+        combine=operator.add,
+        finalize=lambda raw, total: raw / total,
+        slope=lambda c: np.log2(np.maximum(c, 1e-12)) + 1.0 / np.log(2.0),
+    ),
+    EntropyMeasure.GUESSING: MeasureRow(
+        term=lambda b: b * b,
+        combine=operator.add,
+        finalize=lambda raw, total: raw / (2.0 * total) + 0.5,
+        slope=lambda c: 2.0 * c,
+    ),
+    EntropyMeasure.MINGUESS: MeasureRow(
+        term=lambda b: b,
+        combine=min,
+        finalize=lambda raw, total: (raw + 1.0) / 2.0,
+        slope=None,
+    ),
+}
+
+
 def entropy(sizes, measure: EntropyMeasure | str) -> float:
     """Evaluate one leakage measure on a vector of class sizes."""
-    measure = EntropyMeasure(measure)
+    row = MEASURES[EntropyMeasure(measure)]
     b = np.asarray(sizes, dtype=float).ravel()
     if b.size == 0:
         raise ValueError("sizes must be non-empty")
@@ -37,12 +88,7 @@ def entropy(sizes, measure: EntropyMeasure | str) -> float:
     total = float(b.sum())
     if total <= 0:
         raise ValueError("at least one class size must be positive")
-    pos = b[b > 0]
-    if measure is EntropyMeasure.SHANNON:
-        return float((pos * np.log2(pos)).sum() / total)
-    if measure is EntropyMeasure.GUESSING:
-        return float((pos * pos).sum() / (2.0 * total) + 0.5)
-    return float((pos.min() + 1.0) / 2.0)
+    return float(row.finalize(row.raw(b), total))
 
 
 def post_policy_entropy(policy, classes, measure: EntropyMeasure | str) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import ObservationClassSet
-from .entropy import EntropyMeasure
+from .entropy import MEASURES, EntropyMeasure
 from .errors import SolverError
 from .policy import (
     MitigationPolicy,
@@ -50,10 +50,14 @@ MAX_ASCENT_ITERS = 10_000
 class SolveDiagnostics:
     """What the solver did and how good its answer provably is.
 
-    ``objective`` is on the raw scale of the solve: the smallest non-empty
+    ``objective`` is on the raw scale of ``entropy.MEASURES`` (the measure's
+    ``finalize`` maps it onto the entropy scale): the smallest non-empty
     expected class size for min-guess, sum C*log2(C) for shannon, sum C**2
     for guessing.  ``best_bound`` is an upper bound on the achievable raw
-    objective; for branch and bound the two match within the gap tolerance.
+    objective.  Branch and bound reports max(incumbent, root relaxation);
+    the root relaxation is usually far above the optimum, so the bound is
+    loose even when the search has closed.  Local search reports the raw
+    value of merging everything into one class of size B.
     """
 
     nodes_explored: int
@@ -63,12 +67,21 @@ class SolveDiagnostics:
     status: str  # "optimal" | "feasible" | "budget-infeasible"
 
 
+def _move_cost(classes: ObservationClassSet) -> np.ndarray:
+    """Budget spent per unit of mu[i, j]: B_i * penalty[i, j] / B.
+
+    Forbidden (downward) moves cost 0 here; the solvers never put mass there.
+    """
+    sizes = classes.sizes
+    pen = np.where(np.isinf(classes.penalty), 0.0, classes.penalty)
+    return sizes[:, None] * pen / sizes.sum()
+
+
 def _minguess_program(classes: ObservationClassSet, delta: float):
     """Variable layout: mu entries (i <= j), then z_0..z_{k-1}, then m."""
     k = classes.k
     sizes = classes.sizes
     total = sizes.sum()
-    pen = classes.penalty
     mu_index = [(i, j) for i in range(k) for j in range(i, k)]
     n_mu = len(mu_index)
     z0 = n_mu
@@ -83,9 +96,10 @@ def _minguess_program(classes: ObservationClassSet, delta: float):
     a_ub_rows = []
     b_ub = []
     if np.isfinite(delta):
+        move_cost = _move_cost(classes)
         budget = np.zeros(n)
         for p, (i, j) in enumerate(mu_index):
-            budget[p] = sizes[i] * pen[i, j] / total
+            budget[p] = move_cost[i, j]
         a_ub_rows.append(budget)
         b_ub.append(float(delta))
     for j in range(k):
@@ -200,13 +214,6 @@ def synthesize_minguess(
     return policy, diagnostics
 
 
-def _raw_objective(measure: EntropyMeasure, sizes_after: np.ndarray) -> float:
-    pos = sizes_after[sizes_after > 0]
-    if measure is EntropyMeasure.SHANNON:
-        return float((pos * np.log2(pos)).sum())
-    return float((pos * pos).sum())
-
-
 def _project_row_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {x >= 0, sum x == 1}."""
     u = np.sort(v)[::-1]
@@ -239,25 +246,21 @@ def synthesize_local(
         raise ValueError("use synthesize_minguess for the min-guess objective")
     if not delta >= 0:
         raise ValueError("delta must be >= 0")
+    row = MEASURES[measure]
     k = classes.k
     sizes = classes.sizes
     total = sizes.sum()
-    pen_cost = np.where(np.isinf(classes.penalty), 0.0, classes.penalty)
-    pen_cost = sizes[:, None] * pen_cost / total
+    pen_cost = _move_cost(classes)
     mask = np.triu(np.ones((k, k), dtype=bool))
 
     def overhead(mat: np.ndarray) -> float:
         return float((mat * pen_cost).sum())
 
     def objective(mat: np.ndarray) -> float:
-        return _raw_objective(measure, sizes @ mat)
+        return row.raw(sizes @ mat)
 
     def gradient(mat: np.ndarray) -> np.ndarray:
-        col = sizes @ mat
-        if measure is EntropyMeasure.SHANNON:
-            g_col = np.log2(np.maximum(col, 1e-12)) + 1.0 / np.log(2.0)
-        else:
-            g_col = 2.0 * col
+        g_col = row.slope(sizes @ mat)
         return np.where(mask, sizes[:, None] * g_col[None, :], 0.0)
 
     def project_rows(mat: np.ndarray) -> np.ndarray:
@@ -375,13 +378,10 @@ def synthesize_local(
     if overhead(mat) > delta + 1e-9:
         raise SolverError("sanitized policy slipped past the budget")
     policy = MitigationPolicy(mat, deterministic=False)
-    bound = (
-        total * np.log2(total) if measure is EntropyMeasure.SHANNON else total * total
-    )
     diagnostics = SolveDiagnostics(
         nodes_explored=0,
         restarts=len(starts),
-        best_bound=float(bound),
+        best_bound=float(row.term(total)),
         objective=float(objective(mat)),
         status="feasible",
     )

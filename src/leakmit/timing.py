@@ -22,6 +22,7 @@ __all__ = [
     "TimingFunction",
     "TimingDataset",
     "upper_envelope",
+    "relative_overhead",
     "gen_mod_exp",
     "gen_branch_loop",
     "write_csv",
@@ -141,6 +142,12 @@ class TimingDataset:
 
     def with_times(self, times: np.ndarray) -> "TimingDataset":
         return TimingDataset(self.secrets, self.grid, times, self.noise_seed)
+
+
+def relative_overhead(original: TimingDataset, mitigated: TimingDataset) -> float:
+    """Relative added time (mitigated - original) / original, over all executions."""
+    base = float(original.times.sum())
+    return (float(mitigated.times.sum()) - base) / base
 
 
 def _apply_noise(times: np.ndarray, sigma: float, seed: int) -> np.ndarray:

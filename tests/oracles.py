@@ -105,6 +105,20 @@ def greedy_linkage_oracle(dist, eps: float) -> list[list[int]]:
     return [groups[g] for g in sorted(groups)]
 
 
+def penalty_loop_oracle(representatives, baseline_mean: float):
+    """The per-pair penalty loop, frozen as the bit-level reference for the
+    row-broadcast ``penalty_matrix``."""
+    reps = list(representatives)
+    k = len(reps)
+    pen = np.full((k, k), np.inf)
+    for i in range(k):
+        pen[i, i] = 0.0
+        for j in range(i + 1, k):
+            gap = np.maximum(0.0, reps[j].values - reps[i].values)
+            pen[i, j] = float(gap.mean()) / baseline_mean
+    return pen
+
+
 def envelope_oracle(functions):
     n = len(functions[0])
     return [max(f[i] for f in functions) for i in range(n)]

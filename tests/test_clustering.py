@@ -17,7 +17,12 @@ from leakmit.clustering import (
 from leakmit.timing import PublicGrid, TimingDataset, TimingFunction, gen_mod_exp
 
 from conftest import BINOMIAL_SIZES
-from oracles import greedy_linkage_oracle, linkage_oracle, mean_l1_oracle
+from oracles import (
+    greedy_linkage_oracle,
+    linkage_oracle,
+    mean_l1_oracle,
+    penalty_loop_oracle,
+)
 
 
 def dataset_from_rows(rows, grid_points=None):
@@ -177,6 +182,23 @@ class TestPenaltyMatrix:
         f = TimingFunction(g, np.array([1.0]))
         with pytest.raises(ValueError):
             penalty_matrix([f], 0.0)
+
+    @pytest.mark.parametrize("n_points", [1, 4, 8, 50, 137])
+    def test_matches_pair_loop_bit_for_bit(self, n_points):
+        # crossing, tied and noisy representatives, on odd-sized grids
+        rng = np.random.default_rng(n_points)
+        g = PublicGrid(tuple(float(p + 1) for p in range(n_points)))
+        values = rng.uniform(0.0, 10.0, size=(60, n_points))
+        values[10:20] = values[0]
+        values[rng.random(values.shape) < 0.2] = 0.0
+        reps = [TimingFunction(g, v) for v in values]
+        for baseline in (1.0, 3.7):
+            want = penalty_loop_oracle(reps, baseline)
+            assert np.array_equal(penalty_matrix(reps, baseline), want)
+
+    def test_single_class_is_zero(self):
+        f = TimingFunction(PublicGrid((1.0, 2.0)), np.array([1.0, 2.0]))
+        assert np.array_equal(penalty_matrix([f], 2.0), np.zeros((1, 1)))
 
     def test_clamps_pointwise_negative_gaps(self):
         # crossing representatives: only the positive part is charged

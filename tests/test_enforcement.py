@@ -24,7 +24,7 @@ from leakmit.policy import (
     full_merge_policy,
     identity_policy,
 )
-from leakmit.timing import gen_branch_loop, gen_mod_exp
+from leakmit.timing import gen_branch_loop, gen_mod_exp, relative_overhead
 
 from oracles import stump_oracle
 
@@ -213,11 +213,13 @@ class TestEnforce:
         tree = fitted(binomial_dataset, binomial_classes, features)
         k = binomial_classes.k
         policy = blocks_policy([(0, 3), (4, 6), (7, k - 1)], k)
-        _, report = enforce(
+        mitigated, report = enforce(
             binomial_dataset, binomial_classes, policy, tree, 0, features
         )
         expected = expected_overhead(policy, binomial_classes)
         assert report.realized_overhead == pytest.approx(expected, abs=1e-6)
+        realized = relative_overhead(binomial_dataset, mitigated)
+        assert report.realized_overhead == realized
 
     def test_deterministic_policy_realizes_its_image_classes(
         self, grouped_dataset, grouped_classes

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leakmit.entropy import EntropyMeasure, entropy, post_policy_entropy
+from leakmit.entropy import MEASURES, EntropyMeasure, entropy, post_policy_entropy
 from leakmit.policy import blocks_policy, full_merge_policy, identity_policy
 
 from conftest import BINOMIAL_SIZES, make_classset
@@ -89,6 +89,54 @@ class TestAgainstOracles:
         assert entropy(sizes, EntropyMeasure.MINGUESS) == pytest.approx(
             minguess_oracle(sizes)
         )
+
+
+class TestMeasureTable:
+    @pytest.mark.parametrize(
+        "measure", [EntropyMeasure.SHANNON, EntropyMeasure.GUESSING]
+    )
+    @pytest.mark.parametrize("c", [0.25, 1.0, 3.0, 17.5, 400.0])
+    def test_slope_matches_central_difference(self, measure, c):
+        row = MEASURES[measure]
+        h = 1e-4 * c
+        want = (row.term(c + h) - row.term(c - h)) / (2.0 * h)
+        got = row.slope(np.array([c]))
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(want, rel=1e-7)
+
+    def test_minguess_has_no_slope(self):
+        assert MEASURES[EntropyMeasure.MINGUESS].slope is None
+
+    def test_every_measure_has_a_row(self):
+        assert set(MEASURES) == set(EntropyMeasure)
+
+    # Sizes are 0 or at least 1, so no Shannon term is negative and the sums
+    # carry no cancellation: the table and the loop oracles agree to rounding.
+    @given(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=1.0, max_value=500.0)),
+            min_size=1,
+            max_size=10,
+        ).filter(lambda v: sum(v) > 0)
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_finalized_raw_matches_oracles(self, sizes):
+        b = np.asarray(sizes, dtype=float)
+        total = float(b.sum())
+        for measure, oracle in (
+            (EntropyMeasure.SHANNON, shannon_oracle),
+            (EntropyMeasure.GUESSING, guessing_oracle),
+            (EntropyMeasure.MINGUESS, minguess_oracle),
+        ):
+            row = MEASURES[measure]
+            got = row.finalize(row.raw(b), total)
+            assert got == pytest.approx(oracle(sizes), rel=1e-12)
+            assert got == entropy(sizes, measure)
+
+    def test_raw_minguess_is_the_smallest_class(self):
+        row = MEASURES[EntropyMeasure.MINGUESS]
+        assert row.raw(np.array([0.0, 7.0, 3.0, 0.0, 9.0])) == 3.0
+        assert row.combine(3.0, 2.0) == 2.0
 
 
 class TestInvariants:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from leakmit.deterministic import synthesize_det
-from leakmit.entropy import EntropyMeasure, entropy, post_policy_entropy
-from leakmit.policy import expected_overhead, expected_sizes, validate
+from leakmit.entropy import MEASURES, EntropyMeasure, entropy, post_policy_entropy
+from leakmit.policy import build_report, expected_overhead, expected_sizes, validate
 from leakmit.simplex import solve_lp
 from leakmit.stochastic import synthesize_local, synthesize_minguess
 
@@ -81,6 +81,19 @@ class TestMinguessExact:
         assert expected_sizes(pol, cs.sizes).sum() == pytest.approx(
             cs.sizes.sum()
         )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_objective_is_the_smallest_class_size(self, seed):
+        # the same raw min-guess scale as the measure table and the DP
+        rng = np.random.default_rng(500 + seed)
+        cs = random_classset(rng, int(rng.integers(2, 7)))
+        delta = float(rng.uniform(0.0, 0.5))
+        pol, diag = synthesize_minguess(cs, delta)
+        want = build_report(pol, cs, EntropyMeasure.MINGUESS, delta).entropy_after
+        got = MEASURES[EntropyMeasure.MINGUESS].finalize(
+            diag.objective, float(cs.sizes.sum())
+        )
+        assert got == pytest.approx(want, rel=1e-9)
 
     def test_root_relaxation_bounds_the_integer_optimum(self):
         rng = np.random.default_rng(9)
@@ -201,3 +214,15 @@ class TestLocalSearch:
         assert diag.status == "feasible"
         assert diag.restarts >= 3
         assert diag.best_bound >= diag.objective
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_objective_finalizes_to_report_entropy(self, seed):
+        rng = np.random.default_rng(90 + seed)
+        cs = random_classset(rng, int(rng.integers(2, 7)))
+        delta = float(rng.uniform(0.0, 0.5))
+        total = float(cs.sizes.sum())
+        for measure in (EntropyMeasure.SHANNON, EntropyMeasure.GUESSING):
+            pol, diag = synthesize_local(cs, measure, delta, n_starts=2, seed=seed)
+            want = build_report(pol, cs, measure, delta).entropy_after
+            got = MEASURES[measure].finalize(diag.objective, total)
+            assert got == pytest.approx(want, rel=1e-12)

@@ -10,6 +10,7 @@ from leakmit.timing import (
     gen_branch_loop,
     gen_mod_exp,
     read_csv,
+    relative_overhead,
     upper_envelope,
     write_csv,
 )
@@ -244,6 +245,12 @@ class TestDatasetInvariants:
     def test_non_finite_times_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             TimingDataset((1, 2), grid(1, 2), [[1.0, 2.0], [bad, 2.0]])
+
+    def test_relative_overhead(self):
+        ds = TimingDataset((1, 2), grid(1, 2), [[1.0, 2.0], [3.0, 4.0]])
+        padded = ds.with_times([[1.5, 2.0], [3.0, 5.5]])
+        assert relative_overhead(ds, padded) == 0.2
+        assert relative_overhead(ds, ds) == 0.0
 
     def test_times_are_read_only(self):
         ds = gen_mod_exp(3, 1.0, 0.0, seed=0)
