@@ -631,6 +631,8 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
         raise ConfigError("epsilon must be > 0")
     if config.seed < 0:
         raise ConfigError("seed must be >= 0")
+    if config.max_depth < 1 or config.min_leaf < 1:
+        raise ConfigError("max_depth and min_leaf must be >= 1")
     return config
 
 

@@ -4,6 +4,14 @@ A small CART-style decision tree is trained on per-execution features
 (simulated instrumentation counters for the synthetic benchmarks, or
 time-derived ratios as a fallback) labeled with observation classes.  All
 features of a dataset live in one ``(n_secrets, n_grid, n_features)`` array.
+
+The split search sorts each feature once per node and scores every cut of
+it at once from prefix class counts (Breiman et al. 1984, CART): one
+``bincount`` of (cut, class) and one ``cumsum`` give the left counts, the
+node totals minus them the right counts.  The Gini values are computed in
+blocks of ``SPLIT_BLOCK`` cuts, which bounds the temporaries, and the lowest
+``(impurity, feature, threshold)`` wins.
+
 At enforcement time each secret draws one target class from its policy row,
 the tree classifies every execution, and the execution is padded by the gap
 between the predicted class representative and the target representative.
@@ -41,6 +49,10 @@ __all__ = [
     "tree_from_json",
     "write_tree",
 ]
+
+# Cuts whose Gini values the split search computes at once.  It bounds the
+# (cuts x classes) float temporaries on features with many distinct values.
+SPLIT_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -107,12 +119,14 @@ class DecisionTree:
         return out
 
 
-def _gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return float(1.0 - (p * p).sum())
+def _gini(counts: np.ndarray) -> np.ndarray:
+    """Gini impurity of each row of class counts along the last axis.
+
+    A row must not be empty.  Counts are exact integers, so a row's value
+    is bit for bit what the same formula gives on that row alone.
+    """
+    p = counts / counts.sum(axis=-1, keepdims=True)
+    return 1.0 - (p * p).sum(axis=-1)
 
 
 def _majority(labels: np.ndarray) -> int:
@@ -120,34 +134,53 @@ def _majority(labels: np.ndarray) -> int:
     return int(ids[np.argmax(counts)])  # np.argmax takes the smallest id on ties
 
 
+def _best_cut(
+    xs: np.ndarray, ys: np.ndarray, totals: np.ndarray, min_leaf: int
+) -> tuple[float, int] | None:
+    """``(impurity, cut)`` of the lowest-impurity cut of one sorted feature.
+
+    ``xs`` is the sorted feature and ``ys`` the labels in that order.  A cut
+    at ``c`` puts ``ys[:c]`` on the left; it must fall between two different
+    values and leave ``min_leaf`` rows on each side.  The first cut wins a
+    tie.
+    """
+    n = ys.size
+    cuts = np.flatnonzero(xs[1:] != xs[:-1]) + 1
+    cuts = cuts[(cuts >= min_leaf) & (cuts <= n - min_leaf)]
+    if cuts.size == 0:
+        return None
+    k = totals.size
+    # Row r lies in segment s when cuts[s-1] <= r < cuts[s]; the running sum
+    # of the per-segment class counts is the left counts at every cut.
+    segment = np.repeat(np.arange(cuts.size), np.diff(cuts, prepend=0))
+    left = np.bincount(segment * k + ys[: cuts[-1]], minlength=cuts.size * k)
+    left = left.reshape(cuts.size, k)
+    np.cumsum(left, axis=0, out=left)
+    best = None
+    for start in range(0, cuts.size, SPLIT_BLOCK):
+        cut = cuts[start : start + SPLIT_BLOCK]
+        block = left[start : start + SPLIT_BLOCK]
+        impurity = (cut * _gini(block) + (n - cut) * _gini(totals - block)) / n
+        i = int(np.argmin(impurity))
+        if best is None or impurity[i] < best[0]:
+            best = (float(impurity[i]), int(cut[i]))
+    return best
+
+
 def _grow(x: np.ndarray, y: np.ndarray, depth: int, max_depth: int, min_leaf: int):
-    n_classes = int(y.max()) + 1
-    counts = np.bincount(y, minlength=n_classes)
-    parent_gini = _gini(counts)
+    counts = np.bincount(y)
+    parent_gini = float(_gini(counts))
     if depth >= max_depth or parent_gini == 0.0 or y.size < 2 * min_leaf:
         return TreeLeaf(_majority(y))
     best = None
     for f in range(x.shape[1]):
         order = np.argsort(x[:, f], kind="stable")
-        xs, ys = x[order, f], y[order]
-        left_counts = np.zeros(n_classes)
-        right_counts = np.bincount(ys, minlength=n_classes).astype(float)
-        n = ys.size
-        for cut in range(1, n):
-            left_counts[ys[cut - 1]] += 1
-            right_counts[ys[cut - 1]] -= 1
-            if xs[cut - 1] == xs[cut]:
-                continue
-            if cut < min_leaf or n - cut < min_leaf:
-                continue
-            impurity = (
-                cut * _gini(left_counts) + (n - cut) * _gini(right_counts)
-            ) / n
-            threshold = (xs[cut - 1] + xs[cut]) / 2.0
-            key = (impurity, f, threshold)
-            if best is None or key < best[0]:
-                best = (key, f, threshold)
-    if best is None or best[0][0] >= parent_gini - 1e-12:
+        xs = x[order, f]
+        found = _best_cut(xs, y[order], counts, min_leaf)
+        if found is not None and (best is None or found[0] < best[0]):
+            impurity, cut = found
+            best = (impurity, f, (xs[cut - 1] + xs[cut]) / 2.0)
+    if best is None or best[0] >= parent_gini - 1e-12:
         return TreeLeaf(_majority(y))
     _, f, threshold = best
     mask = x[:, f] <= threshold
@@ -166,8 +199,14 @@ def learn_tree(
 ) -> DecisionTree:
     """Fit a Gini-split CART tree on ``(x, y, feature names)``.
 
-    ``x`` is an ``(N, n_features)`` feature array and ``y`` the ``N`` class
-    ids, as :func:`training_samples` returns them.
+    ``x`` is an ``(N, n_features)`` finite feature array and ``y`` the ``N``
+    class ids, as :func:`training_samples` returns them.  A node becomes a
+    leaf (its majority class, the smallest id on ties) at ``max_depth``, when
+    it is pure, when it has fewer than ``2 * min_leaf`` rows, or when no cut
+    lowers its Gini impurity by more than 1e-12.  Otherwise it splits at the
+    midpoint of the cut with the lowest weighted impurity among the cuts
+    that leave ``min_leaf`` rows on each side; ties go to the lower feature,
+    then the lower threshold.
     """
     x, y, names = samples
     x = np.asarray(x, dtype=float)
@@ -181,6 +220,8 @@ def learn_tree(
         raise ValueError("x must be n_samples x n_features, y one id per sample")
     if np.any(y < 0):
         raise ValueError("class ids must be non-negative")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("feature values must be finite")
     root = _grow(x, y, 0, int(max_depth), int(min_leaf))
     tree = DecisionTree(root, names, int(max_depth), 0.0)
     hits = int(np.count_nonzero(tree.predict(x) == y))
@@ -253,6 +294,26 @@ class EnforcementReport:
         return self.classes_after.k
 
 
+def _draw_targets(
+    policy: MitigationPolicy, labels: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Target class of each secret, given the class id of each secret.
+
+    A deterministic policy maps a class to its row's argmax.  A stochastic
+    one takes one uniform draw per secret and counts the entries of the
+    class's normalised CDF that are <= the draw: the same CDF, draws and
+    ``searchsorted(side="right")`` as ``rng.choice(k, p=row / row.sum())``
+    called once per secret.
+    """
+    matrix = policy.matrix
+    if policy.deterministic:
+        return np.argmax(matrix, axis=1)[labels]
+    u = rng.random(labels.size)
+    cdf = np.cumsum(matrix / matrix.sum(axis=1, keepdims=True), axis=1)
+    cdf /= cdf[:, -1:]
+    return np.count_nonzero(cdf[labels] <= u[:, None], axis=1)
+
+
 def enforce(
     dataset: TimingDataset,
     classes: ObservationClassSet,
@@ -275,14 +336,7 @@ def enforce(
         raise ValueError("features must cover the dataset secrets and grid")
     labels = _labels(classes, dataset.secrets)
     reps = np.vstack([c.representative.values for c in classes.classes])
-    rng = np.random.default_rng(seed)
-    k = classes.k
-
-    rows = policy.matrix[labels]
-    if policy.deterministic:
-        targets = np.argmax(rows, axis=1)
-    else:
-        targets = np.asarray([rng.choice(k, p=row / row.sum()) for row in rows])
+    targets = _draw_targets(policy, labels, np.random.default_rng(seed))
 
     x = features.values.reshape(dataset.n_secrets * n_grid, -1)
     pred = tree.predict(x).reshape(dataset.n_secrets, n_grid)

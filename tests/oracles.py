@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from leakmit.enforcement import TreeLeaf, TreeSplit
+
 
 # ---------------------------------------------------------------------------
 # entropy
@@ -416,3 +418,81 @@ def stump_oracle(samples):
                 )
                 best = (feat, thr, acc)
     return best
+
+
+# ---------------------------------------------------------------------------
+# CART: the per-row cut loop
+
+
+def _loop_gini(counts: np.ndarray) -> float:
+    n = counts.sum()
+    if n == 0:
+        return 0.0
+    p = counts / n
+    return float(1.0 - (p * p).sum())
+
+
+def _loop_majority(labels: np.ndarray) -> int:
+    ids, counts = np.unique(labels, return_counts=True)
+    return int(ids[np.argmax(counts)])  # np.argmax takes the smallest id on ties
+
+
+def _loop_grow(x: np.ndarray, y: np.ndarray, depth: int, max_depth: int, min_leaf: int):
+    n_classes = int(y.max()) + 1
+    counts = np.bincount(y, minlength=n_classes)
+    parent_gini = _loop_gini(counts)
+    if depth >= max_depth or parent_gini == 0.0 or y.size < 2 * min_leaf:
+        return TreeLeaf(_loop_majority(y))
+    best = None
+    for f in range(x.shape[1]):
+        order = np.argsort(x[:, f], kind="stable")
+        xs, ys = x[order, f], y[order]
+        left_counts = np.zeros(n_classes)
+        right_counts = np.bincount(ys, minlength=n_classes).astype(float)
+        n = ys.size
+        for cut in range(1, n):
+            left_counts[ys[cut - 1]] += 1
+            right_counts[ys[cut - 1]] -= 1
+            if xs[cut - 1] == xs[cut]:
+                continue
+            if cut < min_leaf or n - cut < min_leaf:
+                continue
+            impurity = (
+                cut * _loop_gini(left_counts) + (n - cut) * _loop_gini(right_counts)
+            ) / n
+            threshold = (xs[cut - 1] + xs[cut]) / 2.0
+            key = (impurity, f, threshold)
+            if best is None or key < best[0]:
+                best = (key, f, threshold)
+    if best is None or best[0][0] >= parent_gini - 1e-12:
+        return TreeLeaf(_loop_majority(y))
+    _, f, threshold = best
+    mask = x[:, f] <= threshold
+    return TreeSplit(
+        f,
+        float(threshold),
+        _loop_grow(x[mask], y[mask], depth + 1, max_depth, min_leaf),
+        _loop_grow(x[~mask], y[~mask], depth + 1, max_depth, min_leaf),
+    )
+
+
+def cart_loop_oracle(x, y, max_depth: int, min_leaf: int):
+    """The CART grower that walks every sorted row of a feature, frozen as the
+    byte-level reference for the prefix-count split search.
+
+    Returns the root node that ``learn_tree`` must build from ``(x, y)``.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=int)
+    return _loop_grow(x, y, 0, int(max_depth), int(min_leaf))
+
+
+def choice_loop_oracle(matrix, deterministic: bool, labels, seed: int):
+    """Target class per secret, drawn with one ``rng.choice`` per secret: the
+    loop the single-draw ``enforcement._draw_targets`` replaces."""
+    rng = np.random.default_rng(seed)
+    k = matrix.shape[0]
+    rows = matrix[labels]
+    if deterministic:
+        return np.argmax(rows, axis=1)
+    return np.asarray([rng.choice(k, p=row / row.sum()) for row in rows])

@@ -353,9 +353,14 @@ class TestConfigFile:
             ("synthesize", {}, ["--delta", "nan"]),
             ("sweep", {}, ["--sweep", "nan:1:0.25"]),
             ("sweep", {}, ["--sweep", "0:inf:0.25"]),
+            ("enforce", {}, ["--max-depth", "0"]),
+            ("enforce", {}, ["--min-leaf", "0"]),
+            ("enforce", {"max_depth": 0}, []),
+            ("enforce", {"min_leaf": -1}, []),
         ],
         ids=["measure", "algo", "gen", "baseline", "epsilon-nan", "delta-nan",
-             "sweep-nan", "sweep-inf"],
+             "sweep-nan", "sweep-inf", "max-depth-flag", "min-leaf-flag",
+             "max-depth-config", "min-leaf-config"],
     )
     def test_value_outside_its_domain_rejected(self, tmp_path, capsys,
                                                command, raw, flags):

@@ -1,11 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
 from leakmit.clustering import cluster_functions
 from leakmit.enforcement import (
+    SPLIT_BLOCK,
+    DecisionTree,
     FeatureTable,
     TreeLeaf,
     TreeSplit,
+    _draw_targets,
     branch_loop_counts,
     counter_features,
     enforce,
@@ -26,7 +31,7 @@ from leakmit.policy import (
 )
 from leakmit.timing import gen_branch_loop, gen_mod_exp, relative_overhead
 
-from oracles import stump_oracle
+from oracles import cart_loop_oracle, choice_loop_oracle, stump_oracle
 
 
 def perfect_features(dataset):
@@ -90,6 +95,77 @@ class TestLearnTree:
             learn_tree((np.ones((2, 2)), np.array([0, 1]), ("f",)))
         with pytest.raises(ValueError, match="non-negative"):
             learn_tree(one_feature([1.0], [-1]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                learn_tree(one_feature([0.0, 1.0, bad, 3.0], [0, 0, 1, 1]))
+
+
+def loop_tree_json(x, y, names, max_depth, min_leaf) -> str:
+    """tree.json text of the tree the frozen cut loop grows."""
+    root = cart_loop_oracle(x, y, max_depth, min_leaf)
+    hits = np.count_nonzero(DecisionTree(root, names, max_depth, 0.0).predict(x) == y)
+    return json.dumps(tree_to_json(DecisionTree(root, names, max_depth, hits / y.size)))
+
+
+def tree_json(x, y, names, max_depth, min_leaf) -> str:
+    return json.dumps(tree_to_json(learn_tree((x, y, names), max_depth, min_leaf)))
+
+
+def random_cart_input(rng):
+    """Features of mixed kinds (tie-heavy integers, continuous, rounded, or a
+    copy of an earlier column, which ties whole features) and labels drawn
+    from a gappy subset of 0..19."""
+    n = int(rng.integers(2, 41))
+    cols = []
+    for _ in range(int(rng.integers(1, 4))):
+        kind = int(rng.integers(4))
+        if kind == 0:
+            col = rng.integers(0, 5, n).astype(float)
+        elif kind == 1:
+            col = rng.random(n) * 10.0
+        elif kind == 2:
+            col = np.round(rng.normal(2.0, 1.0, n), 1)
+        else:
+            col = cols[-1] if cols else rng.integers(0, 3, n).astype(float)
+        cols.append(col)
+    x = np.column_stack(cols)
+    ids = rng.choice(20, size=int(rng.integers(1, 11)), replace=False)
+    y = rng.choice(ids, size=n)
+    names = tuple(f"f{i}" for i in range(x.shape[1]))
+    return x, y, names, int(rng.integers(1, 7)), int(rng.integers(1, 5))
+
+
+class TestSplitSearchMatchesCutLoop:
+    """The prefix-count split search grows byte for byte the tree of the
+    frozen per-row cut loop (``tests/oracles.py::cart_loop_oracle``)."""
+
+    def test_random_inputs(self):
+        rng = np.random.default_rng(2024)
+        wide = 0
+        for _ in range(1200):
+            x, y, names, max_depth, min_leaf = random_cart_input(rng)
+            wide += int(y.max()) >= 8
+            want = loop_tree_json(x, y, names, max_depth, min_leaf)
+            assert tree_json(x, y, names, max_depth, min_leaf) == want
+        assert wide >= 600  # k >= 8 takes numpy's 8-way pairwise sum
+
+    def test_tie_across_blocks_goes_to_the_earlier_cut(self):
+        # Cuts a and a + b score the same; they sit in different blocks.
+        a = b = SPLIT_BLOCK - 1096
+        x = np.arange(2 * a + b, dtype=float)[:, None]
+        y = np.array([0] * a + [1] * b + [0] * a)
+        tree = learn_tree((x, y, ("f",)), max_depth=1)
+        assert tree.root.threshold == a - 0.5
+        assert tree_json(x, y, ("f",), 1, 1) == loop_tree_json(x, y, ("f",), 1, 1)
+
+    def test_more_distinct_values_than_one_block(self):
+        rng = np.random.default_rng(5)
+        n = 2 * SPLIT_BLOCK + 500
+        x = np.column_stack([rng.random(n), np.round(rng.random(n), 2)])
+        y = (x[:, 0] + 0.3 * rng.random(n) > 0.6).astype(int) + 2 * (x[:, 1] > 0.7)
+        for max_depth, min_leaf in [(2, 1), (1, 3)]:
+            want = loop_tree_json(x, y, ("a", "b"), max_depth, min_leaf)
+            assert tree_json(x, y, ("a", "b"), max_depth, min_leaf) == want
 
 
 class TestPredict:
@@ -324,6 +400,22 @@ class TestEnforce:
         mitigated, report = enforce(ds, classes, policy, tree, 0, features)
         assert np.all(mitigated.times >= ds.times)
         assert 0.0 <= report.misclassification_rate <= 1.0
+
+
+class TestDrawTargets:
+    def test_single_draw_matches_one_choice_per_secret(self):
+        rng = np.random.default_rng(9)
+        for seed in range(300):
+            k = int(rng.integers(1, 21))
+            matrix = np.triu(rng.random((k, k)) * (rng.random((k, k)) < 0.5))
+            matrix[np.arange(k), rng.integers(np.arange(k), k)] += rng.random(k)
+            matrix /= matrix.sum(axis=1, keepdims=True)
+            labels = rng.integers(0, k, int(rng.integers(1, 200)))
+            for deterministic in (False, True):
+                policy = MitigationPolicy(matrix, deterministic)
+                got = _draw_targets(policy, labels, np.random.default_rng(seed))
+                want = choice_loop_oracle(matrix, deterministic, labels, seed)
+                assert got.tolist() == want.tolist()
 
 
 class TestTreeSerialization:
