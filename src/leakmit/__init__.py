@@ -22,7 +22,6 @@ from .clustering import (
     classset_to_json,
     cluster_functions,
     penalty_matrix,
-    write_classset,
 )
 from .deterministic import DpTables, synthesize_det
 from .enforcement import (
@@ -37,7 +36,6 @@ from .enforcement import (
     training_samples,
     tree_from_json,
     tree_to_json,
-    write_tree,
 )
 from .entropy import EntropyMeasure, entropy, post_policy_entropy
 from .errors import InfeasiblePolicyError, SolverError
@@ -124,8 +122,6 @@ __all__ = [
     "tree_to_json",
     "upper_envelope",
     "validate",
-    "write_classset",
     "write_csv",
-    "write_tree",
     "__version__",
 ]

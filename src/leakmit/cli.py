@@ -51,7 +51,6 @@ class PipelineConfig:
     measure: str = "minguess"
     delta: float = 0.5
     algo: str | None = None
-    scan_all_r: bool = False
     n_starts: int = 8
     baseline: str = "double"
     buckets: int = 2
@@ -124,9 +123,7 @@ def _synthesize(classes, config: PipelineConfig, algo: str, delta: float,
     """Returns (policy, diagnostics or None, DP tables or None)."""
     measure = EntropyMeasure(config.measure)
     if algo == "det":
-        policy, tables = synthesize_det(
-            classes, measure, delta, scan_all_r=config.scan_all_r
-        )
+        policy, tables = synthesize_det(classes, measure, delta, scan_all_r=True)
         return policy, None, tables
     if measure is EntropyMeasure.MINGUESS:
         policy, diag = synthesize_minguess(classes, delta)
@@ -419,16 +416,11 @@ def sweep(config: PipelineConfig) -> list[Path]:
     algos = [config.algo] if config.algo else ["det", "stoch"]
     measure = EntropyMeasure(config.measure)
 
-    # The deterministic rows scan every block count so the exact optimum is
-    # monotone in the budget by construction.
-    det_config = dataclasses.replace(config, scan_all_r=True)
-
     rows = []
     for algo in algos:
-        cfg = det_config if algo == "det" else config
         repaired = []
         for delta in grid:
-            policy, _, _ = _synthesize(classes, cfg, algo, delta)
+            policy, _, _ = _synthesize(classes, config, algo, delta)
             report = build_report(policy, classes, measure, delta)
             ent, over = report.entropy_after, report.expected_overhead
             # A feasible policy stays feasible at any larger budget, so
@@ -565,8 +557,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--measure", choices=_CHOICES["measure"])
         p.add_argument("--delta", type=float)
         p.add_argument("--algo", choices=_CHOICES["algo"])
-        p.add_argument("--scan-all-r", dest="scan_all_r", action="store_true",
-                       default=None)
         p.add_argument("--n-starts", dest="n_starts", type=int)
         p.add_argument("--baseline", choices=_CHOICES["baseline"])
         p.add_argument("--buckets", type=int)

@@ -19,10 +19,8 @@ Downward moves are forbidden and carry an infinite sentinel.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +34,6 @@ __all__ = [
     "penalty_matrix",
     "classset_to_json",
     "classset_from_json",
-    "write_classset",
 ]
 
 # Re-clustering tolerance: padded functions that should coincide differ by rounding.
@@ -60,9 +57,9 @@ class ObservationClass:
 class ObservationClassSet:
     """Ordered observation classes plus the move-penalty matrix.
 
-    ``classes[i].id == i`` and classes are sorted by ascending representative
-    mean.  ``penalty[i, j]`` prices elevating class i to class j; entries
-    below the diagonal are +inf.
+    ``classes[i].id == i``, every class has at least one member, and classes
+    are sorted by ascending representative mean.  ``penalty[i, j]`` prices
+    elevating class i to class j; entries below the diagonal are +inf.
     """
 
     grid: PublicGrid
@@ -72,6 +69,9 @@ class ObservationClassSet:
     def __post_init__(self):
         if not self.classes:
             raise ValueError("class set must contain at least one class")
+        empty = [c.id for c in self.classes if not c.members]
+        if empty:
+            raise ValueError(f"observation classes {empty} have no members")
         pen = np.array(self.penalty, dtype=float)
         k = len(self.classes)
         if pen.shape != (k, k):
@@ -255,7 +255,3 @@ def classset_from_json(data: dict) -> ObservationClassSet:
         [[np.inf if v is None else float(v) for v in row] for row in data["penalty"]]
     )
     return ObservationClassSet(grid, classes, penalty)
-
-
-def write_classset(cs: ObservationClassSet, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(classset_to_json(cs), indent=2) + "\n")

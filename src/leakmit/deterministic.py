@@ -77,8 +77,7 @@ def _block_tables(classes: ObservationClassSet, measure: EntropyMeasure):
     """Raw objective and budget cost of every contiguous block [lo, hi].
 
     Shared by the dynamic program and the brute-force oracle so both sides
-    make feasibility calls on bit-identical floats.  An empty block's raw
-    value is 0.0.
+    make feasibility calls on bit-identical floats.
     """
     term = MEASURES[measure].term
     sizes = classes.sizes
@@ -95,8 +94,7 @@ def _block_tables(classes: ObservationClassSet, measure: EntropyMeasure):
             cost += weights[lo] * pen[lo, hi]
             size += sizes[lo]
             block_cost[lo, hi] = cost
-            if size > 0:
-                block_raw[lo, hi] = term(size)
+            block_raw[lo, hi] = term(size)
     return block_cost, block_raw, total
 
 

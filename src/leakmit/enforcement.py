@@ -19,9 +19,8 @@ between the predicted class representative and the target representative.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +46,6 @@ __all__ = [
     "report_to_json",
     "tree_to_json",
     "tree_from_json",
-    "write_tree",
 ]
 
 # Cuts whose Gini values the split search computes at once.  It bounds the
@@ -167,6 +165,12 @@ def _best_cut(
     return best
 
 
+def _midpoint(a: float, b: float) -> float:
+    """(a + b) / 2, or a / 2 + b / 2 where the sum overflows to inf."""
+    mid = (a + b) / 2.0
+    return mid if math.isfinite(mid) else a / 2.0 + b / 2.0
+
+
 def _grow(x: np.ndarray, y: np.ndarray, depth: int, max_depth: int, min_leaf: int):
     counts = np.bincount(y)
     parent_gini = float(_gini(counts))
@@ -179,7 +183,7 @@ def _grow(x: np.ndarray, y: np.ndarray, depth: int, max_depth: int, min_leaf: in
         found = _best_cut(xs, y[order], counts, min_leaf)
         if found is not None and (best is None or found[0] < best[0]):
             impurity, cut = found
-            best = (impurity, f, (xs[cut - 1] + xs[cut]) / 2.0)
+            best = (impurity, f, _midpoint(float(xs[cut - 1]), float(xs[cut])))
     if best is None or best[0] >= parent_gini - 1e-12:
         return TreeLeaf(_majority(y))
     _, f, threshold = best
@@ -417,7 +421,3 @@ def tree_from_json(data: dict) -> DecisionTree:
         int(data["max_depth"]),
         float(data["train_accuracy"]),
     )
-
-
-def write_tree(tree: DecisionTree, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(tree_to_json(tree), indent=2) + "\n")

@@ -6,18 +6,24 @@ The feasible set is
     sum_j mu[i, j] == 1                    (each row is a distribution)
     (1/B) * sum_ij B_i mu[i, j] pen[i, j] <= delta
 
-with expected class sizes C_j = sum_i B_i mu[i, j].
+with expected class sizes C_j = sum_i B_i mu[i, j].  Both solvers build their
+linear programs from one array description of this polytope,
+``_upward_program``: one column per entry mu[i, j >= i] in the row-major order
+of ``np.triu_indices(k)``, the row-sum equalities, and the budget row when
+delta is finite.  ``_matrix_from_mu`` maps any LP vector back to a matrix.
 
 Min-guess is maximized exactly: "the smallest non-empty class" is modeled
 with one indicator per class (z_j = 1 when class j keeps mass, big-M = B) and
-the resulting mixed-integer program is solved by branch and bound over the z
+the resulting mixed-integer program (the upward program plus the z and m
+columns and their link rows) is solved by branch and bound over the z
 variables with the tableau simplex as relaxation engine, most-fractional
 branching, and best-bound node order.
 
 Shannon and guessing objectives are convex in C, so their optimum sits on a
 polytope vertex; they are attacked by multi-start projected gradient ascent
 whose start list always contains the identity and the deterministic-search
-policy, which makes those two objectives a floor for the result.
+policy, which makes those two objectives a floor for the result.  Its vertex
+jumps maximize the gradient's linearization over the same polytope.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from .policy import (
     sanitize_matrix,
 )
 from .deterministic import synthesize_det
-from .simplex import solve_lp
+from .simplex import LpResult, solve_lp
 
 __all__ = ["SolveDiagnostics", "synthesize_minguess", "synthesize_local"]
 
@@ -77,63 +83,63 @@ def _move_cost(classes: ObservationClassSet) -> np.ndarray:
     return sizes[:, None] * pen / sizes.sum()
 
 
+def _upward_program(classes: ObservationClassSet, delta: float):
+    """The upward-move polytope over the mu entries i <= j in ``iu`` order.
+
+    Returns ``(iu, a_eq, b_eq, a_ub, b_ub)``: one row-sum equality per class
+    and, for a finite delta, the budget row (else ``a_ub = b_ub = None``).
+    """
+    k = classes.k
+    iu = np.triu_indices(k)
+    a_eq = (iu[0] == np.arange(k)[:, None]).astype(float)
+    b_eq = np.ones(k)
+    if not np.isfinite(delta):
+        return iu, a_eq, b_eq, None, None
+    return iu, a_eq, b_eq, _move_cost(classes)[iu][None, :], np.array([float(delta)])
+
+
 def _minguess_program(classes: ObservationClassSet, delta: float):
-    """Variable layout: mu entries (i <= j), then z_0..z_{k-1}, then m."""
+    """The upward program plus indicators and m.
+
+    Variable layout: mu entries in ``iu`` order, then z_0..z_{k-1}, then m.
+    Inequality rows: the budget row (finite delta), then per class j the
+    pair m <= C_j + B * (1 - z_j), C_j <= B * z_j, then sum_j z_j >= 1.
+    """
     k = classes.k
     sizes = classes.sizes
     total = sizes.sum()
-    mu_index = [(i, j) for i in range(k) for j in range(i, k)]
-    n_mu = len(mu_index)
-    z0 = n_mu
-    m_var = n_mu + k
-    n = m_var + 1
+    iu, a_eq, b_eq, budget, b_budget = _upward_program(classes, delta)
+    n_mu = iu[0].size
+    n = n_mu + k + 1
+    into = iu[1] == np.arange(k)[:, None]  # [j, p]: entry p feeds class j
+    z = n_mu + np.arange(k)
 
-    a_eq = np.zeros((k, n))
-    for p, (i, j) in enumerate(mu_index):
-        a_eq[i, p] = 1.0
-    b_eq = np.ones(k)
+    # links[j, 0]: m <= C_j + B * (1 - z_j); links[j, 1]: C_j <= B * z_j
+    links = np.zeros((k, 2, n))
+    links[:, 0, :n_mu] = np.where(into, -sizes[iu[0]], 0.0)
+    links[np.arange(k), 0, z] = total
+    links[:, 0, -1] = 1.0
+    links[:, 1, :n_mu] = np.where(into, sizes[iu[0]], 0.0)
+    links[np.arange(k), 1, z] = -total
+    survive = np.zeros((1, n))
+    survive[0, z] = -1.0
 
-    a_ub_rows = []
-    b_ub = []
-    if np.isfinite(delta):
-        move_cost = _move_cost(classes)
-        budget = np.zeros(n)
-        for p, (i, j) in enumerate(mu_index):
-            budget[p] = move_cost[i, j]
-        a_ub_rows.append(budget)
-        b_ub.append(float(delta))
-    for j in range(k):
-        # m <= C_j + B * (1 - z_j)
-        row = np.zeros(n)
-        row[m_var] = 1.0
-        for p, (i, jj) in enumerate(mu_index):
-            if jj == j:
-                row[p] = -sizes[i]
-        row[z0 + j] = total
-        a_ub_rows.append(row)
-        b_ub.append(float(total))
-        # C_j <= B * z_j
-        row = np.zeros(n)
-        for p, (i, jj) in enumerate(mu_index):
-            if jj == j:
-                row[p] = sizes[i]
-        row[z0 + j] = -total
-        a_ub_rows.append(row)
-        b_ub.append(0.0)
-    row = np.zeros(n)
-    row[z0 : z0 + k] = -1.0
-    a_ub_rows.append(row)
-    b_ub.append(-1.0)
-
+    rows, rhs = [], []
+    if budget is not None:
+        rows.append(np.hstack([budget, np.zeros((1, k + 1))]))
+        rhs.append(b_budget)
+    rows += [links.reshape(2 * k, n), survive]
+    rhs += [np.tile([total, 0.0], k), [-1.0]]
     c = np.zeros(n)
-    c[m_var] = 1.0
-    return c, np.asarray(a_ub_rows), np.asarray(b_ub), a_eq, b_eq, mu_index, z0, m_var
+    c[-1] = 1.0
+    a_eq = np.hstack([a_eq, np.zeros((k, k + 1))])
+    return c, np.vstack(rows), np.concatenate(rhs), a_eq, b_eq, iu
 
 
-def _matrix_from_mu(x: np.ndarray, mu_index, k: int) -> np.ndarray:
+def _matrix_from_mu(x: np.ndarray, iu, k: int) -> np.ndarray:
+    """The k x k policy matrix whose upward entries are x's leading mu part."""
     mat = np.zeros((k, k))
-    for p, (i, j) in enumerate(mu_index):
-        mat[i, j] = x[p]
+    mat[iu] = x[: iu[0].size]
     return mat
 
 
@@ -144,9 +150,9 @@ def synthesize_minguess(
     if not delta >= 0:
         raise ValueError("delta must be >= 0")
     k = classes.k
-    c, a_ub, b_ub, a_eq, b_eq, mu_index, z0, m_var = _minguess_program(classes, delta)
-    n = c.size
-    base_bounds: list[tuple[float, float | None]] = [(0.0, None)] * len(mu_index)
+    c, a_ub, b_ub, a_eq, b_eq, iu = _minguess_program(classes, delta)
+    z0 = iu[0].size
+    base_bounds: list[tuple[float, float | None]] = [(0.0, None)] * z0
     base_bounds += [(0.0, 1.0)] * k
     base_bounds += [(0.0, None)]
 
@@ -160,22 +166,20 @@ def synthesize_minguess(
     incumbent_obj = -np.inf
     incumbent_x = None
     counter = 0
-    heap: list[tuple[float, int, dict[int, int]]] = []
+    # (-bound, tie-breaking counter, z fixes, relaxation at the node)
+    heap: list[tuple[float, int, dict[int, int], LpResult]] = []
 
     root = relax({})
     nodes_explored += 1
     if root.status != "optimal":
         raise SolverError(f"relaxation at the root is {root.status}")
-    heapq.heappush(heap, (-root.objective, counter, {}))
-    node_solutions = {counter: root}
+    heapq.heappush(heap, (-root.objective, counter, {}, root))
     counter += 1
 
     while heap:
-        neg_bound, node_id, fixes = heapq.heappop(heap)
-        bound = -neg_bound
-        if bound <= incumbent_obj + 1e-9:
+        neg_bound, _, fixes, res = heapq.heappop(heap)
+        if -neg_bound <= incumbent_obj + 1e-9:
             continue
-        res = node_solutions.pop(node_id)
         z_vals = res.x[z0 : z0 + k]
         frac = np.abs(z_vals - np.round(z_vals))
         if np.all(frac <= INT_TOL):
@@ -195,14 +199,13 @@ def synthesize_minguess(
                 continue
             if child.objective <= incumbent_obj + 1e-9:
                 continue
-            heapq.heappush(heap, (-child.objective, counter, child_fixes))
-            node_solutions[counter] = child
+            heapq.heappush(heap, (-child.objective, counter, child_fixes, child))
             counter += 1
 
     if incumbent_x is None:
         raise SolverError("no integral point found, identity should be feasible")
 
-    mat = sanitize_matrix(_matrix_from_mu(incumbent_x, mu_index, k))
+    mat = sanitize_matrix(_matrix_from_mu(incumbent_x, iu, k))
     policy = MitigationPolicy(mat, deterministic=False)
     diagnostics = SolveDiagnostics(
         nodes_explored=nodes_explored,
@@ -293,22 +296,10 @@ def synthesize_local(
                     break
         return mu
 
-    # Shared upward-move polytope for the linearized jumps below: rows sum
-    # to one, optional budget row, every variable boxed to [0, 1].
-    pairs = [(i, j) for i in range(k) for j in range(i, k)]
-    col_of = {p: t for t, p in enumerate(pairs)}
-    lp_eq = np.zeros((k, len(pairs)))
-    for (i, j), t in col_of.items():
-        lp_eq[i, t] = 1.0
-    lp_eq_rhs = np.ones(k)
-    if np.isfinite(delta):
-        lp_ub = np.array([[pen_cost[i, j] for (i, j) in pairs]])
-        lp_ub_rhs = np.array([float(delta)])
-    else:
-        lp_ub = None
-        lp_ub_rhs = None
-    # the row-sum equalities already cap each variable at one
-    lp_bounds = [(0.0, None)] * len(pairs)
+    # The linearized jumps below optimize over the upward-move polytope; the
+    # row-sum equalities already cap each variable at one.
+    iu, lp_eq, lp_eq_rhs, lp_ub, lp_ub_rhs = _upward_program(classes, delta)
+    lp_bounds = [(0.0, None)] * iu[0].size
 
     def vertex_jump(mu: np.ndarray) -> np.ndarray | None:
         """Best vertex of the feasible polytope for the gradient at mu.
@@ -318,13 +309,10 @@ def synthesize_local(
         Returns None when the jump does not improve.
         """
         grad = gradient(mu)
-        direction = np.array([grad[i, j] for (i, j) in pairs])
-        res = solve_lp(direction, lp_ub, lp_ub_rhs, lp_eq, lp_eq_rhs, lp_bounds)
+        res = solve_lp(grad[iu], lp_ub, lp_ub_rhs, lp_eq, lp_eq_rhs, lp_bounds)
         if res.status != "optimal":
             return None
-        vert = np.zeros((k, k))
-        for (i, j), t in col_of.items():
-            vert[i, j] = res.x[t]
+        vert = _matrix_from_mu(res.x, iu, k)
         if objective(vert) > objective(mu) + 1e-9:
             return vert
         return None

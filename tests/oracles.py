@@ -340,6 +340,106 @@ def minguess_pattern_oracle(classes, delta: float, lp_solver) -> float:
 
 
 # ---------------------------------------------------------------------------
+# stochastic LP builders: the per-entry loops, frozen as the bit-level
+# reference for the array-built upward-move program
+
+
+def _move_cost_loop(classes) -> np.ndarray:
+    sizes = classes.sizes
+    pen = np.where(np.isinf(classes.penalty), 0.0, classes.penalty)
+    return sizes[:, None] * pen / sizes.sum()
+
+
+def minguess_program_oracle(classes, delta: float):
+    """Returns ``(c, a_ub, b_ub, a_eq, b_eq, mu_index)`` exactly as the loop
+    builder of the min-guess MILP produced them.  Variable layout: mu entries
+    (i <= j), then z_0..z_{k-1}, then m."""
+    k = classes.k
+    sizes = classes.sizes
+    total = sizes.sum()
+    mu_index = [(i, j) for i in range(k) for j in range(i, k)]
+    n_mu = len(mu_index)
+    z0 = n_mu
+    m_var = n_mu + k
+    n = m_var + 1
+
+    a_eq = np.zeros((k, n))
+    for p, (i, j) in enumerate(mu_index):
+        a_eq[i, p] = 1.0
+    b_eq = np.ones(k)
+
+    a_ub_rows = []
+    b_ub = []
+    if np.isfinite(delta):
+        move_cost = _move_cost_loop(classes)
+        budget = np.zeros(n)
+        for p, (i, j) in enumerate(mu_index):
+            budget[p] = move_cost[i, j]
+        a_ub_rows.append(budget)
+        b_ub.append(float(delta))
+    for j in range(k):
+        # m <= C_j + B * (1 - z_j)
+        row = np.zeros(n)
+        row[m_var] = 1.0
+        for p, (i, jj) in enumerate(mu_index):
+            if jj == j:
+                row[p] = -sizes[i]
+        row[z0 + j] = total
+        a_ub_rows.append(row)
+        b_ub.append(float(total))
+        # C_j <= B * z_j
+        row = np.zeros(n)
+        for p, (i, jj) in enumerate(mu_index):
+            if jj == j:
+                row[p] = sizes[i]
+        row[z0 + j] = -total
+        a_ub_rows.append(row)
+        b_ub.append(0.0)
+    row = np.zeros(n)
+    row[z0 : z0 + k] = -1.0
+    a_ub_rows.append(row)
+    b_ub.append(-1.0)
+
+    c = np.zeros(n)
+    c[m_var] = 1.0
+    return c, np.asarray(a_ub_rows), np.asarray(b_ub), a_eq, b_eq, mu_index
+
+
+def jump_program_oracle(classes, delta: float):
+    """Returns ``(pairs, a_eq, b_eq, a_ub, b_ub)`` exactly as the vertex
+    jump's loop builder produced them; ``a_ub = b_ub = None`` for an
+    infinite budget."""
+    k = classes.k
+    pen_cost = _move_cost_loop(classes)
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]
+    col_of = {p: t for t, p in enumerate(pairs)}
+    lp_eq = np.zeros((k, len(pairs)))
+    for (i, j), t in col_of.items():
+        lp_eq[i, t] = 1.0
+    lp_eq_rhs = np.ones(k)
+    if np.isfinite(delta):
+        lp_ub = np.array([[pen_cost[i, j] for (i, j) in pairs]])
+        lp_ub_rhs = np.array([float(delta)])
+    else:
+        lp_ub = None
+        lp_ub_rhs = None
+    return pairs, lp_eq, lp_eq_rhs, lp_ub, lp_ub_rhs
+
+
+def jump_direction_oracle(grad: np.ndarray, pairs) -> np.ndarray:
+    """The jump LP's objective: the gradient's upward entries in pair order."""
+    return np.array([grad[i, j] for (i, j) in pairs])
+
+
+def matrix_from_mu_oracle(x: np.ndarray, mu_index, k: int) -> np.ndarray:
+    """The k x k matrix whose (i, j) entry is x at the position of (i, j)."""
+    mat = np.zeros((k, k))
+    for p, (i, j) in enumerate(mu_index):
+        mat[i, j] = x[p]
+    return mat
+
+
+# ---------------------------------------------------------------------------
 # bucketing: boundary subset enumeration
 
 

@@ -132,6 +132,25 @@ class TestSingleCommands:
         assert data["overhead"] <= 0.6 + 1e-9
         assert data["diagnostics"]["status"] == "optimal"
 
+    def test_det_synthesis_is_exact_over_contiguous_merges(self, tmp_path):
+        # Constant times 1..4 held by 1, 1, 3 and 5 secrets.  Stopping at the
+        # first feasible block count gives 3.0; the best contiguous merge
+        # within the budget gives 3.8.
+        lines = ["secret_id,public_value,time_seconds"]
+        secret = 0
+        for time, count in zip((1.0, 2.0, 3.0, 4.0), (1, 1, 3, 5)):
+            for _ in range(count):
+                lines += [f"{secret},{p},{time}" for p in (1.0, 2.0, 3.0, 4.0)]
+                secret += 1
+        steps = tmp_path / "steps.csv"
+        steps.write_text("\n".join(lines) + "\n")
+        args = ["synthesize", "--input", str(steps), "--algo", "det",
+                "--measure", "guessing", "--delta", "0.1"]
+        assert run(args, tmp_path) == 0
+        data = json.loads((tmp_path / "policy.json").read_text())
+        assert data["entropy_after"] == pytest.approx(3.8)
+        assert data["overhead"] <= 0.1
+
     def test_dump_tables(self, tmp_path):
         args = ["synthesize"] + MOD_EXP + ["--algo", "det", "--dump-tables"]
         assert run(args, tmp_path) == 0

@@ -12,7 +12,6 @@ from leakmit.clustering import (
     classset_to_json,
     cluster_functions,
     penalty_matrix,
-    write_classset,
 )
 from leakmit.timing import PublicGrid, TimingDataset, TimingFunction, gen_mod_exp
 
@@ -227,11 +226,11 @@ class TestJsonRoundTrip:
         assert data["penalty"][1][0] is None
         assert data["penalty"][0][1] is not None
 
-    def test_write_classset(self, binomial_classes, tmp_path):
-        path = tmp_path / "classes.json"
-        write_classset(binomial_classes, path)
-        data = json.loads(path.read_text())
-        assert data["total_size"] == 1023
+    def test_empty_class_rejected(self, binomial_classes):
+        data = classset_to_json(binomial_classes)
+        data["classes"][2]["members"] = []
+        with pytest.raises(ValueError, match=r"classes \[2\] have no members"):
+            classset_from_json(data)
 
     def test_mean_l1_matches_oracle(self):
         rng = np.random.default_rng(11)

@@ -3,12 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from leakmit.clustering import ObservationClass, ObservationClassSet, penalty_matrix
 from leakmit.entropy import MEASURES, EntropyMeasure, entropy, post_policy_entropy
 from leakmit.policy import expected_overhead, validate
 from leakmit.deterministic import _block_tables, brute_force_det, synthesize_det
-
-from leakmit.timing import PublicGrid, TimingFunction
 
 from conftest import make_classset, random_classset
 from oracles import det_best_oracle
@@ -161,15 +158,6 @@ class TestTables:
         assert len(lines) == 4  # header + one row per prefix length
 
 
-def classset_with_empty_classes():
-    """Sizes (0, 3, 0, 5) on constant representatives 1..4."""
-    g = PublicGrid((1.0, 2.0, 3.0))
-    reps = [TimingFunction(g, np.full(3, float(i + 1))) for i in range(4)]
-    members = [frozenset(), frozenset({0, 1, 2}), frozenset(), frozenset(range(3, 8))]
-    classes = tuple(ObservationClass(i, reps[i], members[i]) for i in range(4))
-    return ObservationClassSet(g, classes, penalty_matrix(reps, 2.5))
-
-
 class TestBlockTables:
     @pytest.mark.parametrize("seed", range(5))
     def test_raw_is_the_measure_term_of_the_block_size(self, seed):
@@ -182,19 +170,3 @@ class TestBlockTables:
                 for hi in range(lo, 6):
                     assert block_raw[lo, hi] == term(cs.sizes[lo : hi + 1].sum())
             assert np.all(np.tril(block_raw, -1) == 0.0)
-
-    def test_empty_blocks_are_zero_not_nan(self):
-        cs = classset_with_empty_classes()
-        for measure in ALL_MEASURES:
-            _, block_raw, _ = _block_tables(cs, measure)
-            assert block_raw[0, 0] == 0.0 and block_raw[2, 2] == 0.0
-            assert np.all(np.isfinite(block_raw))
-
-    @pytest.mark.parametrize("delta", [0.0, 0.1, 0.5, math.inf])
-    def test_empty_classes_keep_dp_and_brute_force_equal(self, delta):
-        cs = classset_with_empty_classes()
-        for measure in ALL_MEASURES:
-            pol, tables = synthesize_det(cs, measure, delta, scan_all_r=True)
-            assert not np.any(np.isnan(tables.value))
-            want = brute_force_det(cs, measure, delta)
-            assert np.array_equal(pol.matrix, want.matrix)

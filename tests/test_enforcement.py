@@ -20,7 +20,6 @@ from leakmit.enforcement import (
     training_samples,
     tree_from_json,
     tree_to_json,
-    write_tree,
 )
 from leakmit.policy import (
     MitigationPolicy,
@@ -80,6 +79,13 @@ class TestLearnTree:
             # must still match the best achievable
             assert hits / len(samples) == pytest.approx(oracle_acc)
             assert tree.train_accuracy == hits / len(samples)
+
+    def test_threshold_of_huge_features_stays_finite(self):
+        # the midpoint 1.35e308 of the first cut overflows as (a + b) / 2
+        x = [1e308, 1.7e308, 1.75e308]
+        tree = learn_tree(one_feature(x, [0, 1, 1]), max_depth=1)
+        assert tree.root.threshold == 1e308 / 2.0 + 1.7e308 / 2.0
+        assert tree.train_accuracy == 1.0
 
     def test_min_leaf_blocks_thin_splits(self):
         samples = one_feature(range(6), [int(v >= 5) for v in range(6)])
@@ -424,12 +430,3 @@ class TestTreeSerialization:
         tree = fitted(binomial_dataset, binomial_classes, features)
         clone = tree_from_json(tree_to_json(tree))
         assert clone == tree
-
-    def test_write_tree(self, tmp_path, binomial_dataset, binomial_classes):
-        features = perfect_features(binomial_dataset)
-        tree = fitted(binomial_dataset, binomial_classes, features)
-        path = tmp_path / "tree.json"
-        write_tree(tree, path)
-        import json
-
-        assert tree_from_json(json.loads(path.read_text())) == tree

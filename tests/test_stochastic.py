@@ -7,10 +7,23 @@ from leakmit.deterministic import synthesize_det
 from leakmit.entropy import MEASURES, EntropyMeasure, entropy, post_policy_entropy
 from leakmit.policy import build_report, expected_overhead, expected_sizes, validate
 from leakmit.simplex import solve_lp
-from leakmit.stochastic import synthesize_local, synthesize_minguess
+from leakmit import stochastic
+from leakmit.stochastic import (
+    _matrix_from_mu,
+    _minguess_program,
+    _upward_program,
+    synthesize_local,
+    synthesize_minguess,
+)
 
 from conftest import make_classset, random_classset
-from oracles import minguess_pattern_oracle
+from oracles import (
+    jump_direction_oracle,
+    jump_program_oracle,
+    matrix_from_mu_oracle,
+    minguess_pattern_oracle,
+    minguess_program_oracle,
+)
 
 
 def tiny_instance(baseline=1.0):
@@ -226,3 +239,103 @@ class TestLocalSearch:
             want = build_report(pol, cs, measure, delta).entropy_after
             got = MEASURES[measure].finalize(diag.objective, total)
             assert got == pytest.approx(want, rel=1e-12)
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes (signed zeros included), or both None."""
+    if a is None or b is None:
+        return a is None and b is None
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+PROGRAM_DELTAS = (0.0, 0.1, 0.7, math.inf)
+
+
+@pytest.fixture(scope="module")
+def program_classsets():
+    """300 random class sets, 20 for each k in 1..15."""
+    rng = np.random.default_rng(2024)
+    return [random_classset(rng, 1 + s % 15) for s in range(300)]
+
+
+def signed_noise(rng, shape) -> np.ndarray:
+    """Normal draws with about a fifth of the entries set to +0.0 or -0.0."""
+    x = rng.normal(size=shape)
+    zero = rng.random(shape) < 0.2
+    x[zero] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zero]
+    return x
+
+
+class TestUpwardProgram:
+    """The array-built programs against the frozen per-entry loop builders."""
+
+    def test_minguess_program_matches_loop_builder(self, program_classsets):
+        for cs in program_classsets:
+            for delta in PROGRAM_DELTAS:
+                c, a_ub, b_ub, a_eq, b_eq, iu = _minguess_program(cs, delta)
+                *want, mu_index = minguess_program_oracle(cs, delta)
+                assert list(zip(iu[0].tolist(), iu[1].tolist())) == mu_index
+                for got, ref in zip((c, a_ub, b_ub, a_eq, b_eq), want):
+                    assert same_bits(got, ref), (cs.k, delta)
+
+    def test_jump_program_matches_loop_builder(self, program_classsets):
+        rng = np.random.default_rng(7)
+        for cs in program_classsets:
+            for delta in PROGRAM_DELTAS:
+                iu, *got = _upward_program(cs, delta)
+                pairs, *want = jump_program_oracle(cs, delta)
+                for g, ref in zip(got, want):
+                    assert same_bits(g, ref), (cs.k, delta)
+                grad = signed_noise(rng, (cs.k, cs.k))
+                assert same_bits(grad[iu], jump_direction_oracle(grad, pairs))
+
+    def test_matrix_map_matches_loop(self, program_classsets):
+        rng = np.random.default_rng(8)
+        for cs in program_classsets:
+            k = cs.k
+            iu = _upward_program(cs, math.inf)[0]
+            mu_index = list(zip(iu[0].tolist(), iu[1].tolist()))
+            # jump vectors hold only mu; B&B vectors carry z and m after it
+            for n in (len(mu_index), len(mu_index) + k + 1):
+                x = signed_noise(rng, n)
+                assert same_bits(
+                    _matrix_from_mu(x, iu, k), matrix_from_mu_oracle(x, mu_index, k)
+                )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_solvers_pass_the_frozen_programs(self, seed, monkeypatch):
+        """Every LP either solver hands the simplex carries the loop
+        builders' arrays; only the B&B z bounds and the jump direction vary."""
+        rng = np.random.default_rng(800 + seed)
+        cs = random_classset(rng, int(rng.integers(2, 7)))
+        delta = float(rng.choice([0.1, 0.4, math.inf]))
+        calls = []
+
+        def recording(c, a_ub, b_ub, a_eq, b_eq, bounds):
+            calls.append((c, a_ub, b_ub, a_eq, b_eq, bounds))
+            return solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds)
+
+        monkeypatch.setattr(stochastic, "solve_lp", recording)
+        k = cs.k
+        *bb_want, mu_index = minguess_program_oracle(cs, delta)
+        n_mu = len(mu_index)
+        synthesize_minguess(cs, delta)
+        assert calls
+        base = [(0.0, None)] * n_mu + [(0.0, 1.0)] * k + [(0.0, None)]
+        for c, a_ub, b_ub, a_eq, b_eq, bounds in calls:
+            for got, ref in zip((c, a_ub, b_ub, a_eq, b_eq), bb_want):
+                assert same_bits(got, ref)
+            for t, (got, ref) in enumerate(zip(bounds, base, strict=True)):
+                if got != ref:
+                    assert n_mu <= t < n_mu + k and got in ((0.0, 0.0), (1.0, 1.0))
+
+        calls.clear()
+        _, *jump_want = jump_program_oracle(cs, delta)
+        synthesize_local(cs, EntropyMeasure.SHANNON, delta, n_starts=2, seed=seed)
+        assert calls
+        for c, a_ub, b_ub, a_eq, b_eq, bounds in calls:
+            assert np.asarray(c).shape == (n_mu,)
+            for got, ref in zip((a_eq, b_eq, a_ub, b_ub), jump_want):
+                assert same_bits(got, ref)
+            assert bounds == [(0.0, None)] * n_mu
