@@ -14,6 +14,13 @@ minimizes the artificial mass; phase two optimizes the caller's objective.
 Dantzig pricing is used until the objective stalls, then Bland's rule takes
 over so degenerate programs cannot cycle.  Problem data here is small and
 rationally scaled, so the default tolerances resolve vertices to ~1e-9.
+
+A pivot is one rank-1 update: after the pivot row is scaled, every other row
+whose pivot-column entry is non-zero subtracts that entry times the pivot row,
+in a single fancy-indexed array expression.  Rows with a zero there are left
+untouched, so each entry sees the same float operations as an explicit row
+loop would perform.  Non-finite problem data is rejected up front; only an
+upper bound may be infinite.
 """
 
 from __future__ import annotations
@@ -43,9 +50,10 @@ class LpResult:
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
     pivot_row = tableau[row]
-    for r in range(tableau.shape[0]):
-        if r != row and abs(tableau[r, col]) > 0.0:
-            tableau[r] -= tableau[r, col] * pivot_row
+    touched = np.abs(tableau[:, col]) > 0.0
+    touched[row] = False
+    rows = touched.nonzero()[0]
+    tableau[rows] -= tableau[rows, col][:, None] * pivot_row
     basis[row] = col
 
 
@@ -62,27 +70,25 @@ def _run_simplex(
     allowed: np.ndarray,
 ) -> str:
     """Maximize costs.x in place.  Returns "optimal" or "unbounded"."""
-    m = tableau.shape[0]
     z, obj = _reduced_costs(tableau, basis, costs)
     stall = 0
     for _ in range(MAX_ITERS):
-        candidates = np.flatnonzero(allowed & (z < -COST_TOL))
-        if candidates.size == 0:
+        candidates = (allowed & (z < -COST_TOL)).nonzero()[0]
+        if not candidates.size:
             return "optimal"
         if stall <= STALL_LIMIT:
-            col = int(candidates[np.argmin(z[candidates])])
+            col = int(candidates[z[candidates].argmin()])
         else:
             col = int(candidates[0])  # Bland's rule: smallest improving index
         column = tableau[:, col]
-        positive = column > PIVOT_TOL
-        if not np.any(positive):
+        rows = (column > PIVOT_TOL).nonzero()[0]
+        if not rows.size:
             return "unbounded"
-        ratios = np.full(m, np.inf)
-        ratios[positive] = tableau[positive, -1] / column[positive]
-        best = ratios.min()
-        tie_rows = np.flatnonzero(ratios <= best + 1e-12)
+        # Ratio test over the rows with a positive pivot-column entry.
+        ratios = tableau[rows, -1] / column[rows]
+        tie_rows = rows[ratios <= ratios.min() + 1e-12]
         # Anti-cycling tie break: leave the smallest basis index.
-        row = int(tie_rows[np.argmin(basis[tie_rows])])
+        row = int(tie_rows[basis[tie_rows].argmin()])
         _pivot(tableau, basis, row, col)
         z, new_obj = _reduced_costs(tableau, basis, costs)
         stall = stall + 1 if new_obj <= obj + 1e-12 else 0
@@ -108,14 +114,20 @@ def solve_lp(
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).ravel()
     if a_ub.shape != (b_ub.size, n) or a_eq.shape != (b_eq.size, n):
         raise ValueError("constraint matrix shapes do not match")
+    data = {"c": c, "a_ub": a_ub, "b_ub": b_ub, "a_eq": a_eq, "b_eq": b_eq}
+    for name, arr in data.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite")
     if bounds is None:
         bounds = [(0.0, None)] * n
     lo = np.asarray([b[0] for b in bounds], dtype=float)
     hi = np.asarray(
         [np.inf if b[1] is None else float(b[1]) for b in bounds], dtype=float
     )
-    if np.any(~np.isfinite(lo)):
+    if not np.isfinite(lo).all():
         raise ValueError("lower bounds must be finite")
+    if np.isnan(hi).any():
+        raise ValueError("upper bounds must be a number or None")
     if np.any(hi < lo - FEAS_TOL):
         return LpResult("infeasible", None, np.nan)
 
@@ -136,38 +148,32 @@ def solve_lp(
 
     m_ub, m_eq = a_ub_s.shape[0], a_eq.shape[0]
     m = m_ub + m_eq
-    ineq_dirs = np.ones(m_ub)  # +1 keeps <=, -1 marks a flipped (>=) row
     rows_a = np.vstack([a_ub_s, a_eq]) if m else np.zeros((0, n))
     rhs = np.concatenate([b_ub_s, b_eq_s])
-    for r in range(m):
-        if rhs[r] < 0:
-            rows_a[r] = -rows_a[r]
-            rhs[r] = -rhs[r]
-            if r < m_ub:
-                ineq_dirs[r] = -1.0
+    flip = rhs < 0
+    rows_a[flip] = -rows_a[flip]
+    rhs[flip] = -rhs[flip]
+    # +1 keeps <=, -1 marks a flipped (>=) row
+    ineq_dirs = np.where(flip[:m_ub], -1.0, 1.0)
 
     needs_artificial = np.ones(m, dtype=bool)
-    needs_artificial[:m_ub] = ineq_dirs < 0
-    art_rows = np.flatnonzero(needs_artificial)
+    needs_artificial[:m_ub] = flip[:m_ub]
+    art_rows = needs_artificial.nonzero()[0]
     n_slack = m_ub
     n_art = art_rows.size
     width = n + n_slack + n_art
+    slack_cols = n + np.arange(n_slack)
+    art_cols = n + n_slack + np.arange(n_art)
 
     tableau = np.zeros((m, width + 1))
     tableau[:, :n] = rows_a
-    for r in range(m_ub):
-        tableau[r, n + r] = ineq_dirs[r]
-    for idx, r in enumerate(art_rows):
-        tableau[r, n + n_slack + idx] = 1.0
+    tableau[np.arange(m_ub), slack_cols] = ineq_dirs
+    tableau[art_rows, art_cols] = 1.0
     tableau[:, -1] = rhs
 
     basis = np.empty(m, dtype=int)
-    art_of_row = {int(r): n + n_slack + i for i, r in enumerate(art_rows)}
-    for r in range(m):
-        if r < m_ub and ineq_dirs[r] > 0:
-            basis[r] = n + r
-        else:
-            basis[r] = art_of_row[r]
+    basis[:m_ub] = slack_cols
+    basis[art_rows] = art_cols
 
     allowed = np.ones(width, dtype=bool)
     if n_art:

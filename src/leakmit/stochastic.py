@@ -22,8 +22,11 @@ branching, and best-bound node order.
 Shannon and guessing objectives are convex in C, so their optimum sits on a
 polytope vertex; they are attacked by multi-start projected gradient ascent
 whose start list always contains the identity and the deterministic-search
-policy, which makes those two objectives a floor for the result.  Its vertex
-jumps maximize the gradient's linearization over the same polytope.
+policy, which makes those two objectives a floor for the result.  Each
+ascent step projects all k rows back onto their simplices in one batched
+sort-and-threshold pass (``_project_rows``), entry for entry the float
+operations of a per-row projection.  Its vertex jumps maximize the
+gradient's linearization over the same polytope.
 """
 
 from __future__ import annotations
@@ -217,15 +220,26 @@ def synthesize_minguess(
     return policy, diagnostics
 
 
-def _project_row_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum x == 1}."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, v.size + 1)
-    cond = u - css / ks > 0
-    rho = int(np.max(ks[cond]))
-    tau = css[rho - 1] / rho
-    return np.maximum(v - tau, 0.0)
+def _project_rows(mat: np.ndarray) -> np.ndarray:
+    """Project every row's upward part onto {x >= 0, sum x == 1} at once.
+
+    Row i keeps its k - i entries j >= i; everything below the diagonal is
+    zero.  Sort-and-threshold (Duchi et al., ICML 2008) over all rows in one
+    pass: each row's live entries sort to its front in descending order, the
+    dead tail is zeroed before the running sum, rho is the last live index
+    whose entry clears the running threshold, and tau = css[rho - 1] / rho.
+    """
+    k = mat.shape[0]
+    idx = np.arange(k)
+    upper = idx[:, None] <= idx
+    live = upper[:, ::-1]  # row i: its first k - i sorted positions
+    ks = idx + 1
+    u = np.where(live, -np.sort(np.where(upper, -mat, np.inf), axis=1), 0.0)
+    css = np.cumsum(u, axis=1) - 1.0
+    cond = live & (u - css / ks > 0)
+    rho = k - np.argmax(cond[:, ::-1], axis=1)
+    tau = css[np.arange(k), rho - 1] / rho
+    return np.where(upper, np.maximum(mat - tau[:, None], 0.0), 0.0)
 
 
 def synthesize_local(
@@ -266,29 +280,32 @@ def synthesize_local(
         g_col = row.slope(sizes @ mat)
         return np.where(mask, sizes[:, None] * g_col[None, :], 0.0)
 
-    def project_rows(mat: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(mat)
-        for i in range(k):
-            out[i, i:] = _project_row_simplex(mat[i, i:])
-        return out
-
     def ascend(start: np.ndarray) -> np.ndarray:
+        # grad, norm, value and (once the repair needs it) the overhead of mu
+        # are pure functions of mu, so they change only when mu does.
         mu = start
+        grad = gradient(mu)
+        norm = float(np.sqrt((grad * grad).sum()))
+        value = objective(mu)
+        mu_over = None
         step = 0.25
         for _ in range(MAX_ASCENT_ITERS):
-            grad = gradient(mu)
-            norm = float(np.sqrt((grad * grad).sum()))
             if norm * step < STEP_TOL:
                 break
-            trial = project_rows(mu + step * grad)
+            trial = _project_rows(mu + step * grad)
             over = overhead(trial)
             if over > delta:
-                prev_over = overhead(mu)
-                lam = (delta - prev_over) / (over - prev_over)
+                if mu_over is None:
+                    mu_over = overhead(mu)
+                lam = (delta - mu_over) / (over - mu_over)
                 lam = max(0.0, min(1.0, lam * (1.0 - 1e-12)))
                 trial = mu + lam * (trial - mu)
-            if objective(trial) > objective(mu) + 1e-12:
-                mu = trial
+                over = None
+            trial_value = objective(trial)
+            if trial_value > value + 1e-12:
+                mu, value, mu_over = trial, trial_value, over
+                grad = gradient(mu)
+                norm = float(np.sqrt((grad * grad).sum()))
                 step = min(step * 1.3, 16.0)
             else:
                 step *= 0.5

@@ -440,6 +440,32 @@ def matrix_from_mu_oracle(x: np.ndarray, mu_index, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# solver kernels: the per-row loops, frozen as the bit-level reference for
+# the rank-1 simplex pivot and the batched simplex projection
+
+
+def pivot_loop_oracle(tableau: np.ndarray, basis: np.ndarray, row: int, col: int):
+    """Pivot in place on (row, col), one row update at a time."""
+    tableau[row] /= tableau[row, col]
+    pivot_row = tableau[row]
+    for r in range(tableau.shape[0]):
+        if r != row and abs(tableau[r, col]) > 0.0:
+            tableau[r] -= tableau[r, col] * pivot_row
+    basis[row] = col
+
+
+def project_row_oracle(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto {x >= 0, sum x == 1}."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    ks = np.arange(1, v.size + 1)
+    cond = u - css / ks > 0
+    rho = int(np.max(ks[cond]))
+    tau = css[rho - 1] / rho
+    return np.maximum(v - tau, 0.0)
+
+
+# ---------------------------------------------------------------------------
 # bucketing: boundary subset enumeration
 
 

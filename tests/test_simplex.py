@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from leakmit.simplex import solve_lp
+from leakmit.simplex import _pivot, solve_lp
 
-from oracles import lp_vertex_oracle
+from oracles import lp_vertex_oracle, pivot_loop_oracle
 
 
 class TestBasics:
@@ -119,3 +119,64 @@ class TestAgainstBasisEnumeration:
         assert np.all(a_ub @ res.x <= b_ub + 1e-8)
         assert np.all(res.x >= -1e-9)
         assert np.all(res.x <= 3.0 + 1e-9)
+
+
+class TestNonFiniteInput:
+    """Non-finite problem data fails at the boundary, not deep in a pivot."""
+
+    PROGRAM = {
+        "c": [1.0, 1.0],
+        "a_ub": [[1.0, 1.0]],
+        "b_ub": [1.0],
+        "a_eq": [[1.0, -1.0]],
+        "b_eq": [0.0],
+    }
+
+    @pytest.mark.parametrize("name", ["c", "a_ub", "b_ub", "a_eq", "b_eq"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected(self, name, bad):
+        args = {key: np.array(val, dtype=float) for key, val in self.PROGRAM.items()}
+        args[name].flat[0] = bad
+        with pytest.raises(ValueError, match=name):
+            solve_lp(**args)
+
+    def test_nan_upper_bound_rejected(self):
+        with pytest.raises(ValueError):
+            solve_lp([1.0], a_ub=[[1.0]], b_ub=[3.0], bounds=[(0.0, np.nan)])
+
+    @pytest.mark.parametrize("hi", [None, np.inf])
+    def test_open_upper_bound_stays_legal(self, hi):
+        res = solve_lp([1.0], a_ub=[[1.0]], b_ub=[3.0], bounds=[(0.0, hi)])
+        assert res.status == "optimal"
+        assert res.x[0] == pytest.approx(3.0)
+
+
+def pivot_case(rng, m: int, width: int, row: int):
+    """A random tableau whose pivot column mixes +0.0, -0.0 and non-zeros."""
+    tableau = rng.normal(size=(m, width))
+    col = int(rng.integers(0, width - 1))
+    kind = rng.integers(0, 3, size=m)
+    tableau[kind == 1, col] = 0.0
+    tableau[kind == 2, col] = -0.0
+    tableau[row, col] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+    return tableau, col
+
+
+class TestRank1Pivot:
+    """The one-expression pivot against the frozen row loop, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_row_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            m = int(rng.integers(1, 16))
+            width = int(rng.integers(2, 30))
+            for row in {0, m - 1, int(rng.integers(0, m))}:
+                tableau, col = pivot_case(rng, m, width, row)
+                basis = rng.permutation(width)[:m] if m <= width else np.arange(m)
+                got_t, got_b = tableau.copy(), basis.copy()
+                want_t, want_b = tableau.copy(), basis.copy()
+                _pivot(got_t, got_b, row, col)
+                pivot_loop_oracle(want_t, want_b, row, col)
+                assert got_t.tobytes() == want_t.tobytes()
+                assert got_b.tobytes() == want_b.tobytes()

@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leakmit.deterministic import synthesize_det
 from leakmit.entropy import MEASURES, EntropyMeasure, entropy, post_policy_entropy
 from leakmit.policy import build_report, expected_overhead, expected_sizes, validate
+from leakmit import simplex, stochastic
 from leakmit.simplex import solve_lp
-from leakmit import stochastic
 from leakmit.stochastic import (
     _matrix_from_mu,
     _minguess_program,
+    _project_rows,
     _upward_program,
     synthesize_local,
     synthesize_minguess,
@@ -23,6 +26,8 @@ from oracles import (
     matrix_from_mu_oracle,
     minguess_pattern_oracle,
     minguess_program_oracle,
+    pivot_loop_oracle,
+    project_row_oracle,
 )
 
 
@@ -339,3 +344,121 @@ class TestUpwardProgram:
             for got, ref in zip((a_eq, b_eq, a_ub, b_ub), jump_want):
                 assert same_bits(got, ref)
             assert bounds == [(0.0, None)] * n_mu
+
+
+def project_rows_loop(mat: np.ndarray) -> np.ndarray:
+    """The per-row projection loop the batched kernel replaced."""
+    out = np.zeros_like(mat)
+    for i in range(mat.shape[0]):
+        out[i, i:] = project_row_oracle(mat[i, i:])
+    return out
+
+
+def projection_cases(rng, k: int):
+    """Random k x k matrices, then the shapes that stress tie and sign order."""
+    yield rng.normal(size=(k, k)) * rng.choice([0.1, 1.0, 10.0])
+    yield rng.integers(-3, 4, size=(k, k)) / 4.0  # many tied entries
+    yield np.full((k, k), rng.normal())  # every row all equal
+    yield -rng.uniform(0.1, 5.0, size=(k, k))  # every row all negative
+    yield signed_noise(rng, (k, k))
+    yield rng.choice([0.0, -0.0, 0.5, -0.5], size=(k, k))  # signed zeros, ties
+    yield np.where(rng.random((k, k)) < 0.5, 0.0, -0.0)
+
+
+class TestBatchedProjection:
+    """The one-pass projection against the frozen per-row projection."""
+
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_matches_row_loop(self, k):
+        rng = np.random.default_rng(4000 + k)
+        for _ in range(15):
+            for mat in projection_cases(rng, k):
+                got = _project_rows(mat)
+                assert same_bits(got, project_rows_loop(mat)), (k, mat)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 0.3, -7.5, 1.0])
+    def test_single_entry_rows(self, value):
+        # k = 1, and the last row of any k, is one entry that projects to 1
+        got = _project_rows(np.array([[value]]))
+        assert same_bits(got, project_rows_loop(np.array([[value]])))
+        assert got[0, 0] == 1.0
+        mat = np.full((4, 4), value)
+        assert _project_rows(mat)[-1].tolist() == [0.0, 0.0, 0.0, 1.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda k: st.lists(
+                st.sampled_from([0.0, -0.0, 0.25, -0.25, 1.0, 1e-17, -3.0, 0.1]),
+                min_size=k * k,
+                max_size=k * k,
+            )
+        )
+    )
+    def test_tied_and_signed_entries(self, values):
+        k = int(round(len(values) ** 0.5))
+        mat = np.array(values).reshape(k, k)
+        assert same_bits(_project_rows(mat), project_rows_loop(mat))
+
+
+@pytest.fixture(scope="module")
+def kernel_classsets():
+    """100 random class sets, k = 1..12."""
+    rng = np.random.default_rng(77)
+    return [random_classset(rng, 1 + s % 12) for s in range(100)]
+
+
+class TestSolveLpEndToEnd:
+    """solve_lp with the rank-1 pivot returns the row loop's exact answer."""
+
+    @staticmethod
+    def solve_both(monkeypatch, *args):
+        got = solve_lp(*args)
+        with monkeypatch.context() as patch:
+            patch.setattr(simplex, "_pivot", pivot_loop_oracle)
+            want = solve_lp(*args)
+        assert got.status == want.status
+        assert same_bits(got.x, want.x)
+        return got
+
+    def test_minguess_programs(self, kernel_classsets, monkeypatch):
+        rng = np.random.default_rng(78)
+        for cs in kernel_classsets:
+            delta = float(rng.choice([0.0, 0.05, 0.2, 0.6, math.inf]))
+            c, a_ub, b_ub, a_eq, b_eq, iu = _minguess_program(cs, delta)
+            n_mu, k = iu[0].size, cs.k
+            bounds = [(0.0, None)] * n_mu + [(0.0, 1.0)] * k + [(0.0, None)]
+            self.solve_both(monkeypatch, c, a_ub, b_ub, a_eq, b_eq, bounds)
+            # one branch-and-bound child: a z fixed to 0 or 1
+            j, v = int(rng.integers(0, k)), float(rng.integers(0, 2))
+            bounds[n_mu + j] = (v, v)
+            self.solve_both(monkeypatch, c, a_ub, b_ub, a_eq, b_eq, bounds)
+
+    def test_vertex_jump_programs(self, kernel_classsets, monkeypatch):
+        rng = np.random.default_rng(79)
+        for cs in kernel_classsets:
+            delta = float(rng.choice([0.0, 0.05, 0.2, 0.6, math.inf]))
+            iu, a_eq, b_eq, a_ub, b_ub = _upward_program(cs, delta)
+            direction = signed_noise(rng, (cs.k, cs.k))[iu]
+            bounds = [(0.0, None)] * iu[0].size
+            args = (direction, a_ub, b_ub, a_eq, b_eq, bounds)
+            assert self.solve_both(monkeypatch, *args).status == "optimal"
+
+
+class TestBudgetContract:
+    """Every stochastic policy's expected overhead is at most delta + 1e-9."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_both_solvers_meet_the_budget(self, seed):
+        rng = np.random.default_rng(5000 + seed)
+        cs = random_classset(rng, int(rng.integers(2, 10)))
+        for delta in (0.0, *rng.uniform(0.0, 0.6, size=2)):
+            delta = float(delta)
+            policies = [synthesize_minguess(cs, delta)[0]]
+            for measure in (EntropyMeasure.SHANNON, EntropyMeasure.GUESSING):
+                policies.append(
+                    synthesize_local(cs, measure, delta, n_starts=2, seed=seed)[0]
+                )
+            for pol in policies:
+                assert expected_overhead(pol, cs) <= delta + 1e-9
+                build_report(pol, cs, EntropyMeasure.SHANNON, delta)
