@@ -279,6 +279,101 @@ class TestGoldenArtifacts:
         assert got == want
 
 
+class TestGoldenSubcommands:
+    """Every artifact of every other subcommand, pinned by sha256 across
+    commits on small generator runs: the dataset CSV (noisy and exact),
+    classes, entropies, a DP policy with its tables, a local-search policy,
+    both baselines, a sweep with its chart, and the comparison table."""
+
+    RUNS = {
+        "generate-branch-loop": (
+            ["generate", "--gen", "branch_loop", "--noise-sigma", "0.3",
+             "--seed", "1"],
+            {
+                "dataset.csv": "15ca322e4eb3d1975aded3f4f596b7b9f43d2c6723946c4bb8dce33257e4e44b",
+            },
+        ),
+        "generate-mod-exp": (
+            ["generate", "--gen", "mod_exp", "--n-bits", "6"],
+            {
+                "dataset.csv": "b568a0543d233ea49ad0f7d7c7f11730033b5eb0f885b7d113dfb64f6489ac51",
+            },
+        ),
+        "cluster": (
+            ["cluster", "--gen", "branch_loop", "--noise-sigma", "0.3",
+             "--epsilon", "2.0", "--seed", "1"],
+            {
+                "classes.json": "1fb723b4463f48c7cd82f4398f761848beb0c10a3cb6bee37081e42216242f3f",
+            },
+        ),
+        "entropy": (
+            ["entropy", "--gen", "mod_exp", "--n-bits", "8"],
+            {
+                "entropy.json": "2bab67fa6a5648666f81f4ffef80578998c6d6a82e457b6b3be2d8fbe8bc2eb2",
+            },
+        ),
+        "synthesize-det": (
+            ["synthesize", "--gen", "mod_exp", "--n-bits", "6", "--algo", "det",
+             "--measure", "shannon", "--delta", "0.3", "--dump-tables"],
+            {
+                "dp_tables.csv": "8ff05577683a717349c300e2c00b65e7f5665b895f51538b0fde5bcdeb2b29ac",
+                "policy.json": "78d42b36741a65b9ec2195c795e67b2e86827ba09871fe146ba5eb13a54c4fe1",
+            },
+        ),
+        "synthesize-stoch": (
+            ["synthesize", "--gen", "branch_loop", "--algo", "stoch",
+             "--measure", "guessing", "--delta", "0.4", "--n-starts", "2",
+             "--seed", "2"],
+            {
+                "policy.json": "3f3a46193f5ad0f9a74e21698825605b062905972c978b73d220c37ae8b0083a",
+            },
+        ),
+        "baseline-double": (
+            ["baseline", "--gen", "mod_exp", "--n-bits", "6", "--baseline",
+             "double"],
+            {
+                "baseline_classes.json": "59f1dcbca168448f7fe5d1dcae8ddec12adc2ff2f8baa9978356d1f396b934e4",
+                "baseline_report.json": "2f1589045d9ff75ced0299aebd2f2499e99e983985a1538e2c1aad256975a3ec",
+                "mitigated.csv": "ed687921038bacff2a351ed6944b03436101c8d06edd5ede6d65292d9a2408ca",
+            },
+        ),
+        "baseline-bucketing": (
+            ["baseline", "--gen", "branch_loop", "--noise-sigma", "0.3",
+             "--epsilon", "2.0", "--seed", "1", "--baseline", "bucketing",
+             "--buckets", "3"],
+            {
+                "baseline_classes.json": "d71393917e46100bce584e08b632e58a6f334db5a5344e0694b20985020b9091",
+                "baseline_report.json": "6550696760f1444a9c10294c9d6620aab019ad16ec9d5b7bdd1a78dcea292394",
+                "mitigated.csv": "ab66f7346a34e34d105bb4074facd5097c1014113545221802cae06a914a599e",
+            },
+        ),
+        "sweep": (
+            ["sweep", "--gen", "branch_loop", "--measure", "shannon", "--sweep",
+             "0:0.5:0.25", "--n-starts", "2"],
+            {
+                "sweep.csv": "f671227cbd5b574d96fbb086f529e02b5f8db32e72e71c4b265a58ef75c91a40",
+                "sweep.svg": "b3750dc18657f8b161d975b99b21554426498fad88be39f915b6946500654313",
+            },
+        ),
+        "compare": (
+            ["compare", "--gen", "mod_exp", "--n-bits", "6", "--delta", "0.5"],
+            {
+                "compare.csv": "4ba232a0f62082f475e36f289aaf59183270cf6219506ec9b89b8ffbea7f0913",
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_artifact_hashes(self, tmp_path, name):
+        args, want = self.RUNS[name]
+        assert run(args, tmp_path) == 0
+        got = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(tmp_path.iterdir())
+        }
+        assert got == want
+
+
 class TestSweep:
     def test_rows_cover_grid_and_algos(self, tmp_path):
         args = ["sweep"] + BRANCH + ["--measure", "shannon",
