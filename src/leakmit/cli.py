@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import math
 import os
@@ -62,36 +61,37 @@ class PipelineConfig:
     dump_tables: bool = False
 
 
-def _write_atomic(path: Path, write) -> None:
+def _write_atomic(path: Path, write) -> Path:
     """Call ``write(tmp_path)``, then rename the temp file over ``path``."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     write(tmp)
     os.replace(tmp, path)
+    return path
 
 
-def _write_text(path: Path, text: str) -> None:
-    _write_atomic(path, lambda tmp: tmp.write_text(text))
+def _write_text(path: Path, text: str) -> Path:
+    return _write_atomic(path, lambda tmp: tmp.write_text(text))
 
 
-def _write_json(path: Path, data) -> None:
-    _write_text(path, json.dumps(data, indent=2) + "\n")
+def _write_json(path: Path, data) -> Path:
+    return _write_text(path, json.dumps(data, indent=2) + "\n")
 
 
-def _write_dataset(path: Path, dataset) -> None:
-    _write_atomic(path, lambda tmp: timing.write_csv(dataset, tmp))
+def _write_dataset(path: Path, dataset) -> Path:
+    return _write_atomic(path, lambda tmp: timing.write_csv(dataset, tmp))
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(str(v) for v in row) + "\n")
-    return buf.getvalue()
+def _write_rows(path: Path, header, rows) -> Path:
+    """A small table, given as rows, through the one CSV writer."""
+    columns = tuple(zip(*rows))
+    return _write_atomic(path, lambda tmp: timing.write_table(tmp, header, [columns]))
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def _announce(paths: list[Path]) -> list[Path]:
+    for path in paths:
+        print(f"wrote {path}")
+    return paths
 
 
 def _load_dataset(config: PipelineConfig):
@@ -101,25 +101,42 @@ def _load_dataset(config: PipelineConfig):
         raise ConfigError("give either --input or --gen, not both")
     if config.input is not None:
         return timing.read_csv(config.input), None
-    if config.gen == "mod_exp":
-        ds = timing.gen_mod_exp(
-            config.n_bits, config.unit_cost, config.noise_sigma, config.seed
-        )
-        return ds, enforcement.mod_exp_counts(ds)
-    if config.gen == "branch_loop":
-        ds = timing.gen_branch_loop(
-            config.group_sizes,
-            config.slopes,
-            config.n_publics,
-            config.noise_sigma,
-            config.seed,
-        )
-        return ds, enforcement.branch_loop_counts(ds, config.group_sizes, config.slopes)
+    try:
+        if config.gen == "mod_exp":
+            ds = timing.gen_mod_exp(
+                config.n_bits, config.unit_cost, config.noise_sigma, config.seed
+            )
+            return ds, enforcement.mod_exp_counts(ds)
+        if config.gen == "branch_loop":
+            ds = timing.gen_branch_loop(
+                config.group_sizes,
+                config.slopes,
+                config.n_publics,
+                config.noise_sigma,
+                config.seed,
+            )
+            return ds, enforcement.branch_loop_counts(
+                ds, config.group_sizes, config.slopes
+            )
+    except ValueError as exc:
+        # A generator's parameters are all settings, so a bad one is a
+        # configuration error, not a data error.
+        raise ConfigError(f"--gen {config.gen}: {exc}") from None
     raise ConfigError("provide --input CSV or --gen {mod_exp,branch_loop}")
 
 
-def _synthesize(classes, config: PipelineConfig, algo: str, delta: float,
-                warm_starts=()):
+def _load_classes(config: PipelineConfig):
+    """Load and cluster: returns (dataset, counts, classes)."""
+    dataset, counts = _load_dataset(config)
+    return dataset, counts, clustering.cluster_functions(dataset, config.epsilon)
+
+
+def _entropies(sizes) -> dict[str, float]:
+    """The entropy of a class-size vector under every measure, by name."""
+    return {m.value: entropy(sizes, m) for m in EntropyMeasure}
+
+
+def _synthesize(classes, config: PipelineConfig, algo: str, delta: float):
     """Returns (policy, diagnostics or None, DP tables or None)."""
     measure = EntropyMeasure(config.measure)
     if algo == "det":
@@ -129,45 +146,66 @@ def _synthesize(classes, config: PipelineConfig, algo: str, delta: float,
         policy, diag = synthesize_minguess(classes, delta)
     else:
         policy, diag = synthesize_local(
-            classes,
-            measure,
-            delta,
-            n_starts=config.n_starts,
-            seed=config.seed,
-            warm_starts=warm_starts,
+            classes, measure, delta, n_starts=config.n_starts, seed=config.seed
         )
     return policy, diag, None
 
 
+def _solve(classes, config: PipelineConfig, algo: str, delta: float):
+    """Synthesize under ``delta`` and check the policy against it.
+
+    Returns (policy, report, diagnostics or None, DP tables or None)."""
+    policy, diag, tables = _synthesize(classes, config, algo, delta)
+    return policy, build_report(policy, classes, config.measure, delta), diag, tables
+
+
+def _write_policy(out_dir: Path, policy, report, diag) -> Path:
+    diag_dict = dataclasses.asdict(diag) if diag is not None else None
+    payload = policy_to_json(policy, report, diag_dict)
+    return _write_json(out_dir / "policy.json", payload)
+
+
+def _run_baseline(dataset, config: PipelineConfig, method: str):
+    """Apply a reference mitigation and re-cluster the result.
+
+    Returns (mitigated dataset, classes after, relative overhead)."""
+    if method == "double":
+        mitigated, after = baselines.double_scheme(dataset, epsilon=config.epsilon)
+    elif method == "bucketing":
+        buckets = baselines.fit_buckets(dataset.times.ravel(), config.buckets)
+        mitigated, after = baselines.apply_buckets(
+            dataset, buckets, epsilon=config.epsilon
+        )
+    else:
+        raise ConfigError(f"unknown baseline {method!r}")
+    return mitigated, after, timing.relative_overhead(dataset, mitigated)
+
+
 def cmd_generate(config: PipelineConfig) -> list[Path]:
     dataset, _ = _load_dataset(config)
-    out = Path(config.out) / "dataset.csv"
-    _write_dataset(out, dataset)
+    out = _write_dataset(Path(config.out) / "dataset.csv", dataset)
     print(f"wrote {out} ({dataset.n_secrets} secrets x {len(dataset.grid)} points)")
     return [out]
 
 
 def cmd_cluster(config: PipelineConfig) -> list[Path]:
-    dataset, _ = _load_dataset(config)
-    classes = clustering.cluster_functions(dataset, config.epsilon)
-    out = Path(config.out) / "classes.json"
-    _write_json(out, clustering.classset_to_json(classes))
+    dataset, _, classes = _load_classes(config)
+    out = _write_json(
+        Path(config.out) / "classes.json", clustering.classset_to_json(classes)
+    )
     print(f"wrote {out} ({classes.k} classes from {dataset.n_secrets} secrets)")
     return [out]
 
 
 def cmd_entropy(config: PipelineConfig) -> list[Path]:
-    dataset, _ = _load_dataset(config)
-    classes = clustering.cluster_functions(dataset, config.epsilon)
-    sizes = classes.sizes
-    values = {m.value: entropy(sizes, m) for m in EntropyMeasure}
+    _, _, classes = _load_classes(config)
+    values = _entropies(classes.sizes)
     data = {
         "k": classes.k,
-        "class_sizes": [int(s) for s in sizes],
+        "class_sizes": [int(s) for s in classes.sizes],
         "entropies": values,
     }
-    out = Path(config.out) / "entropy.json"
-    _write_json(out, data)
+    out = _write_json(Path(config.out) / "entropy.json", data)
     print(
         "entropies: "
         + " ".join(f"{name}={value!r}" for name, value in values.items())
@@ -176,76 +214,53 @@ def cmd_entropy(config: PipelineConfig) -> list[Path]:
 
 
 def cmd_synthesize(config: PipelineConfig) -> list[Path]:
-    dataset, _ = _load_dataset(config)
-    classes = clustering.cluster_functions(dataset, config.epsilon)
+    _, _, classes = _load_classes(config)
     algo = config.algo or "det"
-    policy, diag, tables = _synthesize(classes, config, algo, config.delta)
-    report = build_report(policy, classes, config.measure, config.delta)
-    out = Path(config.out) / "policy.json"
-    diag_dict = dataclasses.asdict(diag) if diag is not None else None
-    _write_json(out, policy_to_json(policy, report, diag_dict))
-    written = [out]
+    policy, report, diag, tables = _solve(classes, config, algo, config.delta)
+    out_dir = Path(config.out)
+    written = [_write_policy(out_dir, policy, report, diag)]
     if tables is not None and config.dump_tables:
-        tables_path = Path(config.out) / "dp_tables.csv"
-        _write_atomic(tables_path, tables.to_csv)
-        written.append(tables_path)
+        written.append(_write_atomic(out_dir / "dp_tables.csv", tables.to_csv))
     print(
         f"{algo} policy: entropy {report.entropy_before!r} -> "
         f"{report.entropy_after!r}, overhead {report.expected_overhead!r}"
     )
-    for path in written:
-        print(f"wrote {path}")
-    return written
+    return _announce(written)
 
 
 def cmd_baseline(config: PipelineConfig) -> list[Path]:
-    dataset, _ = _load_dataset(config)
-    classes = clustering.cluster_functions(dataset, config.epsilon)
-    if config.baseline == "double":
-        mitigated, after = baselines.double_scheme(dataset, epsilon=config.epsilon)
-    elif config.baseline == "bucketing":
-        buckets = baselines.fit_buckets(dataset.times.ravel(), config.buckets)
-        mitigated, after = baselines.apply_buckets(
-            dataset, buckets, epsilon=config.epsilon
-        )
-    else:
-        raise ConfigError(f"unknown baseline {config.baseline!r}")
-    overhead = timing.relative_overhead(dataset, mitigated)
+    dataset, _, classes = _load_classes(config)
+    mitigated, after, overhead = _run_baseline(dataset, config, config.baseline)
+    before, post = _entropies(classes.sizes), _entropies(after.sizes)
     report = {
         "method": config.baseline,
         "classes_before": classes.k,
         "classes_after": after.k,
         "overhead": overhead,
         "entropies": [
-            {
-                "measure": m.value,
-                "entropy_before": entropy(classes.sizes, m),
-                "entropy_after": entropy(after.sizes, m),
-            }
-            for m in EntropyMeasure
+            {"measure": m, "entropy_before": before[m], "entropy_after": post[m]}
+            for m in before
         ],
     }
     out_dir = Path(config.out)
-    csv_path = out_dir / "mitigated.csv"
-    _write_dataset(csv_path, mitigated)
-    classes_path = out_dir / "baseline_classes.json"
-    _write_json(classes_path, clustering.classset_to_json(after))
-    report_path = out_dir / "baseline_report.json"
-    _write_json(report_path, report)
+    written = [
+        _write_dataset(out_dir / "mitigated.csv", mitigated),
+        _write_json(out_dir / "baseline_classes.json",
+                    clustering.classset_to_json(after)),
+        _write_json(out_dir / "baseline_report.json", report),
+    ]
     print(
         f"{config.baseline}: {classes.k} -> {after.k} classes, "
         f"overhead {overhead!r}"
     )
-    return [csv_path, classes_path, report_path]
+    return written
 
 
 def run_pipeline(config: PipelineConfig) -> list[Path]:
     """Cluster, synthesize, train the classifier, enforce, and report."""
-    dataset, counts = _load_dataset(config)
-    classes = clustering.cluster_functions(dataset, config.epsilon)
+    dataset, counts, classes = _load_classes(config)
     algo = config.algo or "det"
-    policy, diag, _ = _synthesize(classes, config, algo, config.delta)
-    report = build_report(policy, classes, config.measure, config.delta)
+    policy, report, diag, _ = _solve(classes, config, algo, config.delta)
 
     if counts is None:
         features = enforcement.timing_features(dataset)
@@ -258,61 +273,40 @@ def run_pipeline(config: PipelineConfig) -> list[Path]:
         epsilon=config.epsilon,
     )
 
+    summary = {
+        "source": config.input if config.input is not None else config.gen,
+        "k_before": classes.k,
+        "classes_after": enforce_report.n_classes_after,
+        "measure": config.measure,
+        "delta": report.delta_bound,
+        "algo": algo,
+        "entropy_before": report.entropy_before,
+        "entropy_after": report.entropy_after,
+        "expected_overhead": report.expected_overhead,
+        "realized_overhead": enforce_report.realized_overhead,
+        "misclassification_rate": enforce_report.misclassification_rate,
+    }
     out_dir = Path(config.out)
-    artifacts: list[Path] = []
-
-    classes_path = out_dir / "classes.json"
-    _write_json(classes_path, clustering.classset_to_json(classes))
-    artifacts.append(classes_path)
-
-    policy_path = out_dir / "policy.json"
-    diag_dict = dataclasses.asdict(diag) if diag is not None else None
-    _write_json(policy_path, policy_to_json(policy, report, diag_dict))
-    artifacts.append(policy_path)
-
-    tree_path = out_dir / "tree.json"
-    _write_json(tree_path, enforcement.tree_to_json(tree))
-    artifacts.append(tree_path)
-
-    mitigated_path = out_dir / "mitigated.csv"
-    _write_dataset(mitigated_path, mitigated)
-    artifacts.append(mitigated_path)
-
-    enforcement_path = out_dir / "enforcement.json"
-    _write_json(enforcement_path, enforcement.report_to_json(enforce_report))
-    artifacts.append(enforcement_path)
-
-    summary_path = out_dir / "summary.csv"
-    header = (
-        "source", "k_before", "classes_after", "measure", "delta", "algo",
-        "entropy_before", "entropy_after", "expected_overhead",
-        "realized_overhead", "misclassification_rate",
-    )
-    source = config.input if config.input is not None else config.gen
-    row = (
-        source,
-        classes.k,
-        enforce_report.n_classes_after,
-        config.measure,
-        _fmt(config.delta),
-        algo,
-        _fmt(report.entropy_before),
-        _fmt(report.entropy_after),
-        _fmt(report.expected_overhead),
-        _fmt(enforce_report.realized_overhead),
-        _fmt(enforce_report.misclassification_rate),
-    )
-    _write_text(summary_path, _csv_text(header, [row]))
-    artifacts.append(summary_path)
-
+    artifacts = [
+        _write_json(out_dir / "classes.json", clustering.classset_to_json(classes)),
+        _write_policy(out_dir, policy, report, diag),
+        _write_json(out_dir / "tree.json", enforcement.tree_to_json(tree)),
+        _write_dataset(out_dir / "mitigated.csv", mitigated),
+        _write_json(out_dir / "enforcement.json",
+                    enforcement.report_to_json(enforce_report)),
+        _write_rows(out_dir / "summary.csv", tuple(summary), [summary.values()]),
+    ]
     print(
         f"enforced {algo}/{config.measure}: {classes.k} -> "
         f"{enforce_report.n_classes_after} classes, realized overhead "
         f"{enforce_report.realized_overhead!r}"
     )
-    for path in artifacts:
-        print(f"wrote {path}")
-    return artifacts
+    return _announce(artifacts)
+
+
+# A budget grid with more points than this is a mistake, not a sweep
+# (0:1e9:1e-9 would never finish).
+MAX_SWEEP_POINTS = 10_000
 
 
 def _parse_sweep_grid(raw: str) -> list[float]:
@@ -330,6 +324,8 @@ def _parse_sweep_grid(raw: str) -> list[float]:
     grid = []
     value = start
     while value <= stop + 1e-12:
+        if len(grid) == MAX_SWEEP_POINTS:
+            raise ConfigError(f"--sweep grid has more than {MAX_SWEEP_POINTS} points")
         grid.append(round(value, 12))
         value += step
     return grid
@@ -407,98 +403,60 @@ def _svg_line_chart(series, x_label: str, y_label: str, title: str) -> str:
 
 
 def sweep(config: PipelineConfig) -> list[Path]:
-    """Solve across a budget grid; entropy per algorithm must never decrease."""
+    """Solve across a budget grid; entropy per algorithm never decreases."""
     if not config.sweep:
         raise ConfigError("--sweep start:stop:step is required")
     grid = _parse_sweep_grid(config.sweep)
-    dataset, _ = _load_dataset(config)
-    classes = clustering.cluster_functions(dataset, config.epsilon)
+    _, _, classes = _load_classes(config)
     algos = [config.algo] if config.algo else ["det", "stoch"]
-    measure = EntropyMeasure(config.measure)
+    measure = EntropyMeasure(config.measure).value
 
     rows = []
     for algo in algos:
-        repaired = []
+        best = None
         for delta in grid:
-            policy, _, _ = _synthesize(classes, config, algo, delta)
-            report = build_report(policy, classes, measure, delta)
-            ent, over = report.entropy_after, report.expected_overhead
+            _, report, _, _ = _solve(classes, config, algo, delta)
+            point = (report.entropy_after, report.expected_overhead)
             # A feasible policy stays feasible at any larger budget, so
             # carrying the best-so-far forward repairs any local-search wobble.
-            if repaired and repaired[-1][0] > ent:
-                ent, over = repaired[-1]
-            repaired.append((ent, over))
-            rows.append((delta, algo, ent, over))
-        ents = [r[0] for r in repaired]
-        if any(b < a for a, b in zip(ents, ents[1:])):
-            raise SolverError("sweep entropies are not monotone in the budget")
-
-    out_dir = Path(config.out)
-    csv_path = out_dir / "sweep.csv"
-    header = ("delta", "algo", "measure", "entropy_after", "overhead")
-    csv_rows = [
-        (_fmt(delta), algo, measure.value, _fmt(ent), _fmt(over))
-        for delta, algo, ent, over in rows
-    ]
-    _write_text(csv_path, _csv_text(header, csv_rows))
+            if best is not None and best[0] > point[0]:
+                point = best
+            best = point
+            rows.append((delta, algo, measure, *point))
 
     series = {
-        algo: [(delta, ent) for delta, a, ent, _ in rows if a == algo]
+        algo: [(delta, ent) for delta, a, _, ent, _ in rows if a == algo]
         for algo in algos
     }
-    svg_path = out_dir / "sweep.svg"
-    _write_text(
-        svg_path,
-        _svg_line_chart(
-            series, "overhead budget", f"{measure.value} entropy", "budget sweep"
-        ),
-    )
-    print(f"wrote {csv_path}")
-    print(f"wrote {svg_path}")
-    return [csv_path, svg_path]
+    out_dir = Path(config.out)
+    return _announce([
+        _write_rows(out_dir / "sweep.csv",
+                    ("delta", "algo", "measure", "entropy_after", "overhead"), rows),
+        _write_text(out_dir / "sweep.svg", _svg_line_chart(
+            series, "overhead budget", f"{measure} entropy", "budget sweep"
+        )),
+    ])
 
 
 def compare(config: PipelineConfig) -> list[Path]:
     """One table row per mitigation approach on a shared dataset."""
-    dataset, _ = _load_dataset(config)
-    classes = clustering.cluster_functions(dataset, config.epsilon)
+    dataset, _, classes = _load_classes(config)
+    header = ("method", "classes_after", "minguess", "shannon", "guessing", "overhead")
 
-    def all_entropies(sizes):
-        return {m: entropy(sizes, m) for m in EntropyMeasure}
+    def row(name, n_classes, sizes, overhead):
+        ents = _entropies(sizes)
+        return (name, n_classes, *(ents[m] for m in header[2:5]), overhead)
 
-    results = [("initial", classes.k, all_entropies(classes.sizes), 0.0)]
-    mitigated, after = baselines.double_scheme(dataset, epsilon=config.epsilon)
-    results.append(("double", after.k, all_entropies(after.sizes),
-                    timing.relative_overhead(dataset, mitigated)))
-    buckets = baselines.fit_buckets(dataset.times.ravel(), config.buckets)
-    mitigated, after = baselines.apply_buckets(dataset, buckets, epsilon=config.epsilon)
-    results.append(("bucketing", after.k, all_entropies(after.sizes),
-                    timing.relative_overhead(dataset, mitigated)))
+    rows = [row("initial", classes.k, classes.sizes, 0.0)]
+    for method in ("double", "bucketing"):
+        _, after, overhead = _run_baseline(dataset, config, method)
+        rows.append(row(method, after.k, after.sizes, overhead))
     for algo in ("det", "stoch"):
         policy, _, _ = _synthesize(classes, config, algo, config.delta)
         post = expected_sizes(policy, classes.sizes)
-        nonzero = int((post > 1e-9).sum())
-        results.append(
-            (algo, nonzero, all_entropies(post), expected_overhead(policy, classes))
-        )
-
-    out_dir = Path(config.out)
-    csv_path = out_dir / "compare.csv"
-    header = ("method", "classes_after", "minguess", "shannon", "guessing", "overhead")
-    csv_rows = [
-        (
-            name,
-            n_classes,
-            _fmt(ents[EntropyMeasure.MINGUESS]),
-            _fmt(ents[EntropyMeasure.SHANNON]),
-            _fmt(ents[EntropyMeasure.GUESSING]),
-            _fmt(overhead),
-        )
-        for name, n_classes, ents, overhead in results
-    ]
-    _write_text(csv_path, _csv_text(header, csv_rows))
-    print(f"wrote {csv_path}")
-    return [csv_path]
+        rows.append(row(algo, int((post > 1e-9).sum()), post,
+                        expected_overhead(policy, classes)))
+    return _announce([_write_rows(Path(config.out) / "compare.csv", header, rows)])
 
 
 # Allowed values of the string settings, for flags and config files alike.
@@ -619,10 +577,10 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
         raise ConfigError("delta must be >= 0")
     if not config.epsilon > 0:
         raise ConfigError("epsilon must be > 0")
-    if config.seed < 0:
-        raise ConfigError("seed must be >= 0")
-    if config.max_depth < 1 or config.min_leaf < 1:
-        raise ConfigError("max_depth and min_leaf must be >= 1")
+    for name, low in (("seed", 0), ("n_starts", 0), ("buckets", 1),
+                      ("max_depth", 1), ("min_leaf", 1)):
+        if getattr(config, name) < low:
+            raise ConfigError(f"{name} must be >= {low}")
     return config
 
 

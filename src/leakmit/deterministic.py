@@ -25,7 +25,6 @@ returns the best feasible objective overall.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -36,6 +35,7 @@ import numpy as np
 from .clustering import ObservationClassSet
 from .entropy import MEASURES, EntropyMeasure
 from .policy import MitigationPolicy, blocks_policy
+from .timing import write_table
 
 __all__ = ["DpTables", "synthesize_det", "brute_force_det"]
 
@@ -58,19 +58,15 @@ class DpTables:
 
     def to_csv(self, path: str | Path) -> None:
         k = self.value.shape[0] - 1
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["i"]
-                + [f"value_r{r}" for r in range(1, k + 1)]
-                + [f"penalty_r{r}" for r in range(1, k + 1)]
-            )
-            for i in range(1, k + 1):
-                writer.writerow(
-                    [i]
-                    + [repr(float(self.value[i][r])) for r in range(1, k + 1)]
-                    + [repr(float(self.penalty[i][r])) for r in range(1, k + 1)]
-                )
+        header = (
+            ["i"]
+            + [f"value_r{r}" for r in range(1, k + 1)]
+            + [f"penalty_r{r}" for r in range(1, k + 1)]
+        )
+        columns = (
+            np.arange(1, k + 1), *self.value[1:, 1:].T, *self.penalty[1:, 1:].T
+        )
+        write_table(path, header, [columns])
 
 
 def _block_tables(classes: ObservationClassSet, measure: EntropyMeasure):

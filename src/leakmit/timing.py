@@ -25,11 +25,13 @@ __all__ = [
     "relative_overhead",
     "gen_mod_exp",
     "gen_branch_loop",
+    "write_table",
     "write_csv",
     "read_csv",
 ]
 
 CSV_HEADER = ("secret_id", "public_value", "time_seconds")
+CSV_BLOCK_ROWS = 4096
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -151,8 +153,9 @@ def relative_overhead(original: TimingDataset, mitigated: TimingDataset) -> floa
 
 
 def _apply_noise(times: np.ndarray, sigma: float, seed: int) -> np.ndarray:
-    if sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
+    # Every parameter check is written as "not (in range)" so that NaN fails.
+    if not 0 <= sigma < math.inf:
+        raise ValueError("noise_sigma must be finite and >= 0")
     if sigma == 0:
         return times
     rng = np.random.default_rng(seed)
@@ -174,8 +177,8 @@ def gen_mod_exp(
     """
     if not 1 <= int(n_bits) <= 20:
         raise ValueError("n_bits must be in [1, 20]")
-    if unit_cost <= 0:
-        raise ValueError("unit_cost must be positive")
+    if not 0 < unit_cost < math.inf:
+        raise ValueError("unit_cost must be finite and positive")
     n_bits = int(n_bits)
     secrets = np.arange(1, 2**n_bits, dtype=np.int64)
     setbits = np.zeros(secrets.size, dtype=np.int64)
@@ -207,10 +210,10 @@ def gen_branch_loop(
         raise ValueError("need at least one group")
     if any(g <= 0 for g in sizes):
         raise ValueError("group sizes must be positive")
-    if any(s <= 0 for s in slope_list) or any(
-        b <= a for a, b in zip(slope_list, slope_list[1:])
+    if not all(0 < s < math.inf for s in slope_list) or not all(
+        b > a for a, b in zip(slope_list, slope_list[1:])
     ):
-        raise ValueError("slopes must be positive and strictly increasing")
+        raise ValueError("slopes must be finite, positive and strictly increasing")
     if int(n_publics) < 1:
         raise ValueError("n_publics must be >= 1")
     slope_per_secret = np.repeat(np.asarray(slope_list), sizes)
@@ -220,14 +223,48 @@ def gen_branch_loop(
     return TimingDataset(tuple(range(len(slope_per_secret))), grid, times, seed)
 
 
-def write_csv(dataset: TimingDataset, path: str | Path) -> None:
-    """Write rows secret-major, grid-ascending: secret_id,public_value,time_seconds."""
+def write_table(path: str | Path, header: Sequence[str], blocks: Iterable) -> None:
+    """Write a CSV table: ``header``, then the rows of each block in turn.
+
+    Every CSV file the package writes goes through here.  A block is one
+    column per header field, each a NumPy array or a sequence of cells, and
+    only one block at a time is turned into Python objects, so a caller
+    streams a large table by yielding small blocks.  Floats are written as
+    ``repr(float(v))``, every line ends in a bare line feed, and a text cell
+    holding a comma, a quote or a line break is quoted the way the ``csv``
+    module quotes it.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for i, secret in enumerate(dataset.secrets):
-            for p, y in enumerate(dataset.grid.points):
-                writer.writerow((secret, repr(y), repr(float(dataset.times[i, p]))))
+        writer.writerow(header)
+        for block in blocks:
+            writer.writerows(zip(*map(_cells, block)))
+
+
+def _cells(column) -> list:
+    # The csv module writes a cell as str(v), and str(np.float32(0.1)) is
+    # "0.1" where repr(float(v)) is "0.10000000149011612", so every float
+    # becomes a Python float first.
+    if isinstance(column, np.ndarray):
+        return column.tolist()
+    return [float(v) if isinstance(v, (float, np.floating)) else v for v in column]
+
+
+def write_csv(dataset: TimingDataset, path: str | Path) -> None:
+    """Write rows secret-major, grid-ascending: secret_id,public_value,time_seconds."""
+    points = dataset.grid.array
+    secrets = np.asarray(dataset.secrets, dtype=object)
+    # Blocks of whole secrets, about CSV_BLOCK_ROWS rows each: a block per
+    # secret pays more in per-block overhead than the rows cost to write.
+    step = max(1, CSV_BLOCK_ROWS // points.size)
+
+    def blocks():
+        for lo in range(0, secrets.size, step):
+            times = dataset.times[lo:lo + step]
+            yield (secrets[lo:lo + step].repeat(points.size),
+                   np.tile(points, len(times)), times.ravel())
+
+    write_table(path, CSV_HEADER, blocks())
 
 
 def read_csv(path: str | Path) -> TimingDataset:

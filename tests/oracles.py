@@ -10,6 +10,7 @@ purpose; only run on small inputs.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
@@ -463,6 +464,38 @@ def project_row_oracle(v: np.ndarray) -> np.ndarray:
     rho = int(np.max(ks[cond]))
     tau = css[rho - 1] / rho
     return np.maximum(v - tau, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# CSV text: the row-at-a-time writers, frozen as the byte-level reference for
+# the streaming table writer
+
+
+def dataset_csv_oracle(dataset, path) -> None:
+    """One ``writerow`` per observation, each float through ``repr``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("secret_id", "public_value", "time_seconds"))
+        for i, secret in enumerate(dataset.secrets):
+            for p, y in enumerate(dataset.grid.points):
+                writer.writerow((secret, repr(y), repr(float(dataset.times[i, p]))))
+
+
+def dp_tables_csv_oracle(tables, path) -> None:
+    k = tables.value.shape[0] - 1
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(
+            ["i"]
+            + [f"value_r{r}" for r in range(1, k + 1)]
+            + [f"penalty_r{r}" for r in range(1, k + 1)]
+        )
+        for i in range(1, k + 1):
+            writer.writerow(
+                [i]
+                + [repr(float(tables.value[i][r])) for r in range(1, k + 1)]
+                + [repr(float(tables.penalty[i][r])) for r in range(1, k + 1)]
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -6,9 +7,9 @@ import numpy as np
 import pytest
 
 from leakmit import cli
-from leakmit.cli import ConfigError, _parse_sweep_grid, main
+from leakmit.cli import MAX_SWEEP_POINTS, ConfigError, _parse_sweep_grid, main
 from leakmit.errors import SolverError
-from leakmit.timing import gen_mod_exp, read_csv
+from leakmit.timing import gen_branch_loop, gen_mod_exp, read_csv, write_csv
 
 
 MOD_EXP = ["--gen", "mod_exp", "--n-bits", "6"]
@@ -89,6 +90,20 @@ class TestSweepGrid:
         for bad in ("1:2", "a:b:c", "0:1:0", "1:0:1"):
             with pytest.raises(ConfigError):
                 _parse_sweep_grid(bad)
+
+    def test_benchmark_grid_is_unchanged(self):
+        assert _parse_sweep_grid("0.05:0.25:0.05") == [0.05, 0.1, 0.15, 0.2, 0.25]
+
+    def test_point_cap(self):
+        assert len(_parse_sweep_grid(f"1:{MAX_SWEEP_POINTS}:1")) == MAX_SWEEP_POINTS
+        with pytest.raises(ConfigError, match="points"):
+            _parse_sweep_grid(f"1:{MAX_SWEEP_POINTS + 1}:1")
+
+    def test_huge_grid_exits_1(self, tmp_path, capsys):
+        # Used to append budgets until memory ran out.
+        assert run(["sweep"] + BRANCH + ["--sweep", "0:1e9:1e-9"], tmp_path) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestSingleCommands:
@@ -212,6 +227,17 @@ class TestPipeline:
         assert run(self.ARGS, second) == 0
         for path in sorted(first.iterdir()):
             assert path.read_bytes() == (second / path.name).read_bytes()
+
+    def test_summary_quotes_an_input_path_with_a_comma(self, tmp_path):
+        # The path used to be joined in bare, giving 12 fields under an
+        # 11-field header.
+        source = tmp_path / "a,b.csv"
+        write_csv(gen_branch_loop((2, 3), (1.0, 2.0), 5, 0.0, 0), source)
+        assert run(["enforce", "--input", str(source)], tmp_path / "out") == 0
+        with open(tmp_path / "out" / "summary.csv", newline="") as fh:
+            header, row = csv.reader(fh)
+        assert len(header) == len(row) == 11
+        assert row[0] == str(source)
 
     def test_stochastic_pipeline(self, tmp_path):
         args = ["enforce"] + BRANCH + ["--measure", "minguess", "--algo",
@@ -471,10 +497,22 @@ class TestConfigFile:
             ("enforce", {}, ["--min-leaf", "0"]),
             ("enforce", {"max_depth": 0}, []),
             ("enforce", {"min_leaf": -1}, []),
+            ("cluster", {}, ["--n-bits", "0"]),
+            ("cluster", {}, ["--gen", "branch_loop", "--n-publics", "0"]),
+            ("baseline", {}, ["--baseline", "bucketing", "--buckets", "0"]),
+            ("compare", {"buckets": 0}, []),
+            ("cluster", {}, ["--noise-sigma", "-1"]),
+            ("cluster", {}, ["--noise-sigma", "nan"]),
+            ("cluster", {}, ["--unit-cost", "nan"]),
+            ("cluster", {}, ["--gen", "branch_loop", "--slopes", "1,nan"]),
+            ("synthesize", {"algo": "stoch", "measure": "shannon"},
+             ["--n-starts", "-3"]),
         ],
         ids=["measure", "algo", "gen", "baseline", "epsilon-nan", "delta-nan",
              "sweep-nan", "sweep-inf", "max-depth-flag", "min-leaf-flag",
-             "max-depth-config", "min-leaf-config"],
+             "max-depth-config", "min-leaf-config", "n-bits-0", "n-publics-0",
+             "buckets-0", "buckets-config-0", "noise-sigma-negative",
+             "noise-sigma-nan", "unit-cost-nan", "slopes-nan", "n-starts-negative"],
     )
     def test_value_outside_its_domain_rejected(self, tmp_path, capsys,
                                                command, raw, flags):
@@ -482,7 +520,9 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"gen": "mod_exp", "n_bits": 4, **raw}))
         rc = main([command, "--config", str(cfg), "--out", str(tmp_path)] + flags)
         assert rc == 1
-        assert "configuration error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "execution times must be finite" not in err
 
     def test_unreadable_config(self, tmp_path):
         assert main(["cluster", "--config", str(tmp_path / "nope.json")]) == 1

@@ -8,7 +8,7 @@ from leakmit.policy import expected_overhead, validate
 from leakmit.deterministic import _block_tables, brute_force_det, synthesize_det
 
 from conftest import make_classset, random_classset
-from oracles import det_best_oracle
+from oracles import det_best_oracle, dp_tables_csv_oracle
 
 ALL_MEASURES = list(EntropyMeasure)
 
@@ -156,6 +156,21 @@ class TestTables:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("i,value_r1")
         assert len(lines) == 4  # header + one row per prefix length
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_to_csv_bytes_match_the_row_loop(self, tmp_path, seed):
+        # Budgets from none to ample, so the tables hold -inf, inf and finite
+        # values side by side.
+        rng = np.random.default_rng(seed)
+        cs = random_classset(rng, int(rng.integers(1, 9)))
+        for delta in (0.0, 0.2, 5.0):
+            for measure in ALL_MEASURES:
+                _, tables = synthesize_det(cs, measure, delta, scan_all_r=True)
+                tables.to_csv(tmp_path / "a.csv")
+                dp_tables_csv_oracle(tables, tmp_path / "b.csv")
+                assert (tmp_path / "a.csv").read_bytes() == (
+                    tmp_path / "b.csv"
+                ).read_bytes()
 
 
 class TestBlockTables:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +15,10 @@ from leakmit.timing import (
     relative_overhead,
     upper_envelope,
     write_csv,
+    write_table,
 )
 
-from oracles import envelope_oracle
+from oracles import dataset_csv_oracle, envelope_oracle
 
 
 def grid(*points):
@@ -169,6 +172,12 @@ class TestModExpGenerator:
             gen_mod_exp(4, 0.0, 0.0, seed=0)
         with pytest.raises(ValueError):
             gen_mod_exp(4, 1.0, -0.1, seed=0)
+        # NaN used to pass every check and fail later as "execution times
+        # must be finite".
+        for unit_cost, sigma in ((math.nan, 0.0), (math.inf, 0.0),
+                                 (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ValueError, match="unit_cost|noise_sigma"):
+                gen_mod_exp(4, unit_cost, sigma, seed=0)
 
 
 class TestBranchLoopGenerator:
@@ -188,6 +197,13 @@ class TestBranchLoopGenerator:
             gen_branch_loop((2, 2), (1.0, 1.0), 5, 0.0, 0)
         with pytest.raises(ValueError):
             gen_branch_loop((2, 2), (2.0, 1.0), 5, 0.0, 0)
+
+    def test_non_finite_parameters_rejected(self):
+        for slopes in ((math.nan, 2.0), (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ValueError, match="slopes"):
+                gen_branch_loop((2, 2), slopes, 5, 0.0, 0)
+        with pytest.raises(ValueError, match="noise_sigma"):
+            gen_branch_loop((2, 2), (1.0, 2.0), 5, math.nan, 0)
 
 
 class TestCsvRoundTrip:
@@ -233,6 +249,52 @@ class TestCsvRoundTrip:
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_csv(tmp_path / "absent.csv")
+
+
+
+class TestWriteTable:
+    @pytest.mark.parametrize("n_secrets, n_points", [
+        (1, 1), (3, 14), (700, 14), (2, 5000), (5, 4096), (5, 4097), (9, 2048),
+    ])
+    def test_dataset_bytes_match_the_row_loop(self, tmp_path, n_secrets, n_points):
+        # Block edges: a grid longer than one block, a block that ends
+        # mid-dataset, and a last block shorter than the rest.
+        rng = np.random.default_rng(n_secrets * n_points)
+        times = rng.exponential(3.0, size=(n_secrets, n_points))
+        times[0, 0] = -0.0
+        times[-1, -1] = 1e300
+        secrets = tuple(range(-1, n_secrets - 1))
+        ds = TimingDataset(secrets, PublicGrid(tuple(np.arange(n_points) * 0.1)), times)
+        write_csv(ds, tmp_path / "a.csv")
+        dataset_csv_oracle(ds, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("secrets", [(2**70, 3), (2**63, 1), (-1, 2**63)])
+    def test_secret_ids_beyond_int64(self, tmp_path, secrets):
+        # NumPy holds (2**63, 1) as float64, which would print 9.2e+18.
+        ds = TimingDataset(secrets, grid(1, 2), [[1.0, 2.0], [3.0, 4.0]])
+        write_csv(ds, tmp_path / "a.csv")
+        dataset_csv_oracle(ds, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert read_csv(tmp_path / "a.csv").secrets == secrets
+
+    def test_cells(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, ("name", "n", "x"), [
+            (["a,b.csv", 'say "hi"', "plain"], [1, np.int64(2), 3],
+             [0.1, np.float64(0.1), np.float32(0.1)]),
+            (["line\nbreak"], np.array([4]), np.array([1e-7])),
+        ])
+        assert path.read_text() == (
+            'name,n,x\n"a,b.csv",1,0.1\n"say ""hi""",2,0.1\n'
+            "plain,3,0.10000000149011612\n"
+            '"line\nbreak",4,1e-07\n'
+        )
+
+    def test_empty_table_is_the_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, ("a", "b"), [])
+        assert path.read_text() == "a,b\n"
 
 
 class TestDatasetInvariants:
