@@ -21,6 +21,20 @@ in a single fancy-indexed array expression.  Rows with a zero there are left
 untouched, so each entry sees the same float operations as an explicit row
 loop would perform.  Non-finite problem data is rejected up front; only an
 upper bound may be infinite.
+
+Warm start: an optimal solve returns its final basis.  A later program with
+the same constraint matrix and the same pattern of finite upper bounds (only
+right-hand sides and bound values differ, as between a branch-and-bound node
+and its children) can pass that basis back.  Its tableau is rebuilt with one
+dense solve, B^-1 [A | b], over the structural and slack columns; a dual
+simplex (Bland's rule for the leaving row, smallest index among tied
+entering columns) restores primal feasibility, and the primal simplex cleans
+up.  The dual ratio test skips pivots smaller than ``DUAL_PIVOT_TOL``: on
+the min-guess programs a 4e-10 pivot there blew the right-hand side up to
+1e11 and left a numerically singular basis.  A basis of the wrong shape, a
+singular basis, a leaving row with only such tiny pivots, or a dual phase
+that reaches ``DUAL_MAX_ITERS`` falls back to the cold solve, the same
+float operations as a solve without a basis.
 """
 
 from __future__ import annotations
@@ -38,6 +52,8 @@ FEAS_TOL = 1e-8
 COST_TOL = 1e-10
 STALL_LIMIT = 60
 MAX_ITERS = 50_000
+DUAL_MAX_ITERS = 5_000
+DUAL_PIVOT_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -45,6 +61,8 @@ class LpResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None
     objective: float
+    # Final basis of an optimal solve (column per tableau row), for warm starts
+    basis: np.ndarray | None = None
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -96,6 +114,121 @@ def _run_simplex(
     raise SolverError("simplex iteration limit exceeded")
 
 
+def _cold_start(rows_a: np.ndarray, rhs: np.ndarray, m_ub: int):
+    """Phase one from the slack and artificial basis.
+
+    Returns ``(tableau, basis, allowed)`` at a feasible basis with every
+    artificial out of it, or "infeasible".
+    """
+    m, n = rows_a.shape
+    flip = rhs < 0
+    rows_a[flip] = -rows_a[flip]
+    rhs[flip] = -rhs[flip]
+    # +1 keeps <=, -1 marks a flipped (>=) row
+    ineq_dirs = np.where(flip[:m_ub], -1.0, 1.0)
+
+    needs_artificial = np.ones(m, dtype=bool)
+    needs_artificial[:m_ub] = flip[:m_ub]
+    art_rows = needs_artificial.nonzero()[0]
+    n_slack = m_ub
+    n_art = art_rows.size
+    width = n + n_slack + n_art
+    slack_cols = n + np.arange(n_slack)
+    art_cols = n + n_slack + np.arange(n_art)
+
+    tableau = np.zeros((m, width + 1))
+    tableau[:, :n] = rows_a
+    tableau[np.arange(m_ub), slack_cols] = ineq_dirs
+    tableau[art_rows, art_cols] = 1.0
+    tableau[:, -1] = rhs
+
+    basis = np.empty(m, dtype=int)
+    basis[:m_ub] = slack_cols
+    basis[art_rows] = art_cols
+
+    allowed = np.ones(width, dtype=bool)
+    if n_art:
+        phase1 = np.zeros(width)
+        phase1[n + n_slack :] = -1.0
+        status = _run_simplex(tableau, basis, phase1, allowed)
+        if status != "optimal":
+            raise SolverError("phase one cannot be unbounded")
+        _, p1_obj = _reduced_costs(tableau, basis, phase1)
+        if p1_obj < -FEAS_TOL:
+            return "infeasible"
+        # Drive leftover artificials out of the basis, dropping redundant rows.
+        keep = np.ones(m, dtype=bool)
+        for r in range(m):
+            if basis[r] >= n + n_slack:
+                pivot_cols = np.flatnonzero(
+                    np.abs(tableau[r, : n + n_slack]) > PIVOT_TOL
+                )
+                if pivot_cols.size:
+                    _pivot(tableau, basis, r, int(pivot_cols[0]))
+                else:
+                    keep[r] = False
+        tableau = tableau[keep]
+        basis = basis[keep]
+        allowed[n + n_slack :] = False
+    return tableau, basis, allowed
+
+
+def _warm_start(rows_a: np.ndarray, rhs: np.ndarray, m_ub: int,
+                obj: np.ndarray, basis):
+    """The tableau of a given basis, made primal feasible by the dual simplex.
+
+    Returns ``(tableau, basis, allowed)``, "infeasible" when a row proves the
+    program has no solution, or None when the basis is of no use here (wrong
+    shape, singular, only tiny pivots in a leaving row, or the dual phase hit
+    its iteration cap); the caller then solves cold.  A reduced cost below
+    zero (roundoff, or a basis from another objective) counts as zero in the
+    ratio test; the primal simplex that follows mends it.
+    """
+    m, n = rows_a.shape
+    width = n + m_ub
+    basis = np.array(basis, dtype=int)  # the caller's basis stays untouched
+    if basis.shape != (m,) or not np.all((basis >= 0) & (basis < width)):
+        return None
+    if np.bincount(basis, minlength=width).max(initial=0) > 1:
+        return None  # a repeated column
+    full = np.zeros((m, width + 1))
+    full[:, :n] = rows_a
+    full[np.arange(m_ub), n + np.arange(m_ub)] = 1.0
+    full[:, -1] = rhs
+    try:
+        tableau = np.linalg.solve(full[:, basis], full)
+    except np.linalg.LinAlgError:
+        return None
+    identity = np.eye(m)
+    if not (
+        np.isfinite(tableau).all()
+        and np.abs(tableau[:, basis] - identity).max(initial=0.0) <= FEAS_TOL
+    ):
+        return None  # numerically singular
+    tableau[:, basis] = identity
+
+    costs = np.zeros(width)
+    costs[:n] = obj
+    z, _ = _reduced_costs(tableau, basis, costs)
+    for _ in range(DUAL_MAX_ITERS):
+        short = (tableau[:, -1] < -FEAS_TOL).nonzero()[0]
+        if not short.size:
+            return tableau, basis, np.ones(width, dtype=bool)
+        # Bland's rule: the smallest basic index leaves.
+        row = int(short[basis[short].argmin()])
+        entries = tableau[row, :-1]
+        cols = (entries < -DUAL_PIVOT_TOL).nonzero()[0]
+        if not cols.size:
+            if np.any(entries < -PIVOT_TOL):
+                return None  # only tiny pivots: not worth the error
+            return "infeasible"  # a negative row of non-negative terms
+        ratios = np.maximum(z[cols], 0.0) / -entries[cols]
+        col = int(cols[(ratios <= ratios.min() + 1e-12).argmax()])
+        _pivot(tableau, basis, row, col)
+        z, _ = _reduced_costs(tableau, basis, costs)
+    return None
+
+
 def solve_lp(
     c,
     a_ub=None,
@@ -104,8 +237,14 @@ def solve_lp(
     b_eq=None,
     bounds=None,
     maximize: bool = True,
+    basis=None,
 ) -> LpResult:
-    """Solve the linear program described in the module docstring."""
+    """Solve the linear program described in the module docstring.
+
+    ``basis`` is the ``LpResult.basis`` of an earlier solve whose program
+    differs from this one only in right-hand sides and bound values; the
+    solve then warm-starts from it (see the module docstring).
+    """
     c = np.asarray(c, dtype=float).ravel()
     n = c.size
     a_ub = np.zeros((0, n)) if a_ub is None else np.asarray(a_ub, dtype=float)
@@ -150,56 +289,15 @@ def solve_lp(
     m = m_ub + m_eq
     rows_a = np.vstack([a_ub_s, a_eq]) if m else np.zeros((0, n))
     rhs = np.concatenate([b_ub_s, b_eq_s])
-    flip = rhs < 0
-    rows_a[flip] = -rows_a[flip]
-    rhs[flip] = -rhs[flip]
-    # +1 keeps <=, -1 marks a flipped (>=) row
-    ineq_dirs = np.where(flip[:m_ub], -1.0, 1.0)
 
-    needs_artificial = np.ones(m, dtype=bool)
-    needs_artificial[:m_ub] = flip[:m_ub]
-    art_rows = needs_artificial.nonzero()[0]
-    n_slack = m_ub
-    n_art = art_rows.size
-    width = n + n_slack + n_art
-    slack_cols = n + np.arange(n_slack)
-    art_cols = n + n_slack + np.arange(n_art)
+    start = None if basis is None else _warm_start(rows_a, rhs, m_ub, obj, basis)
+    if start is None:
+        start = _cold_start(rows_a, rhs, m_ub)
+    if start == "infeasible":
+        return LpResult("infeasible", None, np.nan)
+    tableau, basis, allowed = start
 
-    tableau = np.zeros((m, width + 1))
-    tableau[:, :n] = rows_a
-    tableau[np.arange(m_ub), slack_cols] = ineq_dirs
-    tableau[art_rows, art_cols] = 1.0
-    tableau[:, -1] = rhs
-
-    basis = np.empty(m, dtype=int)
-    basis[:m_ub] = slack_cols
-    basis[art_rows] = art_cols
-
-    allowed = np.ones(width, dtype=bool)
-    if n_art:
-        phase1 = np.zeros(width)
-        phase1[n + n_slack :] = -1.0
-        status = _run_simplex(tableau, basis, phase1, allowed)
-        if status != "optimal":
-            raise SolverError("phase one cannot be unbounded")
-        _, p1_obj = _reduced_costs(tableau, basis, phase1)
-        if p1_obj < -FEAS_TOL:
-            return LpResult("infeasible", None, np.nan)
-        # Drive leftover artificials out of the basis, dropping redundant rows.
-        keep = np.ones(m, dtype=bool)
-        for r in range(m):
-            if basis[r] >= n + n_slack:
-                pivot_cols = np.flatnonzero(
-                    np.abs(tableau[r, : n + n_slack]) > PIVOT_TOL
-                )
-                if pivot_cols.size:
-                    _pivot(tableau, basis, r, int(pivot_cols[0]))
-                else:
-                    keep[r] = False
-        tableau = tableau[keep]
-        basis = basis[keep]
-        allowed[n + n_slack :] = False
-
+    width = allowed.size
     full_costs = np.zeros(width)
     full_costs[:n] = obj
     status = _run_simplex(tableau, basis, full_costs, allowed)
@@ -209,4 +307,4 @@ def solve_lp(
     y = np.zeros(width)
     y[basis] = tableau[:, -1]
     x = y[:n] + lo
-    return LpResult("optimal", x, float(c @ x))
+    return LpResult("optimal", x, float(c @ x), basis)

@@ -13,11 +13,19 @@ of ``np.triu_indices(k)``, the row-sum equalities, and the budget row when
 delta is finite.  ``_matrix_from_mu`` maps any LP vector back to a matrix.
 
 Min-guess is maximized exactly: "the smallest non-empty class" is modeled
-with one indicator per class (z_j = 1 when class j keeps mass, big-M = B) and
-the resulting mixed-integer program (the upward program plus the z and m
-columns and their link rows) is solved by branch and bound over the z
-variables with the tableau simplex as relaxation engine, most-fractional
-branching, and best-bound node order.
+with one indicator per class (z_j = 1 when class j keeps mass) and the
+resulting mixed-integer program (the upward program plus the z and m columns
+and their link rows) is solved by branch and bound over the z variables with
+the tableau simplex as relaxation engine, most-fractional branching, and
+best-bound node order.  Only classes i <= j feed class j, so the link
+C_j <= P_j * z_j uses the prefix mass P_j = B_0 + ... + B_j rather than B,
+and the top class can never be emptied, so z_{k-1} = 1 is a bound.  A child
+differs from its parent in one z bound, which changes only right-hand sides,
+so it re-solves warm from the parent's basis (``solve_lp(basis=...)``); open
+nodes keep just that basis.  Once the search closes, the winning leaf is
+solved once more, cold, with every z pinned to its integral value, so the
+returned policy is the bits of a cold solve and its smallest non-empty class
+is the reported optimum.
 
 Shannon and guessing objectives are convex in C, so their optimum sits on a
 polytope vertex; they are attacked by multi-start projected gradient ascent
@@ -32,6 +40,7 @@ gradient's linearization over the same polytope.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,10 +72,10 @@ class SolveDiagnostics:
     ``finalize`` maps it onto the entropy scale): the smallest non-empty
     expected class size for min-guess, sum C*log2(C) for shannon, sum C**2
     for guessing.  ``best_bound`` is an upper bound on the achievable raw
-    objective.  Branch and bound reports max(incumbent, root relaxation);
-    the root relaxation is usually far above the optimum, so the bound is
-    loose even when the search has closed.  Local search reports the raw
-    value of merging everything into one class of size B.
+    objective.  Branch and bound runs until no open node's relaxation beats
+    the incumbent by more than 1e-9, so the bound it proves, and reports, is
+    the objective itself.  Local search reports the raw value of merging
+    everything into one class of size B.
     """
 
     nodes_explored: int
@@ -106,7 +115,8 @@ def _minguess_program(classes: ObservationClassSet, delta: float):
 
     Variable layout: mu entries in ``iu`` order, then z_0..z_{k-1}, then m.
     Inequality rows: the budget row (finite delta), then per class j the
-    pair m <= C_j + B * (1 - z_j), C_j <= B * z_j, then sum_j z_j >= 1.
+    pair m <= C_j + B * (1 - z_j), C_j <= P_j * z_j with the prefix mass
+    P_j = B_0 + ... + B_j, then sum_j z_j >= 1.
     """
     k = classes.k
     sizes = classes.sizes
@@ -117,13 +127,13 @@ def _minguess_program(classes: ObservationClassSet, delta: float):
     into = iu[1] == np.arange(k)[:, None]  # [j, p]: entry p feeds class j
     z = n_mu + np.arange(k)
 
-    # links[j, 0]: m <= C_j + B * (1 - z_j); links[j, 1]: C_j <= B * z_j
+    # links[j, 0]: m <= C_j + B * (1 - z_j); links[j, 1]: C_j <= P_j * z_j
     links = np.zeros((k, 2, n))
     links[:, 0, :n_mu] = np.where(into, -sizes[iu[0]], 0.0)
     links[np.arange(k), 0, z] = total
     links[:, 0, -1] = 1.0
     links[:, 1, :n_mu] = np.where(into, sizes[iu[0]], 0.0)
-    links[np.arange(k), 1, z] = -total
+    links[np.arange(k), 1, z] = -np.cumsum(sizes)
     survive = np.zeros((1, n))
     survive[0, z] = -1.0
 
@@ -155,66 +165,69 @@ def synthesize_minguess(
     k = classes.k
     c, a_ub, b_ub, a_eq, b_eq, iu = _minguess_program(classes, delta)
     z0 = iu[0].size
+    # Row k - 1 is the single entry mu[k-1, k-1] = 1: the top class keeps mass.
     base_bounds: list[tuple[float, float | None]] = [(0.0, None)] * z0
-    base_bounds += [(0.0, 1.0)] * k
+    base_bounds += [(0.0, 1.0)] * (k - 1) + [(1.0, 1.0)]
     base_bounds += [(0.0, None)]
 
-    def relax(fixes: dict[int, int]):
+    def relax(fixes: dict[int, int], basis=None) -> LpResult:
         bounds = list(base_bounds)
         for j, v in fixes.items():
             bounds[z0 + j] = (float(v), float(v))
-        return solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds)
+        return solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds, basis=basis)
 
     nodes_explored = 0
     incumbent_obj = -np.inf
-    incumbent_x = None
-    counter = 0
-    # (-bound, tie-breaking counter, z fixes, relaxation at the node)
-    heap: list[tuple[float, int, dict[int, int], LpResult]] = []
+    incumbent_z = None
+    order = itertools.count()  # heap tie-break: first queued, first popped
+    # (-bound, tie-breaking counter, z fixes, optimal basis, branching index)
+    heap: list[tuple[float, int, dict[int, int], np.ndarray, int]] = []
 
-    root = relax({})
-    nodes_explored += 1
-    if root.status != "optimal":
-        raise SolverError(f"relaxation at the root is {root.status}")
-    heapq.heappush(heap, (-root.objective, counter, {}, root))
-    counter += 1
-
-    while heap:
-        neg_bound, _, fixes, res = heapq.heappop(heap)
-        if -neg_bound <= incumbent_obj + 1e-9:
-            continue
+    def visit(fixes: dict[int, int], basis=None) -> str:
+        """Solve one node: prune it, take it as incumbent, or queue it."""
+        nonlocal nodes_explored, incumbent_obj, incumbent_z
+        res = relax(fixes, basis)
+        nodes_explored += 1
+        if res.status != "optimal" or res.objective <= incumbent_obj + 1e-9:
+            return res.status
         z_vals = res.x[z0 : z0 + k]
         frac = np.abs(z_vals - np.round(z_vals))
         if np.all(frac <= INT_TOL):
-            if res.objective > incumbent_obj:
-                incumbent_obj = res.objective
-                incumbent_x = res.x
-            continue
+            incumbent_obj = res.objective
+            incumbent_z = np.round(z_vals).astype(int)
+            return res.status
         branch_j = int(np.argmin(np.abs(z_vals - 0.5)))
         if frac[branch_j] <= INT_TOL:
             branch_j = int(np.argmax(frac))
+        heapq.heappush(
+            heap, (-res.objective, next(order), fixes, res.basis, branch_j)
+        )
+        return res.status
+
+    root_status = visit({})
+    if root_status != "optimal":
+        raise SolverError(f"relaxation at the root is {root_status}")
+
+    while heap:
+        neg_bound, _, fixes, basis, branch_j = heapq.heappop(heap)
+        if -neg_bound <= incumbent_obj + 1e-9:
+            continue
         for v in (0, 1):
-            child_fixes = dict(fixes)
-            child_fixes[branch_j] = v
-            child = relax(child_fixes)
-            nodes_explored += 1
-            if child.status != "optimal":
-                continue
-            if child.objective <= incumbent_obj + 1e-9:
-                continue
-            heapq.heappush(heap, (-child.objective, counter, child_fixes, child))
-            counter += 1
+            visit({**fixes, branch_j: v}, basis)
 
-    if incumbent_x is None:
+    if incumbent_z is None:
         raise SolverError("no integral point found, identity should be feasible")
+    leaf = relax(dict(enumerate(incumbent_z.tolist())))
+    if leaf.status != "optimal":
+        raise SolverError(f"the winning z pattern re-solves {leaf.status}")
 
-    mat = sanitize_matrix(_matrix_from_mu(incumbent_x, iu, k))
+    mat = sanitize_matrix(_matrix_from_mu(leaf.x, iu, k))
     policy = MitigationPolicy(mat, deterministic=False)
     diagnostics = SolveDiagnostics(
         nodes_explored=nodes_explored,
         restarts=0,
-        best_bound=float(max(incumbent_obj, root.objective)),
-        objective=float(incumbent_obj),
+        best_bound=float(leaf.objective),
+        objective=float(leaf.objective),
         status="optimal",
     )
     return policy, diagnostics

@@ -378,7 +378,9 @@ def minguess_program_oracle(classes, delta: float):
             budget[p] = move_cost[i, j]
         a_ub_rows.append(budget)
         b_ub.append(float(delta))
+    prefix = 0.0
     for j in range(k):
+        prefix += sizes[j]
         # m <= C_j + B * (1 - z_j)
         row = np.zeros(n)
         row[m_var] = 1.0
@@ -388,12 +390,12 @@ def minguess_program_oracle(classes, delta: float):
         row[z0 + j] = total
         a_ub_rows.append(row)
         b_ub.append(float(total))
-        # C_j <= B * z_j
+        # C_j <= P_j * z_j, P_j the mass of the classes i <= j
         row = np.zeros(n)
         for p, (i, jj) in enumerate(mu_index):
             if jj == j:
                 row[p] = sizes[i]
-        row[z0 + j] = -total
+        row[z0 + j] = -prefix
         a_ub_rows.append(row)
         b_ub.append(0.0)
     row = np.zeros(n)

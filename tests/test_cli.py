@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +80,31 @@ class TestExitCodes:
         monkeypatch.setitem(cli._DISPATCH, "cluster", explode)
         assert run(["cluster"] + MOD_EXP, tmp_path) == 3
         assert "solver error" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    """``python -m leakmit`` runs the same CLI, exit codes included."""
+
+    @staticmethod
+    def run_module(args, cwd):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "leakmit", *args], capture_output=True,
+            text=True, cwd=cwd, env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+
+    def test_help(self, tmp_path):
+        done = self.run_module(["--help"], tmp_path)
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage:")
+        assert "synthesize" in done.stdout
+
+    def test_configuration_error_exits_1(self, tmp_path):
+        done = self.run_module(["cluster", "--bogus", "1"], tmp_path)
+        assert done.returncode == 1
+        assert "configuration error" in done.stderr
 
 
 class TestSweepGrid:
@@ -263,7 +291,7 @@ class TestGoldenArtifacts:
                 "classes.json": "8700c5c00ed2708f9dd0308bc9987a062d4135b8c84545ae63d66d7a4b01a04e",
                 "enforcement.json": "9a0cec26344a174820695f074650e3e824aa01826abac109f6e3e6e975c06196",
                 "mitigated.csv": "64c88309da97ddf4397dd4db168bdaa65fac45ff82333d838e1cee1b4371c761",
-                "policy.json": "3d046a87a56e96ff2e83554844fc5068cad45d1525eee4b29a183622080258ed",
+                "policy.json": "169dea02d6ddc821ab2f7fdd5d7bdd12b6c951d389bbec21d6bba1d674e34d6c",
                 "summary.csv": "213826d389cff7c86336c0e1425bbd7582ca5a61a977f84babd8a96bb687adf8",
                 "tree.json": "b8bae00b3cd3ca3005a2aeb5773a0d91d0ea81b68723c40f77338095c5ac5a15",
             },

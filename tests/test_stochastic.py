@@ -1,15 +1,21 @@
+import importlib.util
 import math
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leakmit.clustering import cluster_functions
 from leakmit.deterministic import synthesize_det
 from leakmit.entropy import MEASURES, EntropyMeasure, entropy, post_policy_entropy
 from leakmit.policy import build_report, expected_overhead, expected_sizes, validate
 from leakmit import simplex, stochastic
 from leakmit.simplex import solve_lp
+from leakmit.timing import PublicGrid, TimingDataset
 from leakmit.stochastic import (
     _matrix_from_mu,
     _minguess_program,
@@ -120,9 +126,60 @@ class TestMinguessExact:
         assert diag.best_bound >= diag.objective - 1e-9
         assert diag.nodes_explored >= 1
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_closed_search_proves_its_objective(self, seed):
+        # The search always closes, so the proven bound is the optimum itself,
+        # and no z pattern of the enumeration oracle beats it.
+        rng = np.random.default_rng(700 + seed)
+        cs = random_classset(rng, int(rng.integers(2, 7)))
+        delta = float(rng.choice([0.0, 0.1, 0.3, math.inf]))
+        _, diag = synthesize_minguess(cs, delta)
+        assert diag.best_bound == diag.objective
+        want = minguess_pattern_oracle(cs, delta, solve_lp)
+        assert diag.best_bound == pytest.approx(want, rel=1e-9)
+
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             synthesize_minguess(tiny_instance(), -0.5)
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestLeafPinning:
+    """The returned policy is the winning z pattern, every z pinned.
+
+    Re-solving the winning leaf with only its branched z fixed returns, on
+    seed 4, set 6 (k = 12), delta 0.2, a stray class of mass 19 beside a
+    claimed optimum of 173: an unbranched z sits fractional in the re-solve.
+    """
+
+    def test_smallest_class_is_the_optimum_on_the_sweep_family(self):
+        wl = load_workloads()
+        grid = PublicGrid(
+            tuple(float(p) for p in range(1, wl.CLASSSET_GRID_POINTS + 1))
+        )
+        for spec in wl.classset_specs(4):
+            # the benchmark's input: each representative repeated size times
+            times = np.repeat(spec.representatives, spec.sizes, axis=0)
+            dataset = TimingDataset(tuple(range(times.shape[0])), grid, times)
+            cs = cluster_functions(dataset, 1e-6)
+            assert tuple(cs.sizes) == spec.sizes
+            for delta in wl.SWEEP_BUDGETS:
+                pol, diag = synthesize_minguess(cs, delta)
+                sizes = expected_sizes(pol, cs.sizes)
+                smallest = sizes[sizes > 0].min()
+                assert smallest == pytest.approx(diag.objective, rel=1e-9), (
+                    spec.k, delta
+                )
 
 
 class TestLocalSearch:
@@ -317,9 +374,9 @@ class TestUpwardProgram:
         delta = float(rng.choice([0.1, 0.4, math.inf]))
         calls = []
 
-        def recording(c, a_ub, b_ub, a_eq, b_eq, bounds):
+        def recording(c, a_ub, b_ub, a_eq, b_eq, bounds, basis=None):
             calls.append((c, a_ub, b_ub, a_eq, b_eq, bounds))
-            return solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds)
+            return solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds, basis=basis)
 
         monkeypatch.setattr(stochastic, "solve_lp", recording)
         k = cs.k
@@ -327,7 +384,7 @@ class TestUpwardProgram:
         n_mu = len(mu_index)
         synthesize_minguess(cs, delta)
         assert calls
-        base = [(0.0, None)] * n_mu + [(0.0, 1.0)] * k + [(0.0, None)]
+        base = node_bounds(k, n_mu, {})  # z_{k-1} = (1, 1): the top class
         for c, a_ub, b_ub, a_eq, b_eq, bounds in calls:
             for got, ref in zip((c, a_ub, b_ub, a_eq, b_eq), bb_want):
                 assert same_bits(got, ref)
@@ -443,6 +500,131 @@ class TestSolveLpEndToEnd:
             bounds = [(0.0, None)] * iu[0].size
             args = (direction, a_ub, b_ub, a_eq, b_eq, bounds)
             assert self.solve_both(monkeypatch, *args).status == "optimal"
+
+
+@pytest.fixture(scope="module")
+def warm_classsets():
+    """100 random class sets, k = 2..12."""
+    rng = np.random.default_rng(4242)
+    return [random_classset(rng, 2 + s % 11) for s in range(100)]
+
+
+def node_bounds(k: int, n_mu: int, fixes: dict[int, int]):
+    """The bounds of a branch-and-bound node: its z fixes over the base,
+    where z_{k-1} = (1, 1) because the top class keeps its own mass."""
+    bounds = [(0.0, None)] * n_mu + [(0.0, 1.0)] * (k - 1) + [(1.0, 1.0)]
+    bounds += [(0.0, None)]
+    for j, v in fixes.items():
+        bounds[n_mu + j] = (float(v), float(v))
+    return bounds
+
+
+def warm_and_cold(classsets, seed: int):
+    """Per class set, a chain of 1-4 random z fixes below a cold root; every
+    child is solved warm from its parent's basis and cold.  Yields
+    ``(program, bounds, warm, cold)`` until a child is not optimal."""
+    rng = np.random.default_rng(seed)
+    for cs in classsets:
+        delta = float(rng.choice([0.0, 0.05, 0.2, 0.6, math.inf]))
+        *program, iu = _minguess_program(cs, delta)
+        n_mu = iu[0].size
+        chain = rng.permutation(cs.k - 1)[: int(rng.integers(1, 5))]
+        fixes = {}
+        parent = solve_lp(*program, node_bounds(cs.k, n_mu, fixes))
+        for j in chain:
+            fixes[int(j)] = int(rng.integers(0, 2))
+            bounds = node_bounds(cs.k, n_mu, fixes)
+            warm = solve_lp(*program, bounds, basis=parent.basis)
+            cold = solve_lp(*program, bounds)
+            yield program, bounds, warm, cold
+            if warm.status != "optimal":
+                break
+            parent = warm
+
+
+def assert_same_answer(program, bounds, warm, cold):
+    assert warm.status == cold.status
+    if cold.status != "optimal":
+        return
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+    c, a_ub, b_ub, a_eq, b_eq = program
+    lo = np.array([b[0] for b in bounds])
+    hi = np.array([np.inf if b[1] is None else b[1] for b in bounds])
+    x = warm.x
+    assert np.all(a_ub @ x <= b_ub + 1e-7)
+    assert np.allclose(a_eq @ x, b_eq, atol=1e-7)
+    assert np.all((x >= lo - 1e-7) & (x <= hi + 1e-7))
+
+
+class TestWarmStart:
+    """A child re-solved from its parent's basis agrees with a cold solve."""
+
+    def test_warm_matches_cold(self, warm_classsets, monkeypatch):
+        outcomes = []
+        warm_start = simplex._warm_start
+
+        def spy(*args):
+            out = warm_start(*args)
+            outcomes.append("fallback" if out is None else "warm")
+            return out
+
+        monkeypatch.setattr(simplex, "_warm_start", spy)
+        statuses = Counter()
+        for program, bounds, warm, cold in warm_and_cold(warm_classsets, 11):
+            assert_same_answer(program, bounds, warm, cold)
+            statuses[cold.status] += 1
+        # the chains reach infeasible children, and the dual simplex (not
+        # the cold fallback) answers every child
+        assert statuses["infeasible"] > 0 and statuses["optimal"] > 0
+        assert outcomes.count("warm") == sum(statuses.values())
+
+    def test_dual_iteration_cap_falls_back_to_cold(self, warm_classsets,
+                                                   monkeypatch):
+        outcomes = []
+        warm_start = simplex._warm_start
+
+        def spy(*args):
+            out = warm_start(*args)
+            outcomes.append(out is None)
+            return out
+
+        monkeypatch.setattr(simplex, "_warm_start", spy)
+        monkeypatch.setattr(simplex, "DUAL_MAX_ITERS", 1)
+        for program, bounds, warm, cold in warm_and_cold(warm_classsets[:40], 12):
+            assert_same_answer(program, bounds, warm, cold)
+        assert any(outcomes) and not all(outcomes)
+
+    def test_singular_basis_falls_back_to_cold(self, monkeypatch):
+        cs = random_classset(np.random.default_rng(13), 6)
+        *program, iu = _minguess_program(cs, 0.2)
+        n_mu, k = iu[0].size, cs.k
+        bounds = node_bounds(k, n_mu, {0: 1})
+        # Slack and z columns only: no basic column meets the row sums.
+        n = program[0].size
+        m_ub = program[2].size + k  # every z has a finite upper bound
+        basis = np.concatenate([n + np.arange(m_ub), n_mu + np.arange(k)])
+        cold_starts = []
+        cold_start = simplex._cold_start
+        monkeypatch.setattr(
+            simplex, "_cold_start",
+            lambda *args: cold_starts.append(1) or cold_start(*args),
+        )
+        warm = solve_lp(*program, bounds, basis=basis)
+        assert cold_starts == [1]
+        assert_same_answer(program, bounds, warm, solve_lp(*program, bounds))
+        assert warm.status == "optimal"
+
+    @pytest.mark.parametrize("basis", [[0, 1], [-1] * 3, "duplicate"])
+    def test_unusable_basis_falls_back_to_cold(self, basis):
+        cs = random_classset(np.random.default_rng(14), 4)
+        *program, iu = _minguess_program(cs, 0.3)
+        bounds = node_bounds(cs.k, iu[0].size, {1: 0})
+        cold = solve_lp(*program, bounds)
+        if basis == "duplicate":
+            basis = np.repeat(cold.basis[:1], cold.basis.size)
+        warm = solve_lp(*program, bounds, basis=basis)
+        assert warm.status == cold.status
+        assert same_bits(warm.x, cold.x)
 
 
 class TestBudgetContract:
