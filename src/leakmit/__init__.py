@@ -10,7 +10,6 @@ enforcement stage round out a full pipeline, also reachable through the
 
 from .baselines import (
     BucketSet,
-    PredictionSchedule,
     apply_buckets,
     double_scheme,
     fit_buckets,
@@ -58,11 +57,9 @@ from .stochastic import SolveDiagnostics, synthesize_local, synthesize_minguess
 from .timing import (
     PublicGrid,
     TimingDataset,
-    TimingFunction,
     gen_branch_loop,
     gen_mod_exp,
     read_csv,
-    upper_envelope,
     write_csv,
 )
 
@@ -80,12 +77,10 @@ __all__ = [
     "MitigationPolicy",
     "ObservationClass",
     "ObservationClassSet",
-    "PredictionSchedule",
     "PublicGrid",
     "SolveDiagnostics",
     "SolverError",
     "TimingDataset",
-    "TimingFunction",
     "apply_buckets",
     "blocks_policy",
     "branch_loop_counts",
@@ -120,7 +115,6 @@ __all__ = [
     "training_samples",
     "tree_from_json",
     "tree_to_json",
-    "upper_envelope",
     "validate",
     "write_csv",
     "__version__",

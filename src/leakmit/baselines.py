@@ -18,37 +18,11 @@ from .clustering import RECLUSTER_EPS, ObservationClassSet, cluster_functions
 from .timing import TimingDataset
 
 __all__ = [
-    "PredictionSchedule",
     "BucketSet",
     "double_scheme",
     "fit_buckets",
     "apply_buckets",
 ]
-
-
-@dataclass(frozen=True)
-class PredictionSchedule:
-    """Geometric release checkpoints 2**N - 1 (in quanta) for N = 1..epoch."""
-
-    epoch: int
-
-    def __post_init__(self):
-        if int(self.epoch) < 1:
-            raise ValueError("epoch must be a positive integer")
-        object.__setattr__(self, "epoch", int(self.epoch))
-
-    def levels(self) -> tuple[int, ...]:
-        return tuple(2**n - 1 for n in range(1, self.epoch + 1))
-
-    @staticmethod
-    def release_level(t_quanta: float) -> int:
-        """Smallest checkpoint 2**N - 1 that is >= t_quanta."""
-        if t_quanta <= 0:
-            raise ValueError("time in quanta must be positive")
-        level = 1
-        while level < t_quanta:
-            level = 2 * level + 1
-        return level
 
 
 def double_scheme(

@@ -140,7 +140,7 @@ def _synthesize(classes, config: PipelineConfig, algo: str, delta: float):
     """Returns (policy, diagnostics or None, DP tables or None)."""
     measure = EntropyMeasure(config.measure)
     if algo == "det":
-        policy, tables = synthesize_det(classes, measure, delta, scan_all_r=True)
+        policy, tables = synthesize_det(classes, measure, delta)
         return policy, None, tables
     if measure is EntropyMeasure.MINGUESS:
         policy, diag = synthesize_minguess(classes, delta)

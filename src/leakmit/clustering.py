@@ -7,6 +7,9 @@ the closest pair of clusters is within epsilon.  The greedy merge caches each
 row's nearest neighbour and its distance (Muellner 2011, the "generic
 algorithm"), so on U distinct rows it costs O(U^2) rather than a full matrix
 rescan per merge, and it merges tied pairs in the same order as that rescan.
+A class's representative is the mean of its members' rows of the dataset's
+``times``; the class set stacks them into one read-only ``representatives``
+matrix, one row per class, and a class's position in the set is its id.
 Classes are ordered by the mean of their representative function, which for
 monotone benchmarks realizes the pointwise order on functions: a class can be
 padded up to any later class.
@@ -20,12 +23,11 @@ Downward moves are forbidden and carry an infinite sentinel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .timing import PublicGrid, TimingDataset, TimingFunction
+from .timing import PublicGrid, TimingDataset
 
 __all__ = [
     "ObservationClass",
@@ -42,10 +44,13 @@ RECLUSTER_EPS = 1e-9
 
 @dataclass(frozen=True)
 class ObservationClass:
-    """One group of secrets sharing a timing function."""
+    """One group of secrets and the timing function they share on the grid.
 
-    id: int
-    representative: TimingFunction
+    In a class set, ``representative`` is a read-only row of its
+    ``representatives``.
+    """
+
+    representative: np.ndarray
     members: frozenset[int]
 
     @property
@@ -57,51 +62,62 @@ class ObservationClass:
 class ObservationClassSet:
     """Ordered observation classes plus the move-penalty matrix.
 
-    ``classes[i].id == i``, every class has at least one member, and classes
-    are sorted by ascending representative mean.  ``penalty[i, j]`` prices
-    elevating class i to class j; entries below the diagonal are +inf.
+    A class's position is its id.  Every class has at least one member, no
+    secret is in two classes, and classes are sorted by ascending
+    representative mean.  ``representatives[i]`` is class i's function on
+    the grid (finite and non-negative) and ``sizes[i]`` its member count,
+    both read-only.  ``penalty[i, j]`` prices elevating class i to class j;
+    entries below the diagonal are +inf.
     """
 
     grid: PublicGrid
     classes: tuple[ObservationClass, ...]
     penalty: np.ndarray
+    representatives: np.ndarray = field(init=False, repr=False, compare=False)
+    sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.classes:
+        classes = tuple(self.classes)
+        if not classes:
             raise ValueError("class set must contain at least one class")
-        empty = [c.id for c in self.classes if not c.members]
+        empty = [i for i, c in enumerate(classes) if not c.members]
         if empty:
             raise ValueError(f"observation classes {empty} have no members")
+        sizes = np.array([len(c.members) for c in classes], dtype=float)
+        if len(frozenset().union(*(c.members for c in classes))) != sizes.sum():
+            raise ValueError("a secret is in more than one observation class")
+        n = len(self.grid)
+        if any(np.shape(c.representative) != (n,) for c in classes):
+            raise ValueError("representatives must align with the public grid")
+        reps = np.array([c.representative for c in classes], dtype=float)
+        if not np.all(np.isfinite(reps)):
+            raise ValueError("representative times must be finite")
+        if np.any(reps < 0):
+            raise ValueError("representative times must be non-negative")
         pen = np.array(self.penalty, dtype=float)
-        k = len(self.classes)
-        if pen.shape != (k, k):
+        if pen.shape != (len(classes), len(classes)):
             raise ValueError("penalty matrix must be k x k")
-        pen.flags.writeable = False
+        for arr in (reps, sizes, pen):
+            arr.flags.writeable = False
+        classes = tuple(
+            ObservationClass(rep, c.members) for rep, c in zip(reps, classes)
+        )
+        object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "penalty", pen)
-        object.__setattr__(self, "classes", tuple(self.classes))
+        object.__setattr__(self, "representatives", reps)
+        object.__setattr__(self, "sizes", sizes)
 
     @property
     def k(self) -> int:
         return len(self.classes)
 
     @property
-    def sizes(self) -> np.ndarray:
-        return np.asarray([c.size for c in self.classes], dtype=float)
-
-    @property
     def total_size(self) -> int:
-        return int(sum(c.size for c in self.classes))
-
-    def representatives(self) -> list[TimingFunction]:
-        return [c.representative for c in self.classes]
+        return int(self.sizes.sum())
 
     def class_of(self) -> dict[int, int]:
-        """Map each secret to its class index."""
-        out: dict[int, int] = {}
-        for c in self.classes:
-            for secret in c.members:
-                out[secret] = c.id
-        return out
+        """Map each secret to its class id."""
+        return {s: i for i, c in enumerate(self.classes) for s in c.members}
 
 
 def _unique_rows(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -166,17 +182,16 @@ def _complete_linkage_groups(dist: np.ndarray, epsilon: float) -> list[list[int]
     return [groups[g] for g in sorted(groups)]
 
 
-def penalty_matrix(
-    representatives: Sequence[TimingFunction], baseline_mean: float
-) -> np.ndarray:
+def penalty_matrix(representatives: np.ndarray, baseline_mean: float) -> np.ndarray:
     """Relative cost of lifting representative i onto representative j.
 
-    For i <= j the entry is mean_p(max(0, rep_j(p) - rep_i(p))) divided by
+    ``representatives`` holds one function per row (k x grid points).  For
+    i <= j the entry is mean_p(max(0, rep_j(p) - rep_i(p))) divided by
     ``baseline_mean``; for i > j it is +inf.  The diagonal is exactly zero.
     """
     if baseline_mean <= 0:
         raise ValueError("baseline mean must be positive")
-    v = np.array([r.values for r in representatives], dtype=float)
+    v = np.asarray(representatives, dtype=float)
     k = v.shape[0]
     pen = np.full((k, k), np.inf)
     for i in range(k):
@@ -203,17 +218,13 @@ def cluster_functions(dataset: TimingDataset, epsilon: float) -> ObservationClas
         members = frozenset(
             dataset.secrets[i] for i in np.flatnonzero(row_mask)
         )
-        rep_values = times[row_mask].mean(axis=0)
-        rep = TimingFunction(dataset.grid, rep_values)
-        drafts.append((rep.mean(), min(members), rep, members))
+        rep = times[row_mask].mean(axis=0)
+        drafts.append((float(rep.mean()), min(members), rep, members))
     drafts.sort(key=lambda d: (d[0], d[1]))
 
-    classes = tuple(
-        ObservationClass(idx, rep, members)
-        for idx, (_, _, rep, members) in enumerate(drafts)
-    )
-    baseline = float(times.mean())
-    pen = penalty_matrix([c.representative for c in classes], baseline)
+    classes = tuple(ObservationClass(rep, members) for _, _, rep, members in drafts)
+    reps = np.array([c.representative for c in classes])
+    pen = penalty_matrix(reps, float(times.mean()))
     return ObservationClassSet(dataset.grid, classes, pen)
 
 
@@ -229,12 +240,12 @@ def classset_to_json(cs: ObservationClassSet) -> dict:
         "grid": [float(p) for p in cs.grid.points],
         "classes": [
             {
-                "id": c.id,
+                "id": i,
                 "size": c.size,
                 "members": sorted(c.members),
-                "representative": [float(v) for v in c.representative.values],
+                "representative": c.representative.tolist(),
             }
-            for c in cs.classes
+            for i, c in enumerate(cs.classes)
         ],
         "penalty": penalty,
         "total_size": cs.total_size,
@@ -242,11 +253,14 @@ def classset_to_json(cs: ObservationClassSet) -> dict:
 
 
 def classset_from_json(data: dict) -> ObservationClassSet:
+    """Inverse of :func:`classset_to_json`; ids must be 0..k-1 in order."""
     grid = PublicGrid(tuple(data["grid"]))
+    ids = [c["id"] for c in data["classes"]]
+    if ids != list(range(len(ids))):
+        raise ValueError(f"class ids must be 0..k-1 in order, got {ids}")
     classes = tuple(
         ObservationClass(
-            int(c["id"]),
-            TimingFunction(grid, np.asarray(c["representative"], dtype=float)),
+            np.asarray(c["representative"], dtype=float),
             frozenset(int(m) for m in c["members"]),
         )
         for c in data["classes"]

@@ -17,10 +17,8 @@ every instance, not just the friendly ones.  Objectives decompose per block:
 each block contributes its measure's ``term`` of the block size, blocks are
 folded with the measure's ``combine`` (``+`` or ``min``), and the raw result
 is mapped onto the entropy scale by ``finalize`` (see ``entropy.MEASURES``).
-
-``scan_all_r=False`` stops at the smallest feasible block count (coarsest
-useful answer first); ``scan_all_r=True`` examines every block count and
-returns the best feasible objective overall.
+The program fills every block count and returns the best feasible objective
+over all of them, the fewest blocks on ties.
 """
 
 from __future__ import annotations
@@ -110,9 +108,14 @@ def synthesize_det(
     classes: ObservationClassSet,
     measure: EntropyMeasure | str,
     delta: float,
-    scan_all_r: bool = False,
+    scan_all_r: bool = True,
 ) -> tuple[MitigationPolicy, DpTables]:
-    """Budget-constrained exact search over contiguous merge policies."""
+    """Budget-constrained exact search over contiguous merge policies.
+
+    Every block count is scanned; ``scan_all_r`` accepts only ``True``.
+    """
+    if scan_all_r is not True:
+        raise ValueError("synthesize_det always scans every block count")
     measure = EntropyMeasure(measure)
     if not delta >= 0:
         raise ValueError("delta must be >= 0")
@@ -136,44 +139,25 @@ def synthesize_det(
             states[i][1] = [(block_raw[0, i - 1], cost, 0, -1)]
             penalty[i][1] = cost
 
-    chosen_r = 0
-    feasible_r: list[int] = []
-    if states[k][1]:
-        feasible_r.append(1)
-    if feasible_r and not scan_all_r:
-        chosen_r = 1
-    else:
-        for r in range(2, k + 1):
-            for i in range(r, k + 1):
-                candidates: list[tuple[float, float, int, int]] = []
-                for j in range(r - 1, i):
-                    for idx, (raw, cost, _, _) in enumerate(states[j][r - 1]):
-                        new_cost = cost + block_cost[j, i - 1]
-                        if new_cost <= delta:
-                            candidates.append(
-                                (
-                                    combine(raw, block_raw[j, i - 1]),
-                                    new_cost,
-                                    j,
-                                    idx,
-                                )
-                            )
-                frontier = _pareto(candidates)
-                states[i][r] = frontier
-                if frontier:
-                    best = max(frontier, key=lambda p: p[0])
-                    value[i][r] = finalize(best[0], total)
-                    penalty[i][r] = best[1]
-            if states[k][r]:
-                feasible_r.append(r)
-                if not scan_all_r:
-                    chosen_r = r
-                    break
-        if not chosen_r:
-            # Identity (r = k) costs nothing, so some r is always feasible.
-            chosen_r = max(
-                feasible_r, key=lambda r: (value[k][r], -r)
-            )
+    for r in range(2, k + 1):
+        for i in range(r, k + 1):
+            candidates: list[tuple[float, float, int, int]] = []
+            for j in range(r - 1, i):
+                for idx, (raw, cost, _, _) in enumerate(states[j][r - 1]):
+                    new_cost = cost + block_cost[j, i - 1]
+                    if new_cost <= delta:
+                        candidates.append(
+                            (combine(raw, block_raw[j, i - 1]), new_cost, j, idx)
+                        )
+            frontier = _pareto(candidates)
+            states[i][r] = frontier
+            if frontier:
+                best = max(frontier, key=lambda p: p[0])
+                value[i][r] = finalize(best[0], total)
+                penalty[i][r] = best[1]
+    # Identity (r = k) costs nothing, so some r is always feasible.
+    feasible_r = [r for r in range(1, k + 1) if states[k][r]]
+    chosen_r = max(feasible_r, key=lambda r: (value[k][r], -r))
 
     best_idx = max(
         range(len(states[k][chosen_r])),

@@ -339,7 +339,7 @@ def enforce(
     if features.secrets != dataset.secrets or features.values.shape[1] != n_grid:
         raise ValueError("features must cover the dataset secrets and grid")
     labels = _labels(classes, dataset.secrets)
-    reps = np.vstack([c.representative.values for c in classes.classes])
+    reps = classes.representatives
     targets = _draw_targets(policy, labels, np.random.default_rng(seed))
 
     x = features.values.reshape(dataset.n_secrets * n_grid, -1)

@@ -354,8 +354,6 @@ def synthesize_local(
             if jumped is None:
                 break
             mu = ascend(jumped)
-            if objective(mu) < objective(jumped):
-                mu = jumped
         return mu
 
     rng = np.random.default_rng(seed)
@@ -363,7 +361,7 @@ def synthesize_local(
     merge = full_merge_policy(k).matrix.copy()
     if overhead(merge) <= delta:
         starts.append(merge)
-    dp_policy, _ = synthesize_det(classes, measure, delta, scan_all_r=True)
+    dp_policy, _ = synthesize_det(classes, measure, delta)
     starts.append(dp_policy.matrix.copy())
     for _ in range(int(n_starts)):
         rand = np.zeros((k, k))

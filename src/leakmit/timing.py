@@ -1,16 +1,18 @@
-"""Timing functions, timing datasets, and synthetic benchmark generators.
+"""Timing datasets, their CSV form, and synthetic benchmark generators.
 
 A timing function maps a public input magnitude to an execution time for one
 fixed secret.  A dataset holds one such function per secret, sampled on a
-shared grid of public values.  The two generators model a square-and-multiply
-style loop (cost proportional to the number of set bits of the secret) and a
-secret-dependent branch whose loop count grows linearly in the public value.
+shared grid of public values, as one row of its ``times`` matrix.  The two
+generators model a square-and-multiply style loop (cost proportional to the
+number of set bits of the secret) and a secret-dependent branch whose loop
+count grows linearly in the public value.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -19,9 +21,7 @@ import numpy as np
 
 __all__ = [
     "PublicGrid",
-    "TimingFunction",
     "TimingDataset",
-    "upper_envelope",
     "relative_overhead",
     "gen_mod_exp",
     "gen_branch_loop",
@@ -32,12 +32,6 @@ __all__ = [
 
 CSV_HEADER = ("secret_id", "public_value", "time_seconds")
 CSV_BLOCK_ROWS = 4096
-
-
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -65,44 +59,6 @@ class PublicGrid:
 
 
 @dataclass(frozen=True)
-class TimingFunction:
-    """Execution time of one secret as a function of the public input."""
-
-    grid: PublicGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = _frozen_array(self.values)
-        if vals.ndim != 1 or vals.size != len(self.grid):
-            raise ValueError("timing values must align with the public grid")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("execution times must be finite")
-        if np.any(vals < 0):
-            raise ValueError("execution times must be non-negative")
-        object.__setattr__(self, "values", vals)
-
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-
-def upper_envelope(functions: Sequence[TimingFunction]) -> TimingFunction:
-    """Pointwise maximum of timing functions defined on a common grid.
-
-    The envelope of a set of functions is the cheapest single function that
-    every member can be padded up to.
-    """
-    fns = list(functions)
-    if not fns:
-        raise ValueError("upper_envelope needs at least one function")
-    grid = fns[0].grid
-    for fn in fns[1:]:
-        if fn.grid.points != grid.points:
-            raise ValueError("functions must share one public grid")
-    stacked = np.vstack([fn.values for fn in fns])
-    return TimingFunction(grid, np.maximum.reduce(stacked, axis=0))
-
-
-@dataclass(frozen=True)
 class TimingDataset:
     """Per-secret timing functions over a shared grid.
 
@@ -121,26 +77,20 @@ class TimingDataset:
             raise ValueError("dataset must contain at least one secret")
         if len(set(secrets)) != len(secrets):
             raise ValueError("secret identifiers must be unique")
-        times = _frozen_array(self.times)
+        times = np.array(self.times, dtype=float)
         if times.shape != (len(secrets), len(self.grid)):
             raise ValueError("times matrix must be n_secrets x n_grid_points")
         if not np.all(np.isfinite(times)):
             raise ValueError("execution times must be finite")
         if np.any(times < 0):
             raise ValueError("execution times must be non-negative")
+        times.flags.writeable = False
         object.__setattr__(self, "secrets", secrets)
         object.__setattr__(self, "times", times)
 
     @property
     def n_secrets(self) -> int:
         return len(self.secrets)
-
-    def function_for(self, secret: int) -> TimingFunction:
-        try:
-            row = self.secrets.index(int(secret))
-        except ValueError:
-            raise KeyError(f"unknown secret {secret!r}") from None
-        return TimingFunction(self.grid, self.times[row])
 
     def with_times(self, times: np.ndarray) -> "TimingDataset":
         return TimingDataset(self.secrets, self.grid, times, self.noise_seed)
@@ -270,12 +220,15 @@ def write_csv(dataset: TimingDataset, path: str | Path) -> None:
 def read_csv(path: str | Path) -> TimingDataset:
     """Load a dataset written by :func:`write_csv`.
 
-    Every secret must be observed at every grid point exactly once.  The
-    noise seed is generation metadata and is not stored in the CSV, so loaded
-    datasets carry seed 0.
+    Every secret must be observed at every grid point exactly once.  Secrets
+    keep the order of their first row.  The noise seed is generation
+    metadata and is not stored in the CSV, so loaded datasets carry seed 0.
     """
-    cells: dict[int, dict[float, float]] = {}
-    order: list[int] = []
+    # One typed buffer per column: a row costs four machine numbers, not a
+    # Python tuple.  Secrets may exceed int64, so each is stored as its row.
+    row_of: dict[int, int] = {}
+    rows, lines = array("q"), array("q")
+    publics, times = array("d"), array("d")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -288,29 +241,38 @@ def read_csv(path: str | Path) -> TimingDataset:
                 raise ValueError(f"{path}:{lineno}: expected 3 columns")
             try:
                 secret = int(row[0])
-                public = float(row[1])
-                time = float(row[2])
+                publics.append(float(row[1]))
+                times.append(float(row[2]))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if not (math.isfinite(public) and math.isfinite(time)):
-                raise ValueError(f"{path}:{lineno}: values must be finite")
-            per_secret = cells.setdefault(secret, {})
-            if not per_secret:
-                order.append(secret)
-            if public in per_secret:
-                raise ValueError(
-                    f"{path}:{lineno}: duplicate observation for secret {secret}"
-                )
-            per_secret[public] = time
-    if not cells:
+            rows.append(row_of.setdefault(secret, len(row_of)))
+            lines.append(lineno)
+    if not row_of:
         raise ValueError(f"{path}: no observations")
-    grid_points = sorted({p for obs in cells.values() for p in obs})
-    grid = PublicGrid(tuple(grid_points))
-    times = np.empty((len(order), len(grid_points)))
-    for i, secret in enumerate(order):
-        obs = cells[secret]
-        if len(obs) != len(grid_points):
-            raise ValueError(f"{path}: secret {secret} is missing grid points")
-        for p, y in enumerate(grid_points):
-            times[i, p] = obs[y]
-    return TimingDataset(tuple(order), grid, times, noise_seed=0)
+    secrets = list(row_of)
+    rows = np.frombuffer(rows, dtype=np.int64)
+    publics = np.frombuffer(publics)
+    times = np.frombuffer(times)
+    bad = ~(np.isfinite(publics) & np.isfinite(times))
+    if bad.any():
+        raise ValueError(f"{path}:{lines[np.argmax(bad)]}: values must be finite")
+    grid_points, cols = np.unique(publics, return_inverse=True)
+    cell = rows * grid_points.size + cols
+    # The first row whose cell an earlier row already filled.
+    order = np.argsort(cell, kind="stable")
+    repeat = order[1:][np.diff(cell[order]) == 0]
+    if repeat.size:
+        first = int(repeat.min())
+        raise ValueError(
+            f"{path}:{lines[first]}: duplicate observation for secret "
+            f"{secrets[rows[first]]}"
+        )
+    short = np.bincount(rows, minlength=len(secrets)) != grid_points.size
+    if short.any():
+        raise ValueError(
+            f"{path}: secret {secrets[np.argmax(short)]} is missing grid points"
+        )
+    matrix = np.empty((len(secrets), grid_points.size))
+    matrix.reshape(-1)[cell] = times
+    grid = PublicGrid(tuple(grid_points.tolist()))
+    return TimingDataset(tuple(secrets), grid, matrix, noise_seed=0)

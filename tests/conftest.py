@@ -3,7 +3,7 @@ import pytest
 
 from leakmit import cluster_functions, gen_branch_loop, gen_mod_exp, penalty_matrix
 from leakmit.clustering import ObservationClass, ObservationClassSet
-from leakmit.timing import PublicGrid, TimingFunction
+from leakmit.timing import PublicGrid
 
 BINOMIAL_SIZES = (10.0, 45.0, 120.0, 210.0, 252.0, 210.0, 120.0, 45.0, 10.0, 1.0)
 
@@ -35,12 +35,10 @@ def make_classset(sizes, reps=None, grid_points=4, rng=None, baseline=None):
         count = max(1, int(round(sizes[i])))
         members = frozenset(range(next_secret, next_secret + count))
         next_secret += count
-        classes.append(
-            ObservationClass(i, TimingFunction(grid, raw[i]), members)
-        )
+        classes.append(ObservationClass(raw[i], members))
     if baseline is None:
         baseline = float(raw.mean())
-    pen = penalty_matrix([c.representative for c in classes], baseline)
+    pen = penalty_matrix(raw, baseline)
     return ObservationClassSet(grid, tuple(classes), pen)
 
 

@@ -117,14 +117,9 @@ def penalty_loop_oracle(representatives, baseline_mean: float):
     for i in range(k):
         pen[i, i] = 0.0
         for j in range(i + 1, k):
-            gap = np.maximum(0.0, reps[j].values - reps[i].values)
+            gap = np.maximum(0.0, reps[j] - reps[i])
             pen[i, j] = float(gap.mean()) / baseline_mean
     return pen
-
-
-def envelope_oracle(functions):
-    n = len(functions[0])
-    return [max(f[i] for f in functions) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ import pytest
 
 from leakmit.baselines import (
     BucketSet,
-    PredictionSchedule,
     apply_buckets,
     double_scheme,
     fit_buckets,
@@ -20,24 +19,6 @@ def dataset_from_rows(rows):
     return TimingDataset(tuple(range(rows.shape[0])), grid, rows)
 
 
-class TestPredictionSchedule:
-    def test_levels_follow_the_doubling_recurrence(self):
-        assert PredictionSchedule(5).levels() == (1, 3, 7, 15, 31)
-
-    def test_release_levels(self):
-        assert PredictionSchedule.release_level(1.0) == 1
-        assert PredictionSchedule.release_level(2.0) == 3
-        assert PredictionSchedule.release_level(5.0) == 7
-        assert PredictionSchedule.release_level(15.0) == 15
-        assert PredictionSchedule.release_level(15.1) == 31
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            PredictionSchedule.release_level(0.0)
-        with pytest.raises(ValueError):
-            PredictionSchedule(0)
-
-
 class TestDoubleScheme:
     def test_popcount_groups_on_mod_exp(self, binomial_dataset):
         _, after = double_scheme(binomial_dataset)
@@ -51,6 +32,14 @@ class TestDoubleScheme:
     def test_never_decreases_any_time(self, binomial_dataset):
         mitigated, _ = double_scheme(binomial_dataset)
         assert np.all(mitigated.times >= binomial_dataset.times)
+
+    @pytest.mark.parametrize("t, level", [
+        (1.0, 1.0), (2.0, 3.0), (5.0, 7.0), (15.0, 15.0), (15.1, 31.0),
+    ])
+    def test_release_level_is_the_first_checkpoint_at_or_above(self, t, level):
+        # checkpoints 2**N - 1 quanta: 1, 3, 7, 15, 31, ...
+        mitigated, _ = double_scheme(dataset_from_rows([[t]]), quantum=1.0)
+        assert mitigated.times[0, 0] == level
 
     def test_quantized_to_doubling_levels(self):
         ds = dataset_from_rows([[1.0, 5.0], [2.0, 9.0]])

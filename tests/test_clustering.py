@@ -13,7 +13,7 @@ from leakmit.clustering import (
     cluster_functions,
     penalty_matrix,
 )
-from leakmit.timing import PublicGrid, TimingDataset, TimingFunction, gen_mod_exp
+from leakmit.timing import PublicGrid, TimingDataset, gen_mod_exp
 
 from conftest import BINOMIAL_SIZES
 from oracles import (
@@ -65,13 +65,26 @@ class TestClusterFunctions:
     def test_ids_follow_ascending_representative_mean(self, binomial_classes):
         means = [c.representative.mean() for c in binomial_classes.classes]
         assert means == sorted(means)
-        assert [c.id for c in binomial_classes.classes] == list(range(10))
+        class_of = binomial_classes.class_of()
+        assert all(i == int(s).bit_count() - 1 for s, i in class_of.items())
 
     def test_representative_is_member_mean(self):
         ds = dataset_from_rows([[1, 1], [3, 3], [100, 100]])
         cs = cluster_functions(ds, 2.0)
         assert cs.k == 2
-        assert list(cs.classes[0].representative.values) == [2.0, 2.0]
+        assert list(cs.classes[0].representative) == [2.0, 2.0]
+
+    def test_class_arrays_are_read_only_rows_of_one_matrix(self, grouped_classes):
+        reps = grouped_classes.representatives
+        assert reps.shape == (grouped_classes.k, 50)
+        for i, c in enumerate(grouped_classes.classes):
+            assert np.shares_memory(c.representative, reps)
+            assert np.array_equal(c.representative, reps[i])
+        assert list(grouped_classes.sizes) == [5.0, 5.0, 5.0, 10.0]
+        first = grouped_classes.classes[0].representative
+        for arr in (reps, grouped_classes.sizes, first):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
 
     def test_epsilon_must_be_positive(self, binomial_dataset):
         with pytest.raises(ValueError):
@@ -141,16 +154,11 @@ class TestLinkageTieOrder:
 
 class TestPenaltyMatrix:
     def test_equal_representatives_cost_nothing(self):
-        g = PublicGrid((1.0, 2.0))
-        f = TimingFunction(g, np.array([3.0, 3.0]))
-        pen = penalty_matrix([f, f], 1.0)
+        pen = penalty_matrix(np.array([[3.0, 3.0], [3.0, 3.0]]), 1.0)
         assert pen[0, 1] == 0.0
 
     def test_two_point_example(self):
-        g = PublicGrid((1.0, 2.0))
-        lo = TimingFunction(g, np.array([1.0, 2.0]))
-        hi = TimingFunction(g, np.array([2.0, 4.0]))
-        pen = penalty_matrix([lo, hi], 1.5)
+        pen = penalty_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]), 1.5)
         assert pen[0, 1] == pytest.approx(1.0)
 
     def test_mod_exp_penalties_scale_with_class_gap(self, binomial_classes):
@@ -177,34 +185,29 @@ class TestPenaltyMatrix:
                 assert math.isinf(pen[i, j])
 
     def test_baseline_must_be_positive(self):
-        g = PublicGrid((1.0,))
-        f = TimingFunction(g, np.array([1.0]))
         with pytest.raises(ValueError):
-            penalty_matrix([f], 0.0)
+            penalty_matrix(np.array([[1.0]]), 0.0)
 
     @pytest.mark.parametrize("n_points", [1, 4, 8, 50, 137])
     def test_matches_pair_loop_bit_for_bit(self, n_points):
         # crossing, tied and noisy representatives, on odd-sized grids
         rng = np.random.default_rng(n_points)
-        g = PublicGrid(tuple(float(p + 1) for p in range(n_points)))
         values = rng.uniform(0.0, 10.0, size=(60, n_points))
         values[10:20] = values[0]
         values[rng.random(values.shape) < 0.2] = 0.0
-        reps = [TimingFunction(g, v) for v in values]
         for baseline in (1.0, 3.7):
-            want = penalty_loop_oracle(reps, baseline)
-            assert np.array_equal(penalty_matrix(reps, baseline), want)
+            want = penalty_loop_oracle(values, baseline)
+            assert np.array_equal(penalty_matrix(values, baseline), want)
 
     def test_single_class_is_zero(self):
-        f = TimingFunction(PublicGrid((1.0, 2.0)), np.array([1.0, 2.0]))
-        assert np.array_equal(penalty_matrix([f], 2.0), np.zeros((1, 1)))
+        f = np.array([[1.0, 2.0]])
+        assert np.array_equal(penalty_matrix(f, 2.0), np.zeros((1, 1)))
 
     def test_clamps_pointwise_negative_gaps(self):
         # crossing representatives: only the positive part is charged
-        g = PublicGrid((1.0, 2.0))
-        a = TimingFunction(g, np.array([0.0, 4.0]))
-        b = TimingFunction(g, np.array([3.0, 3.0]))  # higher mean
-        pen = penalty_matrix([a, b], 1.0)
+        a = [0.0, 4.0]
+        b = [3.0, 3.0]  # higher mean
+        pen = penalty_matrix(np.array([a, b]), 1.0)
         assert pen[0, 1] == pytest.approx(1.5)  # mean(max(0, [3,-1])) = 1.5
 
 
@@ -216,7 +219,7 @@ class TestJsonRoundTrip:
         assert tuple(back.sizes) == tuple(binomial_classes.sizes)
         for a, b in zip(back.classes, binomial_classes.classes):
             assert a.members == b.members
-            assert np.allclose(a.representative.values, b.representative.values)
+            assert np.allclose(a.representative, b.representative)
         got, want = back.penalty, binomial_classes.penalty
         assert np.array_equal(np.isinf(got), np.isinf(want))
         assert np.allclose(got[np.isfinite(got)], want[np.isfinite(want)])
@@ -232,11 +235,36 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match=r"classes \[2\] have no members"):
             classset_from_json(data)
 
+    MALFORMED = {
+        "swapped_ids": r"ids must be 0\.\.k-1 in order",
+        "shared_member": "more than one observation class",
+        "nan": "finite",
+        "inf": "finite",
+        "negative": "non-negative",
+        "short": "align with the public grid",
+    }
+
+    @pytest.mark.parametrize("fault", MALFORMED)
+    def test_malformed_class_rejected(self, binomial_classes, fault):
+        data = classset_to_json(binomial_classes)
+        first, second = data["classes"][:2]
+        if fault == "swapped_ids":
+            first["id"], second["id"] = 1, 0
+        elif fault == "shared_member":
+            first["members"].append(second["members"][0])
+        elif fault == "short":
+            second["representative"].pop()
+        else:
+            bad = {"nan": math.nan, "inf": math.inf, "negative": -1.0}[fault]
+            second["representative"][3] = bad
+        with pytest.raises(ValueError, match=self.MALFORMED[fault]):
+            classset_from_json(data)
+
     def test_mean_l1_matches_oracle(self):
         rng = np.random.default_rng(11)
         ds = gen_mod_exp(4, 1.0, 0.5, seed=2)
         cs = cluster_functions(ds, 1e-9)
         reps = [c.representative for c in cs.classes]
         a, b = reps[0], reps[-1]
-        got = float(np.abs(a.values - b.values).mean())
-        assert got == pytest.approx(mean_l1_oracle(a.values, b.values))
+        got = float(np.abs(a - b).mean())
+        assert got == pytest.approx(mean_l1_oracle(a, b))

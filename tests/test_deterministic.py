@@ -137,6 +137,11 @@ class TestReturnedPolicy:
         pol0, _ = synthesize_det(cs, EntropyMeasure.MINGUESS, 0.0)
         assert np.count_nonzero(pol0.matrix.sum(axis=0)) == 3
 
+    def test_scan_all_r_false_is_rejected(self):
+        with pytest.raises(ValueError, match="every block count"):
+            synthesize_det(tiny_instance(), EntropyMeasure.SHANNON, 0.5,
+                           scan_all_r=False)
+
 
 class TestTables:
     def test_table_shapes_and_padding(self):

@@ -373,7 +373,7 @@ class TestEnforce:
         mitigated, report = enforce(ds, classes, policy, tree, 5, features)
 
         label = classes.class_of()
-        reps = [c.representative.values for c in classes.classes]
+        reps = [c.representative for c in classes.classes]
         rng = np.random.default_rng(5)
         want = np.array(ds.times)
         wrong = 0

@@ -2,31 +2,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from leakmit.timing import (
     PublicGrid,
     TimingDataset,
-    TimingFunction,
     gen_branch_loop,
     gen_mod_exp,
     read_csv,
     relative_overhead,
-    upper_envelope,
     write_csv,
     write_table,
 )
 
-from oracles import dataset_csv_oracle, envelope_oracle
+from oracles import dataset_csv_oracle
 
 
 def grid(*points):
     return PublicGrid(tuple(float(p) for p in points))
-
-
-def func(g, *values):
-    return TimingFunction(g, np.array(values, dtype=float))
 
 
 class TestPublicGrid:
@@ -54,83 +46,12 @@ class TestPublicGrid:
         assert g.points[0] == 1.0
 
 
-class TestTimingFunction:
-    def test_negative_times_rejected(self):
-        with pytest.raises(ValueError):
-            func(grid(1, 2), 1.0, -0.5)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            func(grid(1, 2, 3), 1.0, 2.0)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            func(grid(1, 2), 1.0, bad)
-
-    def test_mean(self):
-        assert func(grid(1, 2), 1.0, 3.0).mean() == 2.0
-
-
-class TestUpperEnvelope:
-    def test_pointwise_max(self):
-        g = grid(1, 2)
-        env = upper_envelope([func(g, 1, 3), func(g, 2, 2)])
-        assert list(env.values) == [2.0, 3.0]
-
-    def test_dominated_function_is_absorbed(self):
-        g = grid(1, 2, 3)
-        low = func(g, 1, 1, 1)
-        high = func(g, 5, 6, 7)
-        env = upper_envelope([low, high])
-        assert np.array_equal(env.values, high.values)
-
-    def test_crossing_functions_match_pointwise_oracle(self):
-        rng = np.random.default_rng(3)
-        g = grid(*range(1, 9))
-        fns = [TimingFunction(g, rng.uniform(0, 10, size=8)) for _ in range(3)]
-        env = upper_envelope(fns)
-        expected = envelope_oracle([f.values for f in fns])
-        assert np.allclose(env.values, expected)
-
-    def test_mismatched_grids_rejected(self):
-        with pytest.raises(ValueError):
-            upper_envelope([func(grid(1, 2), 1, 2), func(grid(1, 3), 1, 2)])
-
-    @given(
-        st.lists(
-            st.lists(
-                st.floats(min_value=0.0, max_value=1e6),
-                min_size=4,
-                max_size=4,
-            ),
-            min_size=1,
-            max_size=5,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_idempotent_commutative_monotone(self, rows):
-        g = grid(1, 2, 3, 4)
-        fns = [TimingFunction(g, np.array(r)) for r in rows]
-        env = upper_envelope(fns)
-        # idempotent
-        again = upper_envelope([env])
-        assert np.array_equal(env.values, again.values)
-        # commutative
-        rev = upper_envelope(list(reversed(fns)))
-        assert np.array_equal(env.values, rev.values)
-        # adding a function never lowers any point
-        extra = upper_envelope(fns + [fns[0]])
-        assert np.all(extra.values >= env.values - 0.0)
-
-
 class TestModExpGenerator:
     def test_cost_model_single_cell(self):
         ds = gen_mod_exp(10, 1.0, 0.0, seed=0)
         secret = next(s for s in ds.secrets if int(s).bit_count() == 3)
-        f = ds.function_for(secret)
         y_index = list(ds.grid.points).index(4.0)
-        assert f.values[y_index] == 12.0
+        assert ds.times[ds.secrets.index(secret), y_index] == 12.0
 
     def test_popcount_groups_have_binomial_sizes(self):
         ds = gen_mod_exp(10, 1.0, 0.0, seed=0)
@@ -152,9 +73,8 @@ class TestModExpGenerator:
         for s in ds.secrets:
             by_weight.setdefault(int(s).bit_count(), []).append(s)
         for members in by_weight.values():
-            base = ds.function_for(members[0]).values
-            for other in members[1:]:
-                assert np.array_equal(ds.function_for(other).values, base)
+            rows = ds.times[[ds.secrets.index(s) for s in members]]
+            assert np.array_equal(rows, np.broadcast_to(rows[0], rows.shape))
 
     def test_seed_reproducibility_with_noise(self):
         a = gen_mod_exp(5, 1.0, 0.3, seed=7)
@@ -237,6 +157,33 @@ class TestCsvRoundTrip:
             "1,1,1.0\n1,2,2.0\n2,1,1.0\n"
         )
         with pytest.raises(ValueError, match="missing"):
+            read_csv(path)
+
+    def test_rows_in_any_order(self, tmp_path):
+        # Secrets keep the order of their first row; the grid is sorted.
+        path = tmp_path / "shuffled.csv"
+        path.write_text(
+            "secret_id,public_value,time_seconds\n"
+            "7,2,4.0\n3,1,1.0\n7,1,3.0\n3,2,2.0\n"
+        )
+        back = read_csv(path)
+        assert back.secrets == (7, 3)
+        assert back.grid.points == (1.0, 2.0)
+        assert back.times.tolist() == [[3.0, 4.0], [1.0, 2.0]]
+
+    def test_errors_count_blank_lines(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text(
+            "secret_id,public_value,time_seconds\n"
+            "1,1,1.0\n\n2,1,1.0\n\n2,1,3.0\n1,1,2.0\n"
+        )
+        with pytest.raises(ValueError, match=r":6: duplicate observation for secret 2"):
+            read_csv(path)
+        path.write_text(
+            "secret_id,public_value,time_seconds\n"
+            "1,1,1.0\n\n3,1,1.0\n2,1,1.0\n1,2,2.0\n"
+        )
+        with pytest.raises(ValueError, match="secret 3 is missing grid points"):
             read_csv(path)
 
     @pytest.mark.parametrize("cell", ["1,nan,1.0", "1,1,inf", "1,1,nan"])
