@@ -26,7 +26,7 @@ from .deterministic import synthesize_det
 from .entropy import EntropyMeasure, entropy
 from .errors import SolverError
 from .policy import build_report, expected_overhead, expected_sizes, policy_to_json
-from .stochastic import synthesize_local, synthesize_minguess
+from .stochastic import MAX_STARTS, synthesize_local, synthesize_minguess
 
 __all__ = ["ConfigError", "PipelineConfig", "run_pipeline", "sweep", "compare", "main"]
 
@@ -581,6 +581,8 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
                       ("max_depth", 1), ("min_leaf", 1)):
         if getattr(config, name) < low:
             raise ConfigError(f"{name} must be >= {low}")
+    if config.n_starts > MAX_STARTS:
+        raise ConfigError(f"n_starts must be <= {MAX_STARTS}")
     return config
 
 

@@ -54,6 +54,24 @@ class MeasureRow:
         terms = self.term(sizes[sizes > 0])
         return float(terms.min() if self.combine is min else terms.sum())
 
+    def raw_rows(self, sizes: np.ndarray) -> np.ndarray:
+        """``raw`` of every row of an (n, k) stack of size vectors, bit for bit.
+
+        Rows are grouped by their number m of positive classes, and each
+        group's positives are folded as contiguous (g, m) rows.  A row sum
+        equals the 1-D sum of the same m values; a zero-padded row would
+        group NumPy's pairwise summation differently once m >= 8.
+        """
+        pos = sizes > 0
+        counts = pos.sum(axis=1)
+        listed = counts.tolist()
+        out = np.empty(len(sizes))
+        for m in set(listed):
+            rows = counts == m
+            terms = self.term(sizes[rows][pos[rows]].reshape(listed.count(m), m))
+            out[rows] = terms.min(axis=1) if self.combine is min else terms.sum(axis=1)
+        return out
+
 
 MEASURES: dict[EntropyMeasure, MeasureRow] = {
     EntropyMeasure.SHANNON: MeasureRow(

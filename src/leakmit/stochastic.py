@@ -30,11 +30,19 @@ is the reported optimum.
 Shannon and guessing objectives are convex in C, so their optimum sits on a
 polytope vertex; they are attacked by multi-start projected gradient ascent
 whose start list always contains the identity and the deterministic-search
-policy, which makes those two objectives a floor for the result.  Each
-ascent step projects all k rows back onto their simplices in one batched
-sort-and-threshold pass (``_project_rows``), entry for entry the float
-operations of a per-row projection.  Its vertex jumps maximize the
-gradient's linearization over the same polytope.
+policy, which makes those two objectives a floor for the result.  All starts
+advance in lockstep as one (n, k, k) stack: each iteration projects every
+row of every running start in one sort-and-threshold pass (``_project_rows``)
+and evaluates overheads, objectives and gradients for the whole stack, while
+each start keeps its own step, budget line search, accept/reject decision
+and stopping point.  Vertex jumps maximize the gradient's linearization over
+the same polytope; they run in rounds: ascend every start, jump each stalled
+start, ascend the jumped starts together, at most five rounds.  Jump LPs are
+memoised within one call on the gradient's bytes, since distinct starts
+often stall at the same gradient.  Each start sees exactly the float
+operations of a lone ascent, so the result is the bits of a start-by-start
+search; the batched objective (``MeasureRow.raw_rows``) folds each start's
+positive classes as the 1-D ``raw`` does.
 """
 
 from __future__ import annotations
@@ -62,6 +70,9 @@ __all__ = ["SolveDiagnostics", "synthesize_minguess", "synthesize_local"]
 INT_TOL = 1e-9
 STEP_TOL = 1e-8
 MAX_ASCENT_ITERS = 10_000
+# synthesize_local builds every start before it ascends any, n x k x k floats
+# at once; more random starts than this is a mistake, not a search.
+MAX_STARTS = 1_000
 
 
 @dataclass(frozen=True)
@@ -233,26 +244,28 @@ def synthesize_minguess(
     return policy, diagnostics
 
 
-def _project_rows(mat: np.ndarray) -> np.ndarray:
+def _project_rows(stack: np.ndarray) -> np.ndarray:
     """Project every row's upward part onto {x >= 0, sum x == 1} at once.
 
-    Row i keeps its k - i entries j >= i; everything below the diagonal is
-    zero.  Sort-and-threshold (Duchi et al., ICML 2008) over all rows in one
-    pass: each row's live entries sort to its front in descending order, the
-    dead tail is zeroed before the running sum, rho is the last live index
-    whose entry clears the running threshold, and tau = css[rho - 1] / rho.
+    ``stack`` holds n k x k matrices.  Row i of each keeps its k - i entries
+    j >= i; everything below the diagonal is zero.  Sort-and-threshold (Duchi
+    et al., ICML 2008) over all rows of all matrices in one pass: each row's
+    live entries sort to its front in descending order, the dead tail is
+    zeroed before the running sum, rho is the last live index whose entry
+    clears the running threshold, and tau = css[rho - 1] / rho.
     """
-    k = mat.shape[0]
+    k = stack.shape[-1]
     idx = np.arange(k)
     upper = idx[:, None] <= idx
     live = upper[:, ::-1]  # row i: its first k - i sorted positions
     ks = idx + 1
-    u = np.where(live, -np.sort(np.where(upper, -mat, np.inf), axis=1), 0.0)
-    css = np.cumsum(u, axis=1) - 1.0
+    u = np.where(live, -np.sort(np.where(upper, -stack, np.inf), axis=-1), 0.0)
+    css = np.cumsum(u, axis=-1) - 1.0
     cond = live & (u - css / ks > 0)
-    rho = k - np.argmax(cond[:, ::-1], axis=1)
-    tau = css[np.arange(k), rho - 1] / rho
-    return np.where(upper, np.maximum(mat - tau[:, None], 0.0), 0.0)
+    rho = k - np.argmax(cond[..., ::-1], axis=-1)
+    at_rho = css.reshape(-1, k)[np.arange(rho.size), rho.ravel() - 1]
+    tau = at_rho.reshape(rho.shape) / rho
+    return np.where(upper, np.maximum(stack - tau[..., None], 0.0), 0.0)
 
 
 def synthesize_local(
@@ -270,12 +283,16 @@ def synthesize_local(
     previous (feasible) iterate, which the affine budget makes closed-form.
     Deterministic for a fixed (seed, n_starts).  ``warm_starts`` accepts
     extra feasible matrices, e.g. a neighboring solve during a budget sweep.
+    ``n_starts`` outside 0..``MAX_STARTS`` is a ValueError.
     """
     measure = EntropyMeasure(measure)
     if measure is EntropyMeasure.MINGUESS:
         raise ValueError("use synthesize_minguess for the min-guess objective")
     if not delta >= 0:
         raise ValueError("delta must be >= 0")
+    n_starts = int(n_starts)
+    if not 0 <= n_starts <= MAX_STARTS:
+        raise ValueError(f"n_starts must be in 0..{MAX_STARTS}, got {n_starts}")
     row = MEASURES[measure]
     k = classes.k
     sizes = classes.sizes
@@ -283,122 +300,148 @@ def synthesize_local(
     pen_cost = _move_cost(classes)
     mask = np.triu(np.ones((k, k), dtype=bool))
 
-    def overhead(mat: np.ndarray) -> float:
-        return float((mat * pen_cost).sum())
+    # Each helper maps a stack of n matrices to n results; every result is
+    # the bits the same helper gives a stack of that one matrix.
+    def overhead(stack: np.ndarray) -> np.ndarray:
+        return (stack * pen_cost).reshape(len(stack), k * k).sum(axis=1)
 
-    def objective(mat: np.ndarray) -> float:
-        return row.raw(sizes @ mat)
+    def objective(stack: np.ndarray) -> np.ndarray:
+        return row.raw_rows(sizes @ stack)
 
-    def gradient(mat: np.ndarray) -> np.ndarray:
-        g_col = row.slope(sizes @ mat)
-        return np.where(mask, sizes[:, None] * g_col[None, :], 0.0)
+    def gradient(stack: np.ndarray) -> np.ndarray:
+        g_col = row.slope(sizes @ stack)
+        return np.where(mask, sizes[:, None] * g_col[:, None, :], 0.0)
 
-    def ascend(start: np.ndarray) -> np.ndarray:
-        # grad, norm, value and (once the repair needs it) the overhead of mu
-        # are pure functions of mu, so they change only when mu does.
-        mu = start
+    def grad_norm(grad: np.ndarray) -> np.ndarray:
+        return np.sqrt((grad * grad).reshape(len(grad), k * k).sum(axis=1))
+
+    def ascend(stack: np.ndarray):
+        """Ascend from every matrix of the stack in lockstep.
+
+        Each start keeps its own step, objective value, gradient norm and
+        (NaN until the repair needs it) overhead, and drops out of the
+        ``active`` mask when its step runs out.  Returns the final iterates
+        with their values and gradients.
+        """
+        mu = stack.copy()
         grad = gradient(mu)
-        norm = float(np.sqrt((grad * grad).sum()))
+        norm = grad_norm(grad)
         value = objective(mu)
-        mu_over = None
-        step = 0.25
+        mu_over = np.full(len(mu), np.nan)
+        step = np.full(len(mu), 0.25)
+        active = np.ones(len(mu), dtype=bool)
         for _ in range(MAX_ASCENT_ITERS):
-            if norm * step < STEP_TOL:
+            active &= ~((norm * step < STEP_TOL) | (step < 1e-12))
+            if not active.any():
                 break
-            trial = _project_rows(mu + step * grad)
+            run = np.flatnonzero(active)
+            cur, cur_step = mu[run], step[run]
+            trial = _project_rows(cur + cur_step[:, None, None] * grad[run])
             over = overhead(trial)
-            if over > delta:
-                if mu_over is None:
-                    mu_over = overhead(mu)
-                lam = (delta - mu_over) / (over - mu_over)
-                lam = max(0.0, min(1.0, lam * (1.0 - 1e-12)))
-                trial = mu + lam * (trial - mu)
-                over = None
+            repair = over > delta
+            if repair.any():
+                fix = run[repair]
+                lazy = fix[np.isnan(mu_over[fix])]
+                mu_over[lazy] = overhead(mu[lazy])
+                base, base_over = cur[repair], mu_over[fix]
+                # A start already past the line (a warm start within 1e-9)
+                # whose trial costs exactly as much gets lam = -inf -> 0.
+                with np.errstate(divide="ignore"):
+                    lam = (delta - base_over) / (over[repair] - base_over)
+                lam = np.maximum(0.0, np.minimum(1.0, lam * (1.0 - 1e-12)))
+                trial[repair] = base + lam[:, None, None] * (trial[repair] - base)
+                over[repair] = np.nan
             trial_value = objective(trial)
-            if trial_value > value + 1e-12:
-                mu, value, mu_over = trial, trial_value, over
-                grad = gradient(mu)
-                norm = float(np.sqrt((grad * grad).sum()))
-                step = min(step * 1.3, 16.0)
-            else:
-                step *= 0.5
-                if step < 1e-12:
-                    break
-        return mu
+            up = trial_value > value[run] + 1e-12
+            if up.any():  # most steps after a jump are rejected halvings
+                moved, new_grad = run[up], gradient(trial[up])
+                mu[moved], value[moved] = trial[up], trial_value[up]
+                mu_over[moved], grad[moved] = over[up], new_grad
+                norm[moved] = grad_norm(new_grad)
+            step[run] = np.where(up, np.minimum(cur_step * 1.3, 16.0), cur_step * 0.5)
+        return mu, value, grad
 
     # The linearized jumps below optimize over the upward-move polytope; the
     # row-sum equalities already cap each variable at one.
     iu, lp_eq, lp_eq_rhs, lp_ub, lp_ub_rhs = _upward_program(classes, delta)
     lp_bounds = [(0.0, None)] * iu[0].size
+    vertices: dict[bytes, np.ndarray | None] = {}
 
-    def vertex_jump(mu: np.ndarray) -> np.ndarray | None:
-        """Best vertex of the feasible polytope for the gradient at mu.
+    def vertex(grad: np.ndarray) -> np.ndarray | None:
+        """Best vertex of the feasible polytope for the gradient, or None.
 
         A convex objective peaks at a vertex, so following the linearization
         to its LP optimum escapes the interior points plain ascent stalls on.
-        Returns None when the jump does not improve.
+        Starts that stall at the same gradient share one LP.
         """
-        grad = gradient(mu)
-        res = solve_lp(grad[iu], lp_ub, lp_ub_rhs, lp_eq, lp_eq_rhs, lp_bounds)
-        if res.status != "optimal":
-            return None
-        vert = _matrix_from_mu(res.x, iu, k)
-        if objective(vert) > objective(mu) + 1e-9:
-            return vert
-        return None
-
-    def refine(start: np.ndarray) -> np.ndarray:
-        mu = ascend(start)
-        for _ in range(5):
-            jumped = vertex_jump(mu)
-            if jumped is None:
-                break
-            mu = ascend(jumped)
-        return mu
+        direction = grad[iu]
+        key = direction.tobytes()
+        if key not in vertices:
+            res = solve_lp(direction, lp_ub, lp_ub_rhs, lp_eq, lp_eq_rhs, lp_bounds)
+            vertices[key] = (
+                _matrix_from_mu(res.x, iu, k) if res.status == "optimal" else None
+            )
+        return vertices[key]
 
     rng = np.random.default_rng(seed)
     starts: list[np.ndarray] = [identity_policy(k).matrix.copy()]
     merge = full_merge_policy(k).matrix.copy()
-    if overhead(merge) <= delta:
+    if overhead(merge[None])[0] <= delta:
         starts.append(merge)
     dp_policy, _ = synthesize_det(classes, measure, delta)
     starts.append(dp_policy.matrix.copy())
-    for _ in range(int(n_starts)):
-        rand = np.zeros((k, k))
+    rand = np.zeros((n_starts, k, k))
+    for draw in rand:
         for i in range(k):
-            rand[i, i:] = rng.dirichlet(np.ones(k - i))
-        over = overhead(rand)
-        lam = 1.0 if over <= delta else (delta / over) * (1.0 - 1e-12)
-        starts.append(lam * rand + (1.0 - lam) * np.eye(k))
+            draw[i, i:] = rng.dirichlet(np.ones(k - i))
+    over = overhead(rand)
+    cut = over > delta
+    lam = np.ones(n_starts)
+    lam[cut] = (delta / over[cut]) * (1.0 - 1e-12)
+    starts += list(lam[:, None, None] * rand + (1.0 - lam)[:, None, None] * np.eye(k))
     for extra in warm_starts:
         extra = np.asarray(extra, dtype=float)
-        if extra.shape == (k, k) and overhead(extra) <= delta + 1e-9:
+        if extra.shape == (k, k) and overhead(extra[None])[0] <= delta + 1e-9:
             starts.append(np.clip(extra, 0.0, 1.0))
+
+    # Ascend every start, then jump every start that stalled below a better
+    # vertex and ascend the jumped starts together, for at most 5 rounds.
+    mu, value, grad = ascend(np.array(starts))
+    live = np.arange(len(starts))
+    for _ in range(5):
+        jumps = [(s, vert) for s in live if (vert := vertex(grad[s])) is not None]
+        if not jumps:
+            break
+        live = np.array([s for s, _ in jumps])
+        verts = np.array([vert for _, vert in jumps])
+        better = objective(verts) > value[live] + 1e-9
+        live = live[better]
+        if not live.size:
+            break
+        mu[live], value[live], grad[live] = ascend(verts[better])
 
     best_mat = None
     best_obj = -np.inf
-    for start in starts:
-        final = refine(start)
-        obj = objective(final)
+    for final, obj in zip(mu, value):
         if obj > best_obj + 1e-12:
             best_obj = obj
             best_mat = final
 
     mat = sanitize_matrix(best_mat)
-    over = overhead(mat)
+    over = overhead(mat[None])[0]
     if over > delta:
         # Cleanup dust can nudge the budget; an exact pull toward the
         # zero-cost identity restores feasibility at negligible objective cost.
         lam = (delta / over) * (1.0 - 1e-12) if over > 0 else 0.0
         mat = lam * mat + (1.0 - lam) * np.eye(k)
-    if overhead(mat) > delta + 1e-9:
+    if overhead(mat[None])[0] > delta + 1e-9:
         raise SolverError("sanitized policy slipped past the budget")
     policy = MitigationPolicy(mat, deterministic=False)
     diagnostics = SolveDiagnostics(
         nodes_explored=0,
         restarts=len(starts),
         best_bound=float(row.term(total)),
-        objective=float(objective(mat)),
+        objective=float(row.raw(sizes @ mat)),
         status="feasible",
     )
     return policy, diagnostics

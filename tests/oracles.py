@@ -16,7 +16,26 @@ import math
 
 import numpy as np
 
+from leakmit.deterministic import synthesize_det
 from leakmit.enforcement import TreeLeaf, TreeSplit
+from leakmit.entropy import MEASURES, EntropyMeasure
+from leakmit.errors import SolverError
+from leakmit.policy import (
+    MitigationPolicy,
+    full_merge_policy,
+    identity_policy,
+    sanitize_matrix,
+)
+from leakmit.simplex import solve_lp
+from leakmit.stochastic import (
+    MAX_ASCENT_ITERS,
+    STEP_TOL,
+    SolveDiagnostics,
+    _matrix_from_mu,
+    _move_cost,
+    _project_rows,
+    _upward_program,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +480,154 @@ def project_row_oracle(v: np.ndarray) -> np.ndarray:
     rho = int(np.max(ks[cond]))
     tau = css[rho - 1] / rho
     return np.maximum(v - tau, 0.0)
+
+# ---------------------------------------------------------------------------
+# local search: the per-start ascent, frozen as the bit-level reference for
+# the lockstep multi-start ascent
+
+
+def local_search_oracle(
+    classes: ObservationClassSet,
+    measure: EntropyMeasure | str,
+    delta: float,
+    n_starts: int = 8,
+    seed: int = 0,
+    warm_starts: tuple[np.ndarray, ...] = (),
+) -> tuple[MitigationPolicy, SolveDiagnostics]:
+    """``synthesize_local`` as it ran each start alone: one ``ascend`` call
+    per start, one vertex-jump LP per jump, no memo.  The package's lockstep
+    ascent must return the same policy bits and diagnostics."""
+    measure = EntropyMeasure(measure)
+    if measure is EntropyMeasure.MINGUESS:
+        raise ValueError("use synthesize_minguess for the min-guess objective")
+    if not delta >= 0:
+        raise ValueError("delta must be >= 0")
+    row = MEASURES[measure]
+    k = classes.k
+    sizes = classes.sizes
+    total = sizes.sum()
+    pen_cost = _move_cost(classes)
+    mask = np.triu(np.ones((k, k), dtype=bool))
+
+    def overhead(mat: np.ndarray) -> float:
+        return float((mat * pen_cost).sum())
+
+    def objective(mat: np.ndarray) -> float:
+        return row.raw(sizes @ mat)
+
+    def gradient(mat: np.ndarray) -> np.ndarray:
+        g_col = row.slope(sizes @ mat)
+        return np.where(mask, sizes[:, None] * g_col[None, :], 0.0)
+
+    def ascend(start: np.ndarray) -> np.ndarray:
+        # grad, norm, value and (once the repair needs it) the overhead of mu
+        # are pure functions of mu, so they change only when mu does.
+        mu = start
+        grad = gradient(mu)
+        norm = float(np.sqrt((grad * grad).sum()))
+        value = objective(mu)
+        mu_over = None
+        step = 0.25
+        for _ in range(MAX_ASCENT_ITERS):
+            if norm * step < STEP_TOL:
+                break
+            trial = _project_rows((mu + step * grad)[None])[0]
+            over = overhead(trial)
+            if over > delta:
+                if mu_over is None:
+                    mu_over = overhead(mu)
+                lam = (delta - mu_over) / (over - mu_over)
+                lam = max(0.0, min(1.0, lam * (1.0 - 1e-12)))
+                trial = mu + lam * (trial - mu)
+                over = None
+            trial_value = objective(trial)
+            if trial_value > value + 1e-12:
+                mu, value, mu_over = trial, trial_value, over
+                grad = gradient(mu)
+                norm = float(np.sqrt((grad * grad).sum()))
+                step = min(step * 1.3, 16.0)
+            else:
+                step *= 0.5
+                if step < 1e-12:
+                    break
+        return mu
+
+    # The linearized jumps below optimize over the upward-move polytope; the
+    # row-sum equalities already cap each variable at one.
+    iu, lp_eq, lp_eq_rhs, lp_ub, lp_ub_rhs = _upward_program(classes, delta)
+    lp_bounds = [(0.0, None)] * iu[0].size
+
+    def vertex_jump(mu: np.ndarray) -> np.ndarray | None:
+        """Best vertex of the feasible polytope for the gradient at mu.
+
+        A convex objective peaks at a vertex, so following the linearization
+        to its LP optimum escapes the interior points plain ascent stalls on.
+        Returns None when the jump does not improve.
+        """
+        grad = gradient(mu)
+        res = solve_lp(grad[iu], lp_ub, lp_ub_rhs, lp_eq, lp_eq_rhs, lp_bounds)
+        if res.status != "optimal":
+            return None
+        vert = _matrix_from_mu(res.x, iu, k)
+        if objective(vert) > objective(mu) + 1e-9:
+            return vert
+        return None
+
+    def refine(start: np.ndarray) -> np.ndarray:
+        mu = ascend(start)
+        for _ in range(5):
+            jumped = vertex_jump(mu)
+            if jumped is None:
+                break
+            mu = ascend(jumped)
+        return mu
+
+    rng = np.random.default_rng(seed)
+    starts: list[np.ndarray] = [identity_policy(k).matrix.copy()]
+    merge = full_merge_policy(k).matrix.copy()
+    if overhead(merge) <= delta:
+        starts.append(merge)
+    dp_policy, _ = synthesize_det(classes, measure, delta)
+    starts.append(dp_policy.matrix.copy())
+    for _ in range(int(n_starts)):
+        rand = np.zeros((k, k))
+        for i in range(k):
+            rand[i, i:] = rng.dirichlet(np.ones(k - i))
+        over = overhead(rand)
+        lam = 1.0 if over <= delta else (delta / over) * (1.0 - 1e-12)
+        starts.append(lam * rand + (1.0 - lam) * np.eye(k))
+    for extra in warm_starts:
+        extra = np.asarray(extra, dtype=float)
+        if extra.shape == (k, k) and overhead(extra) <= delta + 1e-9:
+            starts.append(np.clip(extra, 0.0, 1.0))
+
+    best_mat = None
+    best_obj = -np.inf
+    for start in starts:
+        final = refine(start)
+        obj = objective(final)
+        if obj > best_obj + 1e-12:
+            best_obj = obj
+            best_mat = final
+
+    mat = sanitize_matrix(best_mat)
+    over = overhead(mat)
+    if over > delta:
+        # Cleanup dust can nudge the budget; an exact pull toward the
+        # zero-cost identity restores feasibility at negligible objective cost.
+        lam = (delta / over) * (1.0 - 1e-12) if over > 0 else 0.0
+        mat = lam * mat + (1.0 - lam) * np.eye(k)
+    if overhead(mat) > delta + 1e-9:
+        raise SolverError("sanitized policy slipped past the budget")
+    policy = MitigationPolicy(mat, deterministic=False)
+    diagnostics = SolveDiagnostics(
+        nodes_explored=0,
+        restarts=len(starts),
+        best_bound=float(row.term(total)),
+        objective=float(objective(mat)),
+        status="feasible",
+    )
+    return policy, diagnostics
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from leakmit import cli
 from leakmit.cli import MAX_SWEEP_POINTS, ConfigError, _parse_sweep_grid, main
 from leakmit.errors import SolverError
+from leakmit.stochastic import MAX_STARTS
 from leakmit.timing import gen_branch_loop, gen_mod_exp, read_csv, write_csv
 
 
@@ -333,6 +334,12 @@ class TestGoldenArtifacts:
         assert got == want
 
 
+NINE_CLASS_SWEEP = [
+    "sweep", "--gen", "branch_loop", "--group-sizes", "3,5,7,9,11,13,15,17,19",
+    "--slopes", "1,2,3,4,5,6,7,8,9", "--sweep", "0.05:0.25:0.1", "--n-starts", "8",
+]
+
+
 class TestGoldenSubcommands:
     """Every artifact of every other subcommand, pinned by sha256 across
     commits on small generator runs: the dataset CSV (noisy and exact),
@@ -407,6 +414,22 @@ class TestGoldenSubcommands:
             {
                 "sweep.csv": "f671227cbd5b574d96fbb086f529e02b5f8db32e72e71c4b265a58ef75c91a40",
                 "sweep.svg": "b3750dc18657f8b161d975b99b21554426498fad88be39f915b6946500654313",
+            },
+        ),
+        # nine classes and eight random starts, so the local-search starts
+        # end their ascents at different iterations and jump different times
+        "sweep-9-shannon": (
+            NINE_CLASS_SWEEP + ["--measure", "shannon"],
+            {
+                "sweep.csv": "52eef8cc838387d593278232c442ab8c77f961792c981070877e7c11df727741",
+                "sweep.svg": "e340dd069b0461d802c605f8cfaa2f272f408f2aa3235c33b6a14c2c363b4343",
+            },
+        ),
+        "sweep-9-guessing": (
+            NINE_CLASS_SWEEP + ["--measure", "guessing"],
+            {
+                "sweep.csv": "7f6608a18ca0d5c227d2ec9f2742673e073ee68494c618bfb8aa939d39e27667",
+                "sweep.svg": "94630373fd7db4a31f20586ea591ad35f8176db995fbb56eb8020979e8c08ba1",
             },
         ),
         "compare": (
@@ -535,12 +558,17 @@ class TestConfigFile:
             ("cluster", {}, ["--gen", "branch_loop", "--slopes", "1,nan"]),
             ("synthesize", {"algo": "stoch", "measure": "shannon"},
              ["--n-starts", "-3"]),
+            # one over the cap: rejected before any start is built
+            ("synthesize", {"algo": "stoch", "measure": "shannon"},
+             ["--n-starts", str(MAX_STARTS + 1)]),
+            ("sweep", {"n_starts": MAX_STARTS + 1}, ["--sweep", "0:0.5:0.25"]),
         ],
         ids=["measure", "algo", "gen", "baseline", "epsilon-nan", "delta-nan",
              "sweep-nan", "sweep-inf", "max-depth-flag", "min-leaf-flag",
              "max-depth-config", "min-leaf-config", "n-bits-0", "n-publics-0",
              "buckets-0", "buckets-config-0", "noise-sigma-negative",
-             "noise-sigma-nan", "unit-cost-nan", "slopes-nan", "n-starts-negative"],
+             "noise-sigma-nan", "unit-cost-nan", "slopes-nan", "n-starts-negative",
+             "n-starts-over-cap", "n-starts-config-over-cap"],
     )
     def test_value_outside_its_domain_rejected(self, tmp_path, capsys,
                                                command, raw, flags):

@@ -260,6 +260,26 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match=self.MALFORMED[fault]):
             classset_from_json(data)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("size", 99, r"class 0 has size 99 but \d+ members"),
+            ("total_size", 7, r"total_size is 7 but the classes list \d+ members"),
+        ],
+    )
+    def test_sizes_must_count_the_members(self, binomial_classes, tmp_path,
+                                          field, value, message):
+        path = tmp_path / "classes.json"
+        path.write_text(json.dumps(classset_to_json(binomial_classes)))
+        data = json.loads(path.read_text())
+        if field == "size":
+            data["classes"][0]["size"] = value
+        else:
+            data["total_size"] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=message):
+            classset_from_json(json.loads(path.read_text()))
+
     def test_mean_l1_matches_oracle(self):
         rng = np.random.default_rng(11)
         ds = gen_mod_exp(4, 1.0, 0.5, seed=2)

@@ -133,6 +133,20 @@ class TestMeasureTable:
             assert got == pytest.approx(oracle(sizes), rel=1e-12)
             assert got == entropy(sizes, measure)
 
+    @pytest.mark.parametrize("measure", list(EntropyMeasure))
+    @pytest.mark.parametrize("k", [1, 7, 8, 9, 16, 40])
+    def test_raw_rows_is_raw_of_each_row(self, measure, k):
+        # Rows with 1..k positive classes: NumPy sums 8-wide pairwise
+        # blocks, so a count of 8 or more is where a padded sum would drift.
+        rng = np.random.default_rng(k)
+        sizes = rng.uniform(0.1, 300.0, size=(3 * k, k))
+        for r, row_sizes in enumerate(sizes):
+            row_sizes[rng.permutation(k)[: r % k]] = 0.0
+        row = MEASURES[measure]
+        got = row.raw_rows(sizes)
+        assert got.shape == (3 * k,)
+        assert got.tolist() == [row.raw(s) for s in sizes]
+
     def test_raw_minguess_is_the_smallest_class(self):
         row = MEASURES[EntropyMeasure.MINGUESS]
         assert row.raw(np.array([0.0, 7.0, 3.0, 0.0, 9.0])) == 3.0

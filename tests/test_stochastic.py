@@ -11,8 +11,20 @@ from hypothesis import strategies as st
 
 from leakmit.clustering import cluster_functions
 from leakmit.deterministic import synthesize_det
-from leakmit.entropy import MEASURES, EntropyMeasure, entropy, post_policy_entropy
-from leakmit.policy import build_report, expected_overhead, expected_sizes, validate
+from leakmit.entropy import (
+    MEASURES,
+    EntropyMeasure,
+    MeasureRow,
+    entropy,
+    post_policy_entropy,
+)
+from leakmit.policy import (
+    MitigationPolicy,
+    build_report,
+    expected_overhead,
+    expected_sizes,
+    validate,
+)
 from leakmit import simplex, stochastic
 from leakmit.simplex import solve_lp
 from leakmit.timing import PublicGrid, TimingDataset
@@ -26,9 +38,11 @@ from leakmit.stochastic import (
 )
 
 from conftest import make_classset, random_classset
+import oracles
 from oracles import (
     jump_direction_oracle,
     jump_program_oracle,
+    local_search_oracle,
     matrix_from_mu_oracle,
     minguess_pattern_oracle,
     minguess_program_oracle,
@@ -456,6 +470,133 @@ class TestBatchedProjection:
         k = int(round(len(values) ** 0.5))
         mat = np.array(values).reshape(k, k)
         assert same_bits(_project_rows(mat), project_rows_loop(mat))
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 15, 20])
+    def test_stacks_match_row_loop(self, k):
+        # every matrix of an (n, k, k) stack projects as it does alone
+        rng = np.random.default_rng(4100 + k)
+        cases = [mat for _ in range(3) for mat in projection_cases(rng, k)]
+        for n in (1, 2, 5, len(cases)):
+            stack = np.array(cases[:n])
+            got = _project_rows(stack)
+            assert got.shape == (n, k, k)
+            for mat, row in zip(stack, got):
+                assert same_bits(row, project_rows_loop(mat)), (k, n, mat)
+
+    def test_empty_stack(self):
+        assert _project_rows(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
+
+LOCKSTEP_DELTAS = (0.0, 0.05, 0.3, math.inf)
+
+
+def lockstep_cases():
+    """(k, measure, delta, n_starts): k = 1..15 with both measures, the
+    budget and the start count cycling so each pairs with both measures."""
+    for k in range(1, 16):
+        for m, measure in enumerate(("shannon", "guessing")):
+            yield k, measure, LOCKSTEP_DELTAS[(k + m) % 4], (0, 1, 8)[(k + m) % 3]
+
+
+def assert_matches_oracle(monkeypatch, cs, measure, delta, **kwargs):
+    """Same policy bits and diagnostics as the per-start search, and the
+    same jump LPs: every gradient a start stalls at is solved, the same bits
+    in both, and the lockstep search solves each distinct one once."""
+    solved = []
+
+    def recording(c, *args, **kw):
+        solved.append(np.asarray(c).tobytes())
+        return solve_lp(c, *args, **kw)
+
+    monkeypatch.setattr(stochastic, "solve_lp", recording)
+    monkeypatch.setattr(oracles, "solve_lp", recording)
+    pol, diag = synthesize_local(cs, measure, delta, **kwargs)
+    lockstep = list(solved)
+    solved.clear()
+    want_pol, want_diag = local_search_oracle(cs, measure, delta, **kwargs)
+    assert same_bits(pol.matrix, want_pol.matrix), (cs.k, measure, delta, kwargs)
+    assert diag == want_diag
+    assert len(set(lockstep)) == len(lockstep)
+    assert set(lockstep) == set(solved)
+    return len(lockstep), len(solved)
+
+
+def near_budget_line(cs, share):
+    """A budget of ``share`` times the full merge's overhead, and the merge
+    pulled toward the identity until its expected overhead is that budget
+    plus 5e-10: just past the line, inside the 1e-9 slack warm starts get."""
+    k = cs.k
+    merge = np.zeros((k, k))
+    merge[:, -1] = 1.0
+    over = expected_overhead(MitigationPolicy(merge, deterministic=False), cs)
+    delta = share * over
+    lam = (delta + 5e-10) / over
+    return delta, lam * merge + (1.0 - lam) * np.eye(k)
+
+
+class TestLockstepAscent:
+    """All starts ascend in one batched pass; each must end on the bits it
+    reaches alone in the frozen per-start search."""
+
+    @pytest.mark.parametrize("k, measure, delta, n_starts", list(lockstep_cases()))
+    def test_matches_per_start_search(self, k, measure, delta, n_starts,
+                                      monkeypatch):
+        rng = np.random.default_rng(5000 + k)
+        cs = random_classset(rng, k)
+        assert_matches_oracle(
+            monkeypatch, cs, measure, delta, n_starts=n_starts, seed=k
+        )
+
+    @pytest.mark.parametrize("measure", ["shannon", "guessing"])
+    @pytest.mark.parametrize("share", [0.1, 0.5])
+    def test_warm_start_just_past_the_budget(self, measure, share, monkeypatch):
+        rng = np.random.default_rng(5100)
+        cs = random_classset(rng, 6)
+        delta, warm = near_budget_line(cs, share)
+        _, cold = synthesize_local(cs, measure, delta, n_starts=1, seed=3)
+        assert_matches_oracle(
+            monkeypatch, cs, measure, delta, n_starts=1, seed=3,
+            warm_starts=(warm,),
+        )
+        _, diag = synthesize_local(
+            cs, measure, delta, n_starts=1, seed=3, warm_starts=(warm,)
+        )
+        assert diag.restarts == cold.restarts + 1  # the warm start was taken
+
+    @pytest.mark.parametrize("measure", ["shannon", "guessing"])
+    def test_positive_class_count_crosses_eight(self, measure, monkeypatch):
+        # The batched objective must fold rows with 8 or more positive
+        # classes as their compacted 1-D sum does; these runs see both sides.
+        counts = set()
+        raw_rows = MeasureRow.raw_rows
+
+        def recording(self, sizes):
+            counts.update((sizes > 0).sum(axis=1).tolist())
+            return raw_rows(self, sizes)
+
+        monkeypatch.setattr(MeasureRow, "raw_rows", recording)
+        rng = np.random.default_rng(5200)
+        cs = random_classset(rng, 12)
+        assert_matches_oracle(monkeypatch, cs, measure, 0.3, n_starts=8, seed=1)
+        assert min(counts) < 8 <= max(counts)
+
+    def test_jump_lps_are_memoised(self, monkeypatch):
+        # the per-start search solves 23 jump LPs here, 9 of them repeats
+        rng = np.random.default_rng(5308)
+        cs = random_classset(rng, 8)
+        lockstep, per_start = assert_matches_oracle(
+            monkeypatch, cs, "guessing", 0.2, n_starts=8, seed=2
+        )
+        assert (lockstep, per_start) == (14, 23)
+
+    @pytest.mark.parametrize("n_starts", [-1, stochastic.MAX_STARTS + 1])
+    def test_start_count_is_checked_before_any_work(self, monkeypatch, n_starts):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the start count must be checked first")
+
+        monkeypatch.setattr(stochastic, "synthesize_det", no_work)
+        with pytest.raises(ValueError, match="n_starts must be in 0..1000"):
+            synthesize_local(tiny_instance(), "shannon", 0.1, n_starts=n_starts)
 
 
 @pytest.fixture(scope="module")
