@@ -90,23 +90,20 @@ def fit_buckets(scalar_times, n_buckets: int) -> BucketSet:
     csum = np.concatenate([[0.0], np.cumsum(counts)])
     vsum = np.concatenate([[0.0], np.cumsum(counts * values)])
 
-    def segment_cost(lo: int, hi: int) -> float:
-        # All times in values[lo..hi] snap up to values[hi].
-        return values[hi] * (csum[hi + 1] - csum[lo]) - (vsum[hi + 1] - vsum[lo])
-
-    inf = np.inf
-    cost = np.full((n_buckets + 1, d + 1), inf)
+    cost = np.full((n_buckets + 1, d + 1), np.inf)
     back = np.zeros((n_buckets + 1, d + 1), dtype=int)
     cost[0][0] = 0.0
     for j in range(1, n_buckets + 1):
         for r in range(j, d + 1):
-            best, best_lo = inf, -1
-            for lo in range(j - 1, r):
-                c = cost[j - 1][lo] + segment_cost(lo, r - 1)
-                if c < best:
-                    best, best_lo = c, lo
-            cost[j][r] = best
-            back[j][r] = best_lo
+            # Bucket j holds values[lo..r-1], all snapped up to values[r-1],
+            # for every lo in j-1..r-1; argmin keeps the first best lo.
+            lo = slice(j - 1, r)
+            c = cost[j - 1][lo] + (
+                values[r - 1] * (csum[r] - csum[lo]) - (vsum[r] - vsum[lo])
+            )
+            best = int(np.argmin(c))
+            cost[j][r] = c[best]
+            back[j][r] = j - 1 + best
     boundaries = []
     r = d
     for j in range(n_buckets, 0, -1):

@@ -35,11 +35,22 @@ class ConfigError(Exception):
     """Bad flags, bad config file, or an unusable flag combination."""
 
 
+def _setting(default, **metadata):
+    """A PipelineConfig field whose flag takes these argparse keywords."""
+    return dataclasses.field(default=default, metadata=metadata)
+
+
 @dataclass
 class PipelineConfig:
+    """Every setting of a run.  Each field but ``command`` is one flag of
+    every subcommand (``--`` and its name, ``_`` as ``-``) and one config
+    key.  Its annotation types the flag (``X | None`` takes an ``X``, a tuple
+    a comma list, a bool is a switch); its metadata holds the flag's
+    ``choices``, which bind config files too, or ``help``."""
+
     command: str = "enforce"
-    input: str | None = None
-    gen: str | None = None
+    input: str | None = _setting(None, help="dataset CSV path")
+    gen: str | None = _setting(None, choices=("mod_exp", "branch_loop"))
     n_bits: int = 10
     unit_cost: float = 1.0
     noise_sigma: float = 0.0
@@ -47,18 +58,25 @@ class PipelineConfig:
     slopes: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0)
     n_publics: int = 50
     epsilon: float = 1e-6
-    measure: str = "minguess"
+    measure: str = _setting("minguess", choices=tuple(m.value for m in EntropyMeasure))
     delta: float = 0.5
-    algo: str | None = None
+    algo: str | None = _setting(None, choices=("det", "stoch"))
     n_starts: int = 8
-    baseline: str = "double"
+    baseline: str = _setting("double", choices=("double", "bucketing"))
     buckets: int = 2
-    sweep: str | None = None
+    sweep: str | None = _setting(None, help="budget grid start:stop:step")
     seed: int = 0
-    out: str = "out"
+    out: str = _setting("out", help="output directory")
     max_depth: int = 6
     min_leaf: int = 1
     dump_tables: bool = False
+
+
+# The settings that are flags and config keys, and their resolved types.
+_SETTINGS = {
+    f.name: f for f in dataclasses.fields(PipelineConfig) if f.name != "command"
+}
+_HINTS = typing.get_type_hints(PipelineConfig)
 
 
 def _write_atomic(path: Path, write) -> Path:
@@ -459,72 +477,39 @@ def compare(config: PipelineConfig) -> list[Path]:
     return _announce([_write_rows(Path(config.out) / "compare.csv", header, rows)])
 
 
-# Allowed values of the string settings, for flags and config files alike.
-_CHOICES = {
-    "gen": ("mod_exp", "branch_loop"),
-    "measure": tuple(m.value for m in EntropyMeasure),
-    "algo": ("det", "stoch"),
-    "baseline": ("double", "bucketing"),
-}
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
 
 
-def _float_list(raw: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in str(raw).split(","))
-    except ValueError:
-        raise ConfigError(f"expected a comma-separated number list, got {raw!r}")
+def _comma_list(item: type):
+    """The flag parser of a tuple setting: comma-separated ``item`` values."""
+    noun = "integer" if item is int else "number"
 
+    def parse(raw: str) -> tuple:
+        try:
+            return tuple(item(v) for v in raw.split(","))
+        except ValueError:
+            raise ConfigError(f"expected a comma-separated {noun} list, got {raw!r}")
 
-def _int_list(raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in str(raw).split(","))
-    except ValueError:
-        raise ConfigError(f"expected a comma-separated integer list, got {raw!r}")
+    return parse
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="leakmit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "generate": "write a synthetic dataset CSV",
-        "cluster": "group secrets into observation classes",
-        "entropy": "report the leakage of a dataset",
-        "synthesize": "search for a mitigation policy",
-        "baseline": "run a reference mitigation",
-        "enforce": "full pipeline: synthesize, classify, pad, report",
-        "sweep": "synthesize across a budget grid",
-        "compare": "table of all mitigation approaches",
-    }
-    for name, help_text in commands.items():
-        p = sub.add_parser(name, help=help_text)
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON file with flag defaults")
-        p.add_argument("--input", help="dataset CSV path")
-        p.add_argument("--gen", choices=_CHOICES["gen"])
-        p.add_argument("--n-bits", dest="n_bits", type=int)
-        p.add_argument("--unit-cost", dest="unit_cost", type=float)
-        p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-        p.add_argument("--group-sizes", dest="group_sizes", type=_int_list)
-        p.add_argument("--slopes", type=_float_list)
-        p.add_argument("--n-publics", dest="n_publics", type=int)
-        p.add_argument("--epsilon", type=float)
-        p.add_argument("--measure", choices=_CHOICES["measure"])
-        p.add_argument("--delta", type=float)
-        p.add_argument("--algo", choices=_CHOICES["algo"])
-        p.add_argument("--n-starts", dest="n_starts", type=int)
-        p.add_argument("--baseline", choices=_CHOICES["baseline"])
-        p.add_argument("--buckets", type=int)
-        p.add_argument("--sweep", help="budget grid start:stop:step")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--max-depth", dest="max_depth", type=int)
-        p.add_argument("--min-leaf", dest="min_leaf", type=int)
-        p.add_argument("--dump-tables", dest="dump_tables", action="store_true",
-                       default=None)
+        for name, setting in _SETTINGS.items():
+            hint, keywords = _HINTS[name], dict(setting.metadata, dest=name)
+            if hint is bool:
+                keywords.update(action="store_true", default=None)
+            elif typing.get_origin(hint) is tuple:
+                keywords["type"] = _comma_list(typing.get_args(hint)[0])
+            else:  # X | None takes an X
+                keywords["type"] = (typing.get_args(hint) or (hint,))[0]
+            p.add_argument("--" + name.replace("_", "-"), **keywords)
     return parser
 
 
@@ -541,8 +526,6 @@ def _json_fits(value, hint) -> bool:
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
-    fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
-    hints = typing.get_type_hints(PipelineConfig)
     values = {"command": args.command}
     if args.config is not None:
         try:
@@ -554,23 +537,21 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
         for key, value in raw.items():
-            if key not in fields or key == "command":
+            if key not in _SETTINGS:
                 raise ConfigError(f"unknown config key {key!r}")
-            if not _json_fits(value, hints[key]):
+            if not _json_fits(value, _HINTS[key]):
                 raise ConfigError(
-                    f"config key {key!r} must be {fields[key].type}, got {value!r}"
+                    f"config key {key!r} must be {_SETTINGS[key].type}, got {value!r}"
                 )
             if isinstance(value, list):
-                value = tuple(map(typing.get_args(hints[key])[0], value))
+                value = tuple(map(typing.get_args(_HINTS[key])[0], value))
             values[key] = value
-    for name in fields:
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            values[name] = flag_value
+    flags = {name: getattr(args, name) for name in _SETTINGS}
+    values.update((name, v) for name, v in flags.items() if v is not None)
     config = PipelineConfig(**values)
-    for name, allowed in _CHOICES.items():
-        value = getattr(config, name)
-        if value is not None and value not in allowed:
+    for name, setting in _SETTINGS.items():
+        allowed, value = setting.metadata.get("choices"), getattr(config, name)
+        if allowed is not None and value is not None and value not in allowed:
             raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
     # Written as "not >=" so that NaN fails too.
     if not config.delta >= 0:
@@ -586,15 +567,16 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     return config
 
 
-_DISPATCH = {
-    "generate": cmd_generate,
-    "cluster": cmd_cluster,
-    "entropy": cmd_entropy,
-    "synthesize": cmd_synthesize,
-    "baseline": cmd_baseline,
-    "enforce": run_pipeline,
-    "sweep": sweep,
-    "compare": compare,
+# Each subcommand's function and help line.
+_COMMANDS = {
+    "generate": (cmd_generate, "write a synthetic dataset CSV"),
+    "cluster": (cmd_cluster, "group secrets into observation classes"),
+    "entropy": (cmd_entropy, "report the leakage of a dataset"),
+    "synthesize": (cmd_synthesize, "search for a mitigation policy"),
+    "baseline": (cmd_baseline, "run a reference mitigation"),
+    "enforce": (run_pipeline, "full pipeline: synthesize, classify, pad, report"),
+    "sweep": (sweep, "synthesize across a budget grid"),
+    "compare": (compare, "table of all mitigation approaches"),
 }
 
 
@@ -602,7 +584,8 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         config = _build_config(args)
-        _DISPATCH[config.command](config)
+        command, _ = _COMMANDS[config.command]
+        command(config)
         return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

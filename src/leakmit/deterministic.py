@@ -133,10 +133,10 @@ def synthesize_det(
         [[] for _ in range(k + 1)] for _ in range(k + 1)
     ]
     for i in range(1, k + 1):
-        value[i][1] = finalize(block_raw[0, i - 1], total)
         cost = block_cost[0, i - 1]
         if cost <= delta:
             states[i][1] = [(block_raw[0, i - 1], cost, 0, -1)]
+            value[i][1] = finalize(block_raw[0, i - 1], total)
             penalty[i][1] = cost
 
     for r in range(2, k + 1):
@@ -152,19 +152,15 @@ def synthesize_det(
             frontier = _pareto(candidates)
             states[i][r] = frontier
             if frontier:
-                best = max(frontier, key=lambda p: p[0])
-                value[i][r] = finalize(best[0], total)
-                penalty[i][r] = best[1]
+                # Values rise strictly along a frontier: its last point is best.
+                value[i][r] = finalize(frontier[-1][0], total)
+                penalty[i][r] = frontier[-1][1]
     # Identity (r = k) costs nothing, so some r is always feasible.
     feasible_r = [r for r in range(1, k + 1) if states[k][r]]
     chosen_r = max(feasible_r, key=lambda r: (value[k][r], -r))
 
-    best_idx = max(
-        range(len(states[k][chosen_r])),
-        key=lambda idx: states[k][chosen_r][idx][0],
-    )
     blocks: list[tuple[int, int]] = []
-    i, r, idx = k, chosen_r, best_idx
+    i, r, idx = k, chosen_r, len(states[k][chosen_r]) - 1
     while r > 0:
         raw, cost, j, prev_idx = states[i][r][idx]
         blocks.append((j, i - 1))

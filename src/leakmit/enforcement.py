@@ -250,15 +250,13 @@ def branch_loop_counts(
     return slope_per_secret[:, None] * dataset.grid.array[None, :]
 
 
-def counter_features(
-    dataset: TimingDataset, counts: np.ndarray, name: str = "iterations_per_unit"
-) -> FeatureTable:
+def counter_features(dataset: TimingDataset, counts: np.ndarray) -> FeatureTable:
     """Normalize raw counters by the public magnitude so features are stable."""
     counts = np.asarray(counts, dtype=float)
     if counts.shape != dataset.times.shape:
         raise ValueError("counts must be n_secrets x n_grid_points")
     per_unit = counts / dataset.grid.array
-    return FeatureTable((name,), per_unit[:, :, None], dataset.secrets)
+    return FeatureTable(("iterations_per_unit",), per_unit[:, :, None], dataset.secrets)
 
 
 def timing_features(dataset: TimingDataset) -> FeatureTable:

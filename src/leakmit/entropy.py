@@ -51,8 +51,7 @@ class MeasureRow:
 
     def raw(self, sizes: np.ndarray) -> float:
         """Raw value of a size vector: its non-empty classes' terms, folded."""
-        terms = self.term(sizes[sizes > 0])
-        return float(terms.min() if self.combine is min else terms.sum())
+        return float(self.raw_rows(sizes[None])[0])
 
     def raw_rows(self, sizes: np.ndarray) -> np.ndarray:
         """``raw`` of every row of an (n, k) stack of size vectors, bit for bit.

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 ROW_TOL = 1e-9
+DUST_TOL = 1e-9  # solver output entries smaller in magnitude are rounding dust
 
 
 @dataclass(frozen=True)
@@ -192,14 +193,14 @@ def policy_to_json(
     return data
 
 
-def sanitize_matrix(matrix: np.ndarray, zero_tol: float = 1e-9) -> np.ndarray:
+def sanitize_matrix(matrix: np.ndarray) -> np.ndarray:
     """Clean solver output: zero the forbidden triangle and dust entries, then
     absorb the row-sum deficit into each row's largest entry so the other
     probabilities (and the budget they price) stay untouched."""
     mat = np.array(matrix, dtype=float)
     k = mat.shape[0]
     mat[np.tril_indices(k, -1)] = 0.0
-    mat[np.abs(mat) < zero_tol] = 0.0
+    mat[np.abs(mat) < DUST_TOL] = 0.0
     mat = np.clip(mat, 0.0, 1.0)
     for i in range(k):
         row_sum = mat[i].sum()

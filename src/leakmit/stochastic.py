@@ -207,9 +207,8 @@ def synthesize_minguess(
             incumbent_obj = res.objective
             incumbent_z = np.round(z_vals).astype(int)
             return res.status
+        # Every z lies in [0, 1], so the one nearest 1/2 is the most fractional.
         branch_j = int(np.argmin(np.abs(z_vals - 0.5)))
-        if frac[branch_j] <= INT_TOL:
-            branch_j = int(np.argmax(frac))
         heapq.heappush(
             heap, (-res.objective, next(order), fixes, res.basis, branch_j)
         )
@@ -365,22 +364,24 @@ def synthesize_local(
     # row-sum equalities already cap each variable at one.
     iu, lp_eq, lp_eq_rhs, lp_ub, lp_ub_rhs = _upward_program(classes, delta)
     lp_bounds = [(0.0, None)] * iu[0].size
-    vertices: dict[bytes, np.ndarray | None] = {}
+    vertices: dict[bytes, np.ndarray] = {}
 
-    def vertex(grad: np.ndarray) -> np.ndarray | None:
-        """Best vertex of the feasible polytope for the gradient, or None.
+    def vertex(grad: np.ndarray) -> np.ndarray:
+        """Best vertex of the feasible polytope for the gradient.
 
         A convex objective peaks at a vertex, so following the linearization
         to its LP optimum escapes the interior points plain ascent stalls on.
-        Starts that stall at the same gradient share one LP.
+        The LP always has an optimum: the identity is feasible at zero cost,
+        and the row sums bound every variable.  Starts that stall at the
+        same gradient share one LP.
         """
         direction = grad[iu]
         key = direction.tobytes()
         if key not in vertices:
             res = solve_lp(direction, lp_ub, lp_ub_rhs, lp_eq, lp_eq_rhs, lp_bounds)
-            vertices[key] = (
-                _matrix_from_mu(res.x, iu, k) if res.status == "optimal" else None
-            )
+            if res.status != "optimal":
+                raise SolverError(f"vertex-jump LP is {res.status}")
+            vertices[key] = _matrix_from_mu(res.x, iu, k)
         return vertices[key]
 
     rng = np.random.default_rng(seed)
@@ -409,11 +410,7 @@ def synthesize_local(
     mu, value, grad = ascend(np.array(starts))
     live = np.arange(len(starts))
     for _ in range(5):
-        jumps = [(s, vert) for s in live if (vert := vertex(grad[s])) is not None]
-        if not jumps:
-            break
-        live = np.array([s for s, _ in jumps])
-        verts = np.array([vert for _, vert in jumps])
+        verts = np.array([vertex(grad[s]) for s in live])
         better = objective(verts) > value[live] + 1e-9
         live = live[better]
         if not live.size:

@@ -69,7 +69,6 @@ class TimingDataset:
     secrets: tuple[int, ...]
     grid: PublicGrid
     times: np.ndarray
-    noise_seed: int = 0
 
     def __post_init__(self):
         secrets = tuple(int(s) for s in self.secrets)
@@ -93,7 +92,7 @@ class TimingDataset:
         return len(self.secrets)
 
     def with_times(self, times: np.ndarray) -> "TimingDataset":
-        return TimingDataset(self.secrets, self.grid, times, self.noise_seed)
+        return TimingDataset(self.secrets, self.grid, times)
 
 
 def relative_overhead(original: TimingDataset, mitigated: TimingDataset) -> float:
@@ -137,7 +136,7 @@ def gen_mod_exp(
     grid = PublicGrid(tuple(float(y) for y in range(1, n_bits + 1)))
     base = unit_cost * setbits[:, None].astype(float) * grid.array[None, :]
     times = _apply_noise(base, noise_sigma, seed)
-    return TimingDataset(tuple(int(s) for s in secrets), grid, times, seed)
+    return TimingDataset(tuple(int(s) for s in secrets), grid, times)
 
 
 def gen_branch_loop(
@@ -170,7 +169,7 @@ def gen_branch_loop(
     grid = PublicGrid(tuple(float(y) for y in range(1, int(n_publics) + 1)))
     base = slope_per_secret[:, None] * grid.array[None, :]
     times = _apply_noise(base, noise_sigma, seed)
-    return TimingDataset(tuple(range(len(slope_per_secret))), grid, times, seed)
+    return TimingDataset(tuple(range(len(slope_per_secret))), grid, times)
 
 
 def write_table(path: str | Path, header: Sequence[str], blocks: Iterable) -> None:
@@ -221,8 +220,7 @@ def read_csv(path: str | Path) -> TimingDataset:
     """Load a dataset written by :func:`write_csv`.
 
     Every secret must be observed at every grid point exactly once.  Secrets
-    keep the order of their first row.  The noise seed is generation
-    metadata and is not stored in the CSV, so loaded datasets carry seed 0.
+    keep the order of their first row.
     """
     # One typed buffer per column: a row costs four machine numbers, not a
     # Python tuple.  Secrets may exceed int64, so each is stored as its row.
@@ -275,4 +273,4 @@ def read_csv(path: str | Path) -> TimingDataset:
     matrix = np.empty((len(secrets), grid_points.size))
     matrix.reshape(-1)[cell] = times
     grid = PublicGrid(tuple(grid_points.tolist()))
-    return TimingDataset(tuple(secrets), grid, matrix, noise_seed=0)
+    return TimingDataset(tuple(secrets), grid, matrix)

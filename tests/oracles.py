@@ -690,6 +690,41 @@ def bucket_oracle(times, n_buckets: int):
     return best, best_bounds
 
 
+def bucket_dp_loop_oracle(times, n_buckets: int):
+    """The bucketing dynamic program as a triple loop, one candidate at a
+    time with a strict ``<``: the earliest best split point wins.
+
+    Frozen as the tie-order reference for ``fit_buckets``; returns the
+    boundaries.
+    """
+    values, counts = np.unique(np.asarray(times, dtype=float), return_counts=True)
+    d = values.size
+    csum = np.concatenate([[0.0], np.cumsum(counts)])
+    vsum = np.concatenate([[0.0], np.cumsum(counts * values)])
+
+    def segment_cost(lo, hi):
+        return values[hi] * (csum[hi + 1] - csum[lo]) - (vsum[hi + 1] - vsum[lo])
+
+    cost = np.full((n_buckets + 1, d + 1), np.inf)
+    back = np.zeros((n_buckets + 1, d + 1), dtype=int)
+    cost[0][0] = 0.0
+    for j in range(1, n_buckets + 1):
+        for r in range(j, d + 1):
+            best, best_lo = np.inf, -1
+            for lo in range(j - 1, r):
+                c = cost[j - 1][lo] + segment_cost(lo, r - 1)
+                if c < best:
+                    best, best_lo = c, lo
+            cost[j][r] = best
+            back[j][r] = best_lo
+    boundaries = []
+    r = d
+    for j in range(n_buckets, 0, -1):
+        boundaries.append(float(values[r - 1]))
+        r = back[j][r]
+    return tuple(reversed(boundaries))
+
+
 # ---------------------------------------------------------------------------
 # decision stumps: exhaustive depth-1 search
 

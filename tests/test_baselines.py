@@ -10,7 +10,7 @@ from leakmit.baselines import (
 from leakmit.clustering import cluster_functions
 from leakmit.timing import PublicGrid, TimingDataset, gen_mod_exp
 
-from oracles import bucket_oracle
+from oracles import bucket_dp_loop_oracle, bucket_oracle
 
 
 def dataset_from_rows(rows):
@@ -84,6 +84,17 @@ class TestFitBuckets:
             )
             want_delay, _ = bucket_oracle(times, n)
             assert got_delay == pytest.approx(want_delay)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_loop_dp_on_ties(self, seed):
+        # Few distinct values on a coarse lattice: many split points tie, and
+        # the earliest best one must win, as in the one-at-a-time loop.
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            times = rng.integers(0, 5, size=int(rng.integers(1, 40))) * 0.25
+            for n in range(1, np.unique(times).size + 1):
+                got = fit_buckets(times, n).boundaries
+                assert got == bucket_dp_loop_oracle(times, n)
 
     def test_enough_buckets_mean_zero_delay(self):
         times = [4.0, 7.0, 7.0, 9.0]

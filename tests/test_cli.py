@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,7 +12,13 @@ import numpy as np
 import pytest
 
 from leakmit import cli
-from leakmit.cli import MAX_SWEEP_POINTS, ConfigError, _parse_sweep_grid, main
+from leakmit.cli import (
+    MAX_SWEEP_POINTS,
+    ConfigError,
+    PipelineConfig,
+    _parse_sweep_grid,
+    main,
+)
 from leakmit.errors import SolverError
 from leakmit.stochastic import MAX_STARTS
 from leakmit.timing import gen_branch_loop, gen_mod_exp, read_csv, write_csv
@@ -78,7 +86,7 @@ class TestExitCodes:
         def explode(config):
             raise SolverError("no policy")
 
-        monkeypatch.setitem(cli._DISPATCH, "cluster", explode)
+        monkeypatch.setitem(cli._COMMANDS, "cluster", (explode, "cluster"))
         assert run(["cluster"] + MOD_EXP, tmp_path) == 3
         assert "solver error" in capsys.readouterr().err
 
@@ -377,7 +385,7 @@ class TestGoldenSubcommands:
             ["synthesize", "--gen", "mod_exp", "--n-bits", "6", "--algo", "det",
              "--measure", "shannon", "--delta", "0.3", "--dump-tables"],
             {
-                "dp_tables.csv": "8ff05577683a717349c300e2c00b65e7f5665b895f51538b0fde5bcdeb2b29ac",
+                "dp_tables.csv": "8484ff9d9cf8b36dc46f4c55ad7910fa88b25e1bbddfd4468245b5583131a1ee",
                 "policy.json": "78d42b36741a65b9ec2195c795e67b2e86827ba09871fe146ba5eb13a54c4fe1",
             },
         ),
@@ -499,6 +507,20 @@ class TestCompare:
         )
 
 
+def other_than_default(field):
+    """A legal value of a PipelineConfig field that is not its default."""
+    default, choices = field.default, field.metadata.get("choices")
+    if choices:
+        return next(c for c in choices if c != default)
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, (int, float)):
+        return default + 1
+    if isinstance(default, tuple):
+        return default[::-1]
+    return "x"
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_win(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -579,6 +601,57 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "configuration error" in err
         assert "execution times must be finite" not in err
+
+    def test_list_values_reach_the_generator(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "gen": "branch_loop", "group_sizes": [2, 3], "slopes": [1, 2],
+        }))
+        assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        data = json.loads((tmp_path / "classes.json").read_text())
+        assert [c["size"] for c in data["classes"]] == [2, 3]
+
+    def test_bool_is_not_a_number(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gen": "mod_exp", "n_bits": 4, "seed": True}))
+        assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "config key 'seed' must be int" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, noun",
+        [(["--slopes", "1,x"], "number"), (["--group-sizes", "2,2.5"], "integer")],
+    )
+    def test_bad_list_flag(self, tmp_path, capsys, flags, noun):
+        rc = run(["cluster", "--gen", "branch_loop"] + flags, tmp_path)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"expected a comma-separated {noun} list, got '{flags[1]}'" in err
+
+    def test_every_setting_is_one_flag_and_one_config_key(self, tmp_path):
+        # PipelineConfig declares each setting once: every field but
+        # command is, in field order, one flag of every subcommand and one
+        # config key that sets that field.
+        names = [f.name for f in dataclasses.fields(PipelineConfig)][1:]
+        parser = cli._build_parser()
+        (sub,) = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == list(cli._COMMANDS) and len(sub.choices) == 8
+        for command, sub_parser in sub.choices.items():
+            actions = [a for a in sub_parser._actions if a.dest != "help"]
+            assert [a.dest for a in actions] == ["config"] + names
+            assert [a.option_strings for a in actions[1:]] == [
+                ["--" + name.replace("_", "-")] for name in names
+            ]
+        for field in dataclasses.fields(PipelineConfig)[1:]:
+            value = other_than_default(field)
+            cfg = tmp_path / f"{field.name}.json"
+            cfg.write_text(json.dumps({field.name: value}))
+            args = parser.parse_args(["cluster", "--config", str(cfg)])
+            assert getattr(cli._build_config(args), field.name) == value
+        cfg = tmp_path / "command.json"
+        cfg.write_text(json.dumps({"command": "cluster"}))
+        with pytest.raises(ConfigError, match="unknown config key 'command'"):
+            cli._build_config(parser.parse_args(["cluster", "--config", str(cfg)]))
 
     def test_unreadable_config(self, tmp_path):
         assert main(["cluster", "--config", str(tmp_path / "nope.json")]) == 1

@@ -178,6 +178,20 @@ class TestTables:
                 ).read_bytes()
 
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_value_is_minus_inf_exactly_where_penalty_is_inf(self, seed):
+        # A state reports a value only when one of its partitions fits the
+        # budget, one block (r = 1) included.
+        rng = np.random.default_rng(seed)
+        cs = random_classset(rng, int(rng.integers(1, 10)))
+        for delta in (0.0, *rng.uniform(0.0, 0.6, size=4), math.inf):
+            for measure in ALL_MEASURES:
+                _, tables = synthesize_det(cs, measure, delta)
+                assert np.array_equal(
+                    np.isneginf(tables.value), np.isposinf(tables.penalty)
+                )
+
+
 class TestBlockTables:
     @pytest.mark.parametrize("seed", range(5))
     def test_raw_is_the_measure_term_of_the_block_size(self, seed):

@@ -147,6 +147,19 @@ class TestMeasureTable:
         assert got.shape == (3 * k,)
         assert got.tolist() == [row.raw(s) for s in sizes]
 
+    @pytest.mark.parametrize("measure", list(EntropyMeasure))
+    @pytest.mark.parametrize("k", [1, 7, 8, 9, 16, 40])
+    def test_raw_is_the_one_dimensional_fold(self, measure, k):
+        # raw goes through raw_rows, so check both against a plain 1-D fold.
+        rng = np.random.default_rng(100 + k)
+        row = MEASURES[measure]
+        for n_zero in range(k):
+            sizes = rng.uniform(0.1, 300.0, size=k)
+            sizes[rng.permutation(k)[:n_zero]] = 0.0
+            terms = row.term(sizes[sizes > 0])
+            fold = terms.min() if measure is EntropyMeasure.MINGUESS else terms.sum()
+            assert row.raw(sizes) == float(fold)
+
     def test_raw_minguess_is_the_smallest_class(self):
         row = MEASURES[EntropyMeasure.MINGUESS]
         assert row.raw(np.array([0.0, 7.0, 3.0, 0.0, 9.0])) == 3.0

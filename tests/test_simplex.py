@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from leakmit import simplex
+from leakmit.errors import SolverError
 from leakmit.simplex import _pivot, solve_lp
 
 from oracles import lp_vertex_oracle, pivot_loop_oracle
@@ -70,6 +72,42 @@ class TestBasics:
     def test_constraint_shape_mismatch(self):
         with pytest.raises(ValueError):
             solve_lp([1.0, 2.0], a_ub=[[1.0]], b_ub=[1.0])
+
+
+class TestDegeneratePrograms:
+    # Beale's cycling example (Beale 1955, as a maximization): Dantzig
+    # pricing with the smallest-basis-index tie break cycles on it, so only
+    # the switch to Bland's rule after STALL_LIMIT stalled pivots ends it.
+    BEALE = {
+        "c": [0.75, -20.0, 0.5, -6.0],
+        "a_ub": [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0],
+                 [0.0, 0.0, 1.0, 0.0]],
+        "b_ub": [0.0, 0.0, 1.0],
+    }
+
+    def test_beale_cycling_program_reaches_the_optimum(self):
+        res = solve_lp(**self.BEALE)
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(1.25)
+        assert res.x == pytest.approx([1.0, 0.0, 1.0, 0.0])
+
+    def test_beale_program_cycles_without_blands_rule(self, monkeypatch):
+        monkeypatch.setattr(simplex, "STALL_LIMIT", simplex.MAX_ITERS)
+        monkeypatch.setattr(simplex, "MAX_ITERS", 1_000)
+        with pytest.raises(SolverError, match="iteration limit"):
+            solve_lp(**self.BEALE)
+
+    def test_duplicated_equality_row_is_dropped(self):
+        # The second equality is twice the first: phase one leaves its
+        # artificial basic in a row with no other entry and drops the row.
+        res = solve_lp(
+            [1.0, 1.0], a_ub=[[1.0, 0.0]], b_ub=[3.0],
+            a_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[4.0, 8.0],
+        )
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(4.0)
+        assert res.x.sum() == pytest.approx(4.0)
+        assert res.basis.size == 2  # three rows, one dropped
 
 
 class TestAgainstBasisEnumeration:

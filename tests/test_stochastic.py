@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leakmit.clustering import cluster_functions
+from leakmit.errors import SolverError
 from leakmit.deterministic import synthesize_det
 from leakmit.entropy import (
     MEASURES,
@@ -26,7 +27,7 @@ from leakmit.policy import (
     validate,
 )
 from leakmit import simplex, stochastic
-from leakmit.simplex import solve_lp
+from leakmit.simplex import LpResult, solve_lp
 from leakmit.timing import PublicGrid, TimingDataset
 from leakmit.stochastic import (
     _matrix_from_mu,
@@ -296,6 +297,19 @@ class TestLocalSearch:
         assert post_policy_entropy(
             warm, cs, EntropyMeasure.SHANNON
         ) >= post_policy_entropy(good, cs, EntropyMeasure.SHANNON) - 1e-9
+
+    @pytest.mark.parametrize("status", ["infeasible", "unbounded"])
+    def test_jump_lp_without_an_optimum_is_a_solver_error(self, status,
+                                                           monkeypatch):
+        # The identity is feasible at zero cost and the row sums bound every
+        # variable, so a jump LP always has an optimum; anything else is a
+        # fault, not a reason to stop jumping.
+        monkeypatch.setattr(
+            stochastic, "solve_lp", lambda *args, **kw: LpResult(status, None, np.nan)
+        )
+        with pytest.raises(SolverError, match=f"vertex-jump LP is {status}"):
+            synthesize_local(tiny_instance(), EntropyMeasure.SHANNON, 0.4,
+                             n_starts=2)
 
     def test_diagnostics_fields(self):
         cs = tiny_instance()
