@@ -17,7 +17,6 @@ from .baselines import (
 from .clustering import (
     ObservationClass,
     ObservationClassSet,
-    classset_from_json,
     classset_to_json,
     cluster_functions,
     penalty_matrix,
@@ -33,7 +32,6 @@ from .enforcement import (
     mod_exp_counts,
     timing_features,
     training_samples,
-    tree_from_json,
     tree_to_json,
 )
 from .entropy import EntropyMeasure, entropy, post_policy_entropy
@@ -85,7 +83,6 @@ __all__ = [
     "blocks_policy",
     "branch_loop_counts",
     "build_report",
-    "classset_from_json",
     "classset_to_json",
     "cluster_functions",
     "counter_features",
@@ -113,7 +110,6 @@ __all__ = [
     "synthesize_minguess",
     "timing_features",
     "training_samples",
-    "tree_from_json",
     "tree_to_json",
     "validate",
     "write_csv",

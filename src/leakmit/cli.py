@@ -25,7 +25,7 @@ from . import baselines, clustering, enforcement, timing
 from .deterministic import synthesize_det
 from .entropy import EntropyMeasure, entropy
 from .errors import SolverError
-from .policy import build_report, expected_overhead, expected_sizes, policy_to_json
+from .policy import build_report, expected_overhead, policy_to_json
 from .stochastic import MAX_STARTS, synthesize_local, synthesize_minguess
 
 __all__ = ["ConfigError", "PipelineConfig", "run_pipeline", "sweep", "compare", "main"]
@@ -154,27 +154,21 @@ def _entropies(sizes) -> dict[str, float]:
     return {m.value: entropy(sizes, m) for m in EntropyMeasure}
 
 
-def _synthesize(classes, config: PipelineConfig, algo: str, delta: float):
-    """Returns (policy, diagnostics or None, DP tables or None)."""
+def _solve(classes, config: PipelineConfig, algo: str, delta: float):
+    """Synthesize under ``delta`` and check the policy against it.
+
+    Returns (policy, report, diagnostics or None, DP tables or None)."""
     measure = EntropyMeasure(config.measure)
+    diag = tables = None
     if algo == "det":
         policy, tables = synthesize_det(classes, measure, delta)
-        return policy, None, tables
-    if measure is EntropyMeasure.MINGUESS:
+    elif measure is EntropyMeasure.MINGUESS:
         policy, diag = synthesize_minguess(classes, delta)
     else:
         policy, diag = synthesize_local(
             classes, measure, delta, n_starts=config.n_starts, seed=config.seed
         )
-    return policy, diag, None
-
-
-def _solve(classes, config: PipelineConfig, algo: str, delta: float):
-    """Synthesize under ``delta`` and check the policy against it.
-
-    Returns (policy, report, diagnostics or None, DP tables or None)."""
-    policy, diag, tables = _synthesize(classes, config, algo, delta)
-    return policy, build_report(policy, classes, config.measure, delta), diag, tables
+    return policy, build_report(policy, classes, measure, delta), diag, tables
 
 
 def _write_policy(out_dir: Path, policy, report, diag) -> Path:
@@ -470,9 +464,9 @@ def compare(config: PipelineConfig) -> list[Path]:
         _, after, overhead = _run_baseline(dataset, config, method)
         rows.append(row(method, after.k, after.sizes, overhead))
     for algo in ("det", "stoch"):
-        policy, _, _ = _synthesize(classes, config, algo, config.delta)
-        post = expected_sizes(policy, classes.sizes)
-        rows.append(row(algo, int((post > 1e-9).sum()), post,
+        policy, report, _, _ = _solve(classes, config, algo, config.delta)
+        post = report.expected_sizes
+        rows.append(row(algo, sum(c > 1e-9 for c in post), post,
                         expected_overhead(policy, classes)))
     return _announce([_write_rows(Path(config.out) / "compare.csv", header, rows)])
 
@@ -550,9 +544,9 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     values.update((name, v) for name, v in flags.items() if v is not None)
     config = PipelineConfig(**values)
     for name, setting in _SETTINGS.items():
-        allowed, value = setting.metadata.get("choices"), getattr(config, name)
-        if allowed is not None and value is not None and value not in allowed:
-            raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
+        choices, value = setting.metadata.get("choices"), getattr(config, name)
+        if choices is not None and value is not None and value not in choices:
+            raise ConfigError(f"{name} must be one of {choices}, got {value!r}")
     # Written as "not >=" so that NaN fails too.
     if not config.delta >= 0:
         raise ConfigError("delta must be >= 0")

@@ -35,7 +35,6 @@ __all__ = [
     "cluster_functions",
     "penalty_matrix",
     "classset_to_json",
-    "classset_from_json",
 ]
 
 # Re-clustering tolerance: padded functions that should coincide differ by rounding.
@@ -250,37 +249,3 @@ def classset_to_json(cs: ObservationClassSet) -> dict:
         "penalty": penalty,
         "total_size": cs.total_size,
     }
-
-
-def classset_from_json(data: dict) -> ObservationClassSet:
-    """Inverse of :func:`classset_to_json`.
-
-    Ids must be 0..k-1 in order, and every ``size`` and the ``total_size``
-    must count the members listed.
-    """
-    grid = PublicGrid(tuple(data["grid"]))
-    ids = [c["id"] for c in data["classes"]]
-    if ids != list(range(len(ids))):
-        raise ValueError(f"class ids must be 0..k-1 in order, got {ids}")
-    classes = tuple(
-        ObservationClass(
-            np.asarray(c["representative"], dtype=float),
-            frozenset(int(m) for m in c["members"]),
-        )
-        for c in data["classes"]
-    )
-    penalty = np.asarray(
-        [[np.inf if v is None else float(v) for v in row] for row in data["penalty"]]
-    )
-    cs = ObservationClassSet(grid, classes, penalty)
-    for i, (c, written) in enumerate(zip(cs.classes, data["classes"])):
-        if written["size"] != c.size:
-            raise ValueError(
-                f"class {i} has size {written['size']} but {c.size} members"
-            )
-    if data["total_size"] != cs.total_size:
-        raise ValueError(
-            f"total_size is {data['total_size']} but the classes list "
-            f"{cs.total_size} members"
-        )
-    return cs

@@ -45,7 +45,6 @@ __all__ = [
     "enforce",
     "report_to_json",
     "tree_to_json",
-    "tree_from_json",
 ]
 
 # Cuts whose Gini values the split search computes at once.  It bounds the
@@ -392,17 +391,6 @@ def _node_to_json(node) -> dict:
     }
 
 
-def _node_from_json(data: dict):
-    if data["kind"] == "leaf":
-        return TreeLeaf(int(data["class_id"]))
-    return TreeSplit(
-        int(data["feature"]),
-        float(data["threshold"]),
-        _node_from_json(data["left"]),
-        _node_from_json(data["right"]),
-    )
-
-
 def tree_to_json(tree: DecisionTree) -> dict:
     return {
         "feature_names": list(tree.feature_names),
@@ -410,12 +398,3 @@ def tree_to_json(tree: DecisionTree) -> dict:
         "train_accuracy": tree.train_accuracy,
         "root": _node_to_json(tree.root),
     }
-
-
-def tree_from_json(data: dict) -> DecisionTree:
-    return DecisionTree(
-        _node_from_json(data["root"]),
-        tuple(data["feature_names"]),
-        int(data["max_depth"]),
-        float(data["train_accuracy"]),
-    )

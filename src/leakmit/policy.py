@@ -33,6 +33,7 @@ __all__ = [
 
 ROW_TOL = 1e-9
 DUST_TOL = 1e-9  # solver output entries smaller in magnitude are rounding dust
+BUDGET_TOL = 1e-9  # a policy is within budget when its overhead is <= delta + this
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,7 @@ def build_report(
     if abs(float(post.sum()) - float(sizes.sum())) > 1e-6:
         raise InfeasiblePolicyError("expected sizes do not conserve total size")
     overhead = expected_overhead(policy, classes)
-    if overhead > delta + 1e-9:
+    if overhead > delta + BUDGET_TOL:
         raise InfeasiblePolicyError(
             f"expected overhead {overhead!r} exceeds budget {delta!r}"
         )

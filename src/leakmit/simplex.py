@@ -10,7 +10,8 @@ Solves
 with a classic tableau method: finite upper bounds become extra rows, lower
 bounds are shifted out, rows are normalized to non-negative right-hand sides,
 and artificials are introduced for equality and flipped rows.  Phase one
-minimizes the artificial mass; phase two optimizes the caller's objective.
+minimizes the artificial mass, then drops the artificial columns; phase two
+optimizes the caller's objective.
 Dantzig pricing is used until the objective stalls, then Bland's rule takes
 over so degenerate programs cannot cycle.  Problem data here is small and
 rationally scaled, so the default tolerances resolve vertices to ~1e-9.
@@ -85,13 +86,12 @@ def _run_simplex(
     tableau: np.ndarray,
     basis: np.ndarray,
     costs: np.ndarray,
-    allowed: np.ndarray,
 ) -> str:
     """Maximize costs.x in place.  Returns "optimal" or "unbounded"."""
     z, obj = _reduced_costs(tableau, basis, costs)
     stall = 0
     for _ in range(MAX_ITERS):
-        candidates = (allowed & (z < -COST_TOL)).nonzero()[0]
+        candidates = (z < -COST_TOL).nonzero()[0]
         if not candidates.size:
             return "optimal"
         if stall <= STALL_LIMIT:
@@ -117,8 +117,9 @@ def _run_simplex(
 def _cold_start(rows_a: np.ndarray, rhs: np.ndarray, m_ub: int):
     """Phase one from the slack and artificial basis.
 
-    Returns ``(tableau, basis, allowed)`` at a feasible basis with every
-    artificial out of it, or "infeasible".
+    Returns ``(tableau, basis)`` over the structural and slack columns at a
+    feasible basis, or "infeasible".  Every artificial has left the basis or
+    its redundant row was dropped, so its column goes too.
     """
     m, n = rows_a.shape
     flip = rhs < 0
@@ -146,11 +147,10 @@ def _cold_start(rows_a: np.ndarray, rhs: np.ndarray, m_ub: int):
     basis[:m_ub] = slack_cols
     basis[art_rows] = art_cols
 
-    allowed = np.ones(width, dtype=bool)
     if n_art:
         phase1 = np.zeros(width)
         phase1[n + n_slack :] = -1.0
-        status = _run_simplex(tableau, basis, phase1, allowed)
+        status = _run_simplex(tableau, basis, phase1)
         if status != "optimal":
             raise SolverError("phase one cannot be unbounded")
         _, p1_obj = _reduced_costs(tableau, basis, phase1)
@@ -167,17 +167,17 @@ def _cold_start(rows_a: np.ndarray, rhs: np.ndarray, m_ub: int):
                     _pivot(tableau, basis, r, int(pivot_cols[0]))
                 else:
                     keep[r] = False
-        tableau = tableau[keep]
+        columns = np.r_[: n + n_slack, width]
+        tableau = tableau[np.ix_(keep, columns)]
         basis = basis[keep]
-        allowed[n + n_slack :] = False
-    return tableau, basis, allowed
+    return tableau, basis
 
 
 def _warm_start(rows_a: np.ndarray, rhs: np.ndarray, m_ub: int,
                 obj: np.ndarray, basis):
     """The tableau of a given basis, made primal feasible by the dual simplex.
 
-    Returns ``(tableau, basis, allowed)``, "infeasible" when a row proves the
+    Returns ``(tableau, basis)``, "infeasible" when a row proves the
     program has no solution, or None when the basis is of no use here (wrong
     shape, singular, only tiny pivots in a leaving row, or the dual phase hit
     its iteration cap); the caller then solves cold.  A reduced cost below
@@ -213,7 +213,7 @@ def _warm_start(rows_a: np.ndarray, rhs: np.ndarray, m_ub: int,
     for _ in range(DUAL_MAX_ITERS):
         short = (tableau[:, -1] < -FEAS_TOL).nonzero()[0]
         if not short.size:
-            return tableau, basis, np.ones(width, dtype=bool)
+            return tableau, basis
         # Bland's rule: the smallest basic index leaves.
         row = int(short[basis[short].argmin()])
         entries = tableau[row, :-1]
@@ -277,30 +277,23 @@ def solve_lp(
     b_ub_s = b_ub - a_ub @ lo
     b_eq_s = b_eq - a_eq @ lo
     finite_ub = np.flatnonzero(np.isfinite(hi))
-    if finite_ub.size:
-        rows = np.zeros((finite_ub.size, n))
-        rows[np.arange(finite_ub.size), finite_ub] = 1.0
-        a_ub_s = np.vstack([a_ub, rows])
-        b_ub_s = np.concatenate([b_ub_s, hi[finite_ub] - lo[finite_ub]])
-    else:
-        a_ub_s = a_ub
-
-    m_ub, m_eq = a_ub_s.shape[0], a_eq.shape[0]
-    m = m_ub + m_eq
-    rows_a = np.vstack([a_ub_s, a_eq]) if m else np.zeros((0, n))
-    rhs = np.concatenate([b_ub_s, b_eq_s])
+    bound_rows = np.zeros((finite_ub.size, n))
+    bound_rows[np.arange(finite_ub.size), finite_ub] = 1.0
+    m_ub = b_ub.size + finite_ub.size
+    rows_a = np.vstack([a_ub, bound_rows, a_eq])
+    rhs = np.concatenate([b_ub_s, hi[finite_ub] - lo[finite_ub], b_eq_s])
 
     start = None if basis is None else _warm_start(rows_a, rhs, m_ub, obj, basis)
     if start is None:
         start = _cold_start(rows_a, rhs, m_ub)
     if start == "infeasible":
         return LpResult("infeasible", None, np.nan)
-    tableau, basis, allowed = start
+    tableau, basis = start
 
-    width = allowed.size
+    width = tableau.shape[1] - 1
     full_costs = np.zeros(width)
     full_costs[:n] = obj
-    status = _run_simplex(tableau, basis, full_costs, allowed)
+    status = _run_simplex(tableau, basis, full_costs)
     if status == "unbounded":
         return LpResult("unbounded", None, np.nan)
 

@@ -57,6 +57,7 @@ from .clustering import ObservationClassSet
 from .entropy import MEASURES, EntropyMeasure
 from .errors import SolverError
 from .policy import (
+    BUDGET_TOL,
     MitigationPolicy,
     full_merge_policy,
     identity_policy,
@@ -93,7 +94,7 @@ class SolveDiagnostics:
     restarts: int
     best_bound: float
     objective: float
-    status: str  # "optimal" | "feasible" | "budget-infeasible"
+    status: str  # "optimal" (branch and bound) | "feasible" (local search)
 
 
 def _move_cost(classes: ObservationClassSet) -> np.ndarray:
@@ -343,7 +344,7 @@ def synthesize_local(
                 lazy = fix[np.isnan(mu_over[fix])]
                 mu_over[lazy] = overhead(mu[lazy])
                 base, base_over = cur[repair], mu_over[fix]
-                # A start already past the line (a warm start within 1e-9)
+                # A start already past the line (a warm start within BUDGET_TOL)
                 # whose trial costs exactly as much gets lam = -inf -> 0.
                 with np.errstate(divide="ignore"):
                     lam = (delta - base_over) / (over[repair] - base_over)
@@ -402,7 +403,7 @@ def synthesize_local(
     starts += list(lam[:, None, None] * rand + (1.0 - lam)[:, None, None] * np.eye(k))
     for extra in warm_starts:
         extra = np.asarray(extra, dtype=float)
-        if extra.shape == (k, k) and overhead(extra[None])[0] <= delta + 1e-9:
+        if extra.shape == (k, k) and overhead(extra[None])[0] <= delta + BUDGET_TOL:
             starts.append(np.clip(extra, 0.0, 1.0))
 
     # Ascend every start, then jump every start that stalled below a better
@@ -431,7 +432,7 @@ def synthesize_local(
         # zero-cost identity restores feasibility at negligible objective cost.
         lam = (delta / over) * (1.0 - 1e-12) if over > 0 else 0.0
         mat = lam * mat + (1.0 - lam) * np.eye(k)
-    if overhead(mat[None])[0] > delta + 1e-9:
+    if overhead(mat[None])[0] > delta + BUDGET_TOL:
         raise SolverError("sanitized policy slipped past the budget")
     policy = MitigationPolicy(mat, deterministic=False)
     diagnostics = SolveDiagnostics(

@@ -20,6 +20,7 @@ from leakmit.cli import (
     main,
 )
 from leakmit.errors import SolverError
+from leakmit.policy import full_merge_policy
 from leakmit.stochastic import MAX_STARTS
 from leakmit.timing import gen_branch_loop, gen_mod_exp, read_csv, write_csv
 
@@ -505,6 +506,19 @@ class TestCompare:
         assert float(by_method["stoch"]["minguess"]) >= float(
             by_method["det"]["minguess"]
         )
+
+    @pytest.mark.parametrize("command", ["synthesize", "compare"])
+    def test_over_budget_policy_is_a_data_error(self, tmp_path, monkeypatch,
+                                                capsys, command):
+        # Every reported policy is checked against its budget: the full merge
+        # costs 0.43 of the time here, so at delta 0 no row may be written.
+        def full_merge(classes, measure, delta):
+            return full_merge_policy(classes.k), None
+
+        monkeypatch.setattr(cli, "synthesize_det", full_merge)
+        assert run([command] + BRANCH + ["--delta", "0"], tmp_path) == 2
+        assert "exceeds budget 0.0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def other_than_default(field):
