@@ -3,10 +3,23 @@
 Two secrets belong to the same observation class when their timing functions
 are indistinguishable up to a tolerance: classes are built by complete-linkage
 agglomerative clustering under the mean absolute (L1) distance, merging while
-the closest pair of clusters is within epsilon.  The greedy merge caches each
-row's nearest neighbour and its distance (Muellner 2011, the "generic
-algorithm"), so on U distinct rows it costs O(U^2) rather than a full matrix
-rescan per merge, and it merges tied pairs in the same order as that rescan.
+the closest pair of clusters is within epsilon.
+
+The U distinct rows are clustered in blocks.  Sorted by row mean, they are
+cut wherever two neighbouring means differ by more than epsilon (plus a
+rounding margin).  As mean|x - y| >= |mean x - mean y|, no pair across a
+cut is within epsilon, and complete-linkage distances only grow as clusters
+merge, so every merge stays inside one block.  A block whose rows all lie
+within epsilon / 2 of its first row has every pair within epsilon (mean-L1
+is a metric), so it is one class, found at O(b P) cost for b rows on P grid
+points.  Any other block builds its own b x b distance matrix and runs the
+greedy merge on it, which caches each row's nearest neighbour and its
+distance (Muellner 2011, the "generic algorithm") and merges tied pairs in
+the same order as a full matrix rescan per merge.  A block keeps its rows
+in ascending index, so its ties resolve as in one linkage over all U rows
+and the partition is that linkage's.  The cost is O(U P) when every block
+is tight and O(sum of b^2 P) over the other blocks, not O(U^2 P).
+
 A class's representative is the mean of its members' rows of the dataset's
 ``times``; the class set stacks them into one read-only ``representatives``
 matrix, one row per class, and a class's position in the set is its id.
@@ -135,10 +148,16 @@ def _unique_rows(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mean_l1_matrix(rows: np.ndarray) -> np.ndarray:
-    n = rows.shape[0]
+    n, p = rows.shape
     dist = np.zeros((n, n))
+    # One buffer for every row's differences; add.reduce then / p is what
+    # mean computes, so entries equal a full-row mean bit for bit.
+    buf = np.empty((max(n - 1, 0), p))
     for i in range(n - 1):
-        upper = np.abs(rows[i + 1:] - rows[i]).mean(axis=1)
+        diff = buf[: n - 1 - i]
+        np.subtract(rows[i + 1:], rows[i], out=diff)
+        np.abs(diff, out=diff)
+        upper = np.add.reduce(diff, axis=1) / p
         dist[i, i + 1:] = upper
         dist[i + 1:, i] = upper
     return dist
@@ -181,6 +200,42 @@ def _complete_linkage_groups(dist: np.ndarray, epsilon: float) -> list[list[int]
     return [groups[g] for g in sorted(groups)]
 
 
+# Relative slack on the mean cut and the radius test.  Times are finite and
+# non-negative, so a computed row mean or mean-L1 distance, a P-term sum,
+# is within about (P + 1) u of exact relative (u = 2^-53); 1e-9 covers that
+# for any grid below 10^6 points.
+_ROUNDING = 1e-9
+
+
+def _linkage_groups(rows: np.ndarray, epsilon: float) -> list[np.ndarray]:
+    """Complete-linkage groups of non-negative ``rows`` at epsilon.
+
+    The same partition as ``_complete_linkage_groups`` over the full
+    ``_mean_l1_matrix(rows)``, computed block by block (see the module
+    docstring).  Each group holds row indices.
+    """
+    with np.errstate(over="ignore"):
+        means = rows.mean(axis=1)
+    order = np.argsort(means, kind="stable")
+    ordered = means[order]
+    # A row sum near the float maximum overflows to inf although its
+    # distances are finite.  Those means sort last, so cutting only among
+    # the finite ones never cuts next to a non-finite mean.
+    finite = ordered[np.isfinite(ordered)]
+    gap = epsilon + _ROUNDING * (epsilon + finite.max(initial=0.0))
+    cuts = np.flatnonzero(np.diff(finite) > gap) + 1
+    groups = []
+    for block in np.split(order, cuts):
+        block = np.sort(block)
+        radius = np.abs(rows[block] - rows[block[0]]).mean(axis=1).max()
+        if 2 * radius <= epsilon * (1 - _ROUNDING):
+            groups.append(block)
+        else:
+            dist = _mean_l1_matrix(rows[block])
+            groups.extend(block[g] for g in _complete_linkage_groups(dist, epsilon))
+    return groups
+
+
 def penalty_matrix(representatives: np.ndarray, baseline_mean: float) -> np.ndarray:
     """Relative cost of lifting representative i onto representative j.
 
@@ -206,10 +261,9 @@ def cluster_functions(dataset: TimingDataset, epsilon: float) -> ObservationClas
         raise ValueError("epsilon must be positive")
     times = dataset.times
     # Identical rows always merge first at distance zero and never change a
-    # complete-linkage distance, so collapse them before the O(U^2) linkage.
+    # complete-linkage distance, so collapse them before the linkage.
     uniq, inverse = _unique_rows(times)
-    dist = _mean_l1_matrix(uniq)
-    groups = _complete_linkage_groups(dist, float(epsilon))
+    groups = _linkage_groups(uniq, float(epsilon))
 
     drafts = []
     for group in groups:

@@ -4,17 +4,19 @@ import math
 import numpy as np
 import pytest
 
+from leakmit import clustering
 from leakmit.clustering import (
     ObservationClass,
     ObservationClassSet,
     _complete_linkage_groups,
+    _linkage_groups,
     _mean_l1_matrix,
     _unique_rows,
     classset_to_json,
     cluster_functions,
     penalty_matrix,
 )
-from leakmit.timing import PublicGrid, TimingDataset, gen_mod_exp
+from leakmit.timing import PublicGrid, TimingDataset, gen_branch_loop, gen_mod_exp
 
 from conftest import BINOMIAL_SIZES
 from oracles import (
@@ -32,6 +34,14 @@ def dataset_from_rows(rows, grid_points=None):
     return TimingDataset(
         tuple(range(rows.shape[0])), PublicGrid(grid_points), rows
     )
+
+
+def tie_heavy_rows(seed):
+    """80 small matrices of integer times 0..3, so many distances tie."""
+    rng = np.random.default_rng(seed)
+    for _ in range(80):
+        n = int(rng.integers(2, 61))
+        yield rng.integers(0, 4, size=(n, int(rng.integers(1, 4)))).astype(float)
 
 
 class TestClusterFunctions:
@@ -114,11 +124,8 @@ class TestLinkageTieOrder:
 
     @pytest.mark.parametrize("eps", [0.5, 1.0, 1.5, 2.0, 3.0])
     def test_tie_heavy_inputs_match_greedy_oracle(self, eps):
-        rng = np.random.default_rng(int(eps * 10))
-        for _ in range(80):
-            n = int(rng.integers(2, 61))
-            rows = rng.integers(0, 4, size=(n, int(rng.integers(1, 4))))
-            dist = _mean_l1_matrix(rows.astype(float))
+        for rows in tie_heavy_rows(int(eps * 10)):
+            dist = _mean_l1_matrix(rows)
             want = greedy_linkage_oracle(dist, eps)
             assert _complete_linkage_groups(dist.copy(), eps) == want, rows
 
@@ -151,6 +158,117 @@ class TestLinkageTieOrder:
         assert len(uniq) < len(times)
         assert np.array_equal(uniq, want_uniq)
         assert np.array_equal(inverse, want_inverse)
+
+
+class TestBlockedLinkage:
+    """Clustering block by block, split at wide mean gaps and with tight
+    blocks taken whole, gives the partition of one greedy linkage over the
+    full distance matrix."""
+
+    @staticmethod
+    def assert_exact(rows, eps):
+        rows = np.asarray(rows, dtype=float)
+        got = {frozenset(int(i) for i in g) for g in _linkage_groups(rows, eps)}
+        want = greedy_linkage_oracle(_mean_l1_matrix(rows), eps)
+        assert got == {frozenset(g) for g in want}, (rows, eps)
+
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_tie_heavy_inputs(self, eps):
+        for rows in tie_heavy_rows(int(eps * 10)):
+            self.assert_exact(rows, eps)
+            self.assert_exact(_unique_rows(rows)[0], eps)
+
+    @pytest.mark.parametrize("sigma", [0.02, 0.1, 0.4])
+    def test_noisy_clusters(self, sigma):
+        rng = np.random.default_rng(int(sigma * 100))
+        centres = rng.uniform(0.0, 10.0, size=(6, 8))
+        rows = np.repeat(centres, 25, axis=0)
+        rows = np.clip(rows + rng.normal(0.0, sigma, rows.shape), 0.0, None)
+        rows = rows[rng.permutation(len(rows))]
+        for eps in (0.05, 0.3, 1.0, 3.0):
+            self.assert_exact(rows, eps)
+
+    @pytest.mark.parametrize("scale", [1 - 1e-12, 1.0, 1 + 1e-12])
+    def test_mean_gaps_at_epsilon(self, scale):
+        rng = np.random.default_rng(2)
+        for _ in range(40):
+            eps = float(rng.uniform(0.1, 5.0))
+            base = rng.uniform(0.0, 20.0, size=int(rng.integers(1, 9)))
+            steps = np.arange(int(rng.integers(2, 6)))[:, None] * (eps * scale)
+            rows = base + steps
+            self.assert_exact(rows[rng.permutation(len(rows))], eps)
+
+    def test_epsilon_equal_to_a_computed_distance(self):
+        # The pair is exactly at the tolerance, so it merges, and rounding
+        # can leave its computed means a hair more than eps apart.
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            x = rng.uniform(0.0, 100.0, size=int(rng.integers(2, 40)))
+            rows = np.array([x, x + rng.uniform(0.0, 2.0, size=x.shape)])
+            self.assert_exact(rows, float(_mean_l1_matrix(rows)[0, 1]))
+
+    @pytest.mark.parametrize("eps", [1.0, 1.5, 2.0, 2.5])
+    def test_radius_at_half_epsilon(self, eps):
+        # Row 0 is the block's first row and lies between the others, so the
+        # block's radius is eps / 2 at eps = 2 (and at eps = 1 in 2-D).
+        self.assert_exact([[1.0], [0.0], [2.0]], eps)
+        self.assert_exact([[1.0, 1.0], [0.0, 1.0], [1.0, 2.0]], eps)
+
+    def test_radius_at_half_epsilon_after_rounding(self):
+        # Rows r0 + d and r0 - d around the first row r0: at eps twice the
+        # larger computed radius, rounding can put the outer pair a hair
+        # above eps, so the radius test must keep a margin.
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            r0 = rng.uniform(10.0, 20.0, size=int(rng.integers(2, 12)))
+            d = rng.uniform(0.0, 3.0, size=r0.shape)
+            rows = np.array([r0, r0 + d, r0 - d])
+            dist = _mean_l1_matrix(rows)
+            self.assert_exact(rows, 2 * max(dist[0, 1], dist[0, 2]))
+
+    def test_single_row_blocks(self):
+        rows = np.arange(12.0)[::-1, None] * 10.0 + [0.0, 1.0, 2.0]
+        for eps in (1e-9, 1.0, 9.9, 10.0, 25.0):
+            self.assert_exact(rows, eps)
+
+    @pytest.mark.parametrize("eps", [1e-9, 1.0, math.inf])
+    def test_one_row(self, eps):
+        self.assert_exact([[3.0, 4.0]], eps)
+
+    def test_infinite_epsilon(self):
+        rows = np.random.default_rng(4).uniform(0.0, 1e6, size=(30, 5))
+        assert len(_linkage_groups(rows, math.inf)) == 1
+        self.assert_exact(rows, math.inf)
+
+    def test_row_sums_that_overflow(self):
+        # Means of the last two rows overflow to inf while every distance
+        # stays finite, so those rows must not be cut from the rest.
+        v = np.finfo(float).max / 4
+        rows = np.array([
+            [v, v, v, 0.97 * v],
+            [v, v, v, 1.01 * v],
+            [v, v, v, 0.99 * v],
+            [v, v, v, 1.03 * v],
+            [0.5 * v, 0.5 * v, 0.5 * v, 0.5 * v],
+        ])
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(rows.mean(axis=1)[[1, 3]]).any()
+        for eps in (0.004 * v, 0.01 * v, 0.03 * v, 0.5 * v, v):
+            self.assert_exact(rows, eps)
+
+    def test_tight_input_never_builds_the_pairwise_matrix(self, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("built the pairwise distance matrix")
+
+        monkeypatch.setattr(clustering, "_mean_l1_matrix", refuse)
+        ds = gen_branch_loop(
+            (20, 20, 20, 40), (1.0, 2.0, 3.0, 4.0), noise_sigma=0.05, seed=1
+        )
+        cs = cluster_functions(ds, 1.0)
+        bounds = [0, 20, 40, 60, 100]
+        assert [c.members for c in cs.classes] == [
+            frozenset(range(a, b)) for a, b in zip(bounds, bounds[1:])
+        ]
 
 
 class TestPenaltyMatrix:
