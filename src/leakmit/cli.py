@@ -558,6 +558,8 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
             raise ConfigError(f"{name} must be >= {low}")
     if config.n_starts > MAX_STARTS:
         raise ConfigError(f"n_starts must be <= {MAX_STARTS}")
+    if config.max_depth > enforcement.MAX_DEPTH:
+        raise ConfigError(f"max_depth must be <= {enforcement.MAX_DEPTH}")
     return config
 
 

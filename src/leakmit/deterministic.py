@@ -77,18 +77,16 @@ def _block_tables(classes: ObservationClassSet, measure: EntropyMeasure):
     sizes = classes.sizes
     k = classes.k
     total = sizes.sum()
-    weights = sizes / total
-    pen = classes.penalty
-    block_cost = np.zeros((k, k))
+    # Each column of the upper triangle summed upward from its diagonal.  The
+    # rows below hold +0.0, so entry [lo, hi] adds rows hi, hi - 1, ..., lo
+    # one at a time, in that order.
+    cost = np.triu((sizes / total)[:, None] * classes.penalty)
+    block_cost = np.cumsum(cost[::-1], axis=0)[::-1]
+    size = np.triu(np.broadcast_to(sizes[:, None], (k, k)))
+    block_size = np.cumsum(size[::-1], axis=0)[::-1]
+    upper = np.triu_indices(k)
     block_raw = np.zeros((k, k))
-    for hi in range(k):
-        cost = 0.0
-        size = 0.0
-        for lo in range(hi, -1, -1):
-            cost += weights[lo] * pen[lo, hi]
-            size += sizes[lo]
-            block_cost[lo, hi] = cost
-            block_raw[lo, hi] = term(size)
+    block_raw[upper] = term(block_size[upper])
     return block_cost, block_raw, total
 
 
@@ -127,19 +125,14 @@ def synthesize_det(
     value = np.full((k + 1, k + 1), -np.inf)
     penalty = np.full((k + 1, k + 1), np.inf)
 
-    # states[i] holds the frontier for (i, r) at the r currently being filled;
-    # each point is (raw objective, spent budget, predecessor i, point index).
+    # states[i][r] is the frontier of (i, r); each point is (raw objective,
+    # spent budget, predecessor i, point index).  The empty partition seeds
+    # it with the fold's identity at no cost, so r = 1 is no special case.
     states: list[list[list[tuple[float, float, int, int]]]] = [
         [[] for _ in range(k + 1)] for _ in range(k + 1)
     ]
-    for i in range(1, k + 1):
-        cost = block_cost[0, i - 1]
-        if cost <= delta:
-            states[i][1] = [(block_raw[0, i - 1], cost, 0, -1)]
-            value[i][1] = finalize(block_raw[0, i - 1], total)
-            penalty[i][1] = cost
-
-    for r in range(2, k + 1):
+    states[0][0] = [(np.inf if combine is min else 0.0, 0.0, 0, 0)]
+    for r in range(1, k + 1):
         for i in range(r, k + 1):
             candidates: list[tuple[float, float, int, int]] = []
             for j in range(r - 1, i):

@@ -31,6 +31,7 @@ from .policy import MitigationPolicy, ensure_valid
 from .timing import TimingDataset, relative_overhead
 
 __all__ = [
+    "MAX_DEPTH",
     "FeatureTable",
     "TreeLeaf",
     "TreeSplit",
@@ -50,6 +51,11 @@ __all__ = [
 # Cuts whose Gini values the split search computes at once.  It bounds the
 # (cuts x classes) float temporaries on features with many distinct values.
 SPLIT_BLOCK = 4096
+
+# Deepest tree ``learn_tree`` grows.  Growing the tree, and writing it out
+# as JSON, recurse once per level, so the cap stays well below the
+# interpreter's recursion limit (1 000 by default).
+MAX_DEPTH = 256
 
 
 @dataclass(frozen=True)
@@ -126,11 +132,6 @@ def _gini(counts: np.ndarray) -> np.ndarray:
     return 1.0 - (p * p).sum(axis=-1)
 
 
-def _majority(labels: np.ndarray) -> int:
-    ids, counts = np.unique(labels, return_counts=True)
-    return int(ids[np.argmax(counts)])  # np.argmax takes the smallest id on ties
-
-
 def _best_cut(
     xs: np.ndarray, ys: np.ndarray, totals: np.ndarray, min_leaf: int
 ) -> tuple[float, int] | None:
@@ -173,8 +174,9 @@ def _midpoint(a: float, b: float) -> float:
 def _grow(x: np.ndarray, y: np.ndarray, depth: int, max_depth: int, min_leaf: int):
     counts = np.bincount(y)
     parent_gini = float(_gini(counts))
+    # np.argmax takes the smallest id on ties.
     if depth >= max_depth or parent_gini == 0.0 or y.size < 2 * min_leaf:
-        return TreeLeaf(_majority(y))
+        return TreeLeaf(int(np.argmax(counts)))
     best = None
     for f in range(x.shape[1]):
         order = np.argsort(x[:, f], kind="stable")
@@ -184,7 +186,7 @@ def _grow(x: np.ndarray, y: np.ndarray, depth: int, max_depth: int, min_leaf: in
             impurity, cut = found
             best = (impurity, f, _midpoint(float(xs[cut - 1]), float(xs[cut])))
     if best is None or best[0] >= parent_gini - 1e-12:
-        return TreeLeaf(_majority(y))
+        return TreeLeaf(int(np.argmax(counts)))
     _, f, threshold = best
     mask = x[:, f] <= threshold
     return TreeSplit(
@@ -204,12 +206,12 @@ def learn_tree(
 
     ``x`` is an ``(N, n_features)`` finite feature array and ``y`` the ``N``
     class ids, as :func:`training_samples` returns them.  A node becomes a
-    leaf (its majority class, the smallest id on ties) at ``max_depth``, when
-    it is pure, when it has fewer than ``2 * min_leaf`` rows, or when no cut
-    lowers its Gini impurity by more than 1e-12.  Otherwise it splits at the
-    midpoint of the cut with the lowest weighted impurity among the cuts
-    that leave ``min_leaf`` rows on each side; ties go to the lower feature,
-    then the lower threshold.
+    leaf (its majority class, the smallest id on ties) at ``max_depth``
+    (at most ``MAX_DEPTH``), when it is pure, when it has fewer than
+    ``2 * min_leaf`` rows, or when no cut lowers its Gini impurity by more
+    than 1e-12.  Otherwise it splits at the midpoint of the cut with the
+    lowest weighted impurity among the cuts that leave ``min_leaf`` rows on
+    each side; ties go to the lower feature, then the lower threshold.
     """
     x, y, names = samples
     x = np.asarray(x, dtype=float)
@@ -219,6 +221,8 @@ def learn_tree(
         raise ValueError("need at least one training sample")
     if max_depth < 1 or min_leaf < 1:
         raise ValueError("max_depth and min_leaf must be >= 1")
+    if max_depth > MAX_DEPTH:
+        raise ValueError(f"max_depth must be <= {MAX_DEPTH}")
     if y.ndim != 1 or x.shape != (y.size, len(names)):
         raise ValueError("x must be n_samples x n_features, y one id per sample")
     if np.any(y < 0):

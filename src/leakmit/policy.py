@@ -203,9 +203,8 @@ def sanitize_matrix(matrix: np.ndarray) -> np.ndarray:
     mat[np.tril_indices(k, -1)] = 0.0
     mat[np.abs(mat) < DUST_TOL] = 0.0
     mat = np.clip(mat, 0.0, 1.0)
-    for i in range(k):
-        row_sum = mat[i].sum()
-        if row_sum <= 0:
-            raise InfeasiblePolicyError("a policy row lost all probability mass")
-        mat[i, int(np.argmax(mat[i]))] += 1.0 - row_sum
+    row_sums = mat.sum(axis=1)
+    if np.any(row_sums <= 0):
+        raise InfeasiblePolicyError("a policy row lost all probability mass")
+    mat[np.arange(k), np.argmax(mat, axis=1)] += 1.0 - row_sums
     return np.clip(mat, 0.0, 1.0)

@@ -19,9 +19,12 @@ import numpy as np
 from leakmit.deterministic import synthesize_det
 from leakmit.enforcement import TreeLeaf, TreeSplit
 from leakmit.entropy import MEASURES, EntropyMeasure
-from leakmit.errors import SolverError
+from leakmit.errors import InfeasiblePolicyError, SolverError
 from leakmit.policy import (
+    BUDGET_TOL,
+    DUST_TOL,
     MitigationPolicy,
+    blocks_policy,
     full_merge_policy,
     identity_policy,
     sanitize_matrix,
@@ -213,6 +216,111 @@ def det_best_oracle(sizes, penalty, measure: str, delta: float):
             best_val = val
             best_blocks = blocks
     return best_val, best_blocks
+
+
+def upward_map_oracle(sizes, penalty, measure: str, delta: float):
+    """Best deterministic upward map by exhaustive scan of all k! of them.
+
+    Class i may go to any class j >= i, contiguous or not; a map is feasible
+    when its ``overhead_oracle`` cost is within ``delta + BUDGET_TOL``.
+    Returns (objective, map as a tuple of targets).  Guarded to k <= 6.
+    """
+    k = len(sizes)
+    if k > 6:
+        raise ValueError("upward_map_oracle is limited to k <= 6 classes")
+    entropy_oracle = {
+        "shannon": shannon_oracle,
+        "guessing": guessing_oracle,
+        "minguess": minguess_oracle,
+    }[EntropyMeasure(measure).value]
+    best_val, best_map = None, None
+    for targets in itertools.product(*(range(i, k) for i in range(k))):
+        matrix = [[1.0 if j == t else 0.0 for j in range(k)] for t in targets]
+        if overhead_oracle(matrix, sizes, penalty) > delta + BUDGET_TOL:
+            continue
+        val = entropy_oracle(post_sizes_oracle(matrix, sizes))
+        if best_val is None or val > best_val:
+            best_val, best_map = val, targets
+    return best_val, best_map
+
+
+def block_tables_loop_oracle(classes, measure):
+    """The per-entry block-table loop, frozen as the bit-level reference for
+    ``deterministic._block_tables``: ``(block_cost, block_raw, total)``."""
+    term = MEASURES[EntropyMeasure(measure)].term
+    sizes = classes.sizes
+    k = classes.k
+    total = sizes.sum()
+    weights = sizes / total
+    pen = classes.penalty
+    block_cost = np.zeros((k, k))
+    block_raw = np.zeros((k, k))
+    for hi in range(k):
+        cost = 0.0
+        size = 0.0
+        for lo in range(hi, -1, -1):
+            cost += weights[lo] * pen[lo, hi]
+            size += sizes[lo]
+            block_cost[lo, hi] = cost
+            block_raw[lo, hi] = term(size)
+    return block_cost, block_raw, total
+
+
+def _loop_pareto(points):
+    points.sort(key=lambda p: (p[1], -p[0]))
+    kept = []
+    best = -np.inf
+    for p in points:
+        if p[0] > best:
+            kept.append(p)
+            best = p[0]
+    return kept
+
+
+def det_dp_loop_oracle(classes, measure, delta: float):
+    """The contiguous-merge DP with its separate one-block initialisation,
+    frozen as the bit-level reference for ``synthesize_det``.
+
+    Returns ``(policy, value, penalty)``, the last two as ``DpTables`` holds
+    them.
+    """
+    row = MEASURES[EntropyMeasure(measure)]
+    k = classes.k
+    block_cost, block_raw, total = block_tables_loop_oracle(classes, measure)
+    value = np.full((k + 1, k + 1), -np.inf)
+    penalty = np.full((k + 1, k + 1), np.inf)
+    states = [[[] for _ in range(k + 1)] for _ in range(k + 1)]
+    for i in range(1, k + 1):
+        cost = block_cost[0, i - 1]
+        if cost <= delta:
+            states[i][1] = [(block_raw[0, i - 1], cost, 0, -1)]
+            value[i][1] = row.finalize(block_raw[0, i - 1], total)
+            penalty[i][1] = cost
+    for r in range(2, k + 1):
+        for i in range(r, k + 1):
+            candidates = []
+            for j in range(r - 1, i):
+                for idx, (raw, cost, _, _) in enumerate(states[j][r - 1]):
+                    new_cost = cost + block_cost[j, i - 1]
+                    if new_cost <= delta:
+                        candidates.append(
+                            (row.combine(raw, block_raw[j, i - 1]), new_cost, j, idx)
+                        )
+            frontier = _loop_pareto(candidates)
+            states[i][r] = frontier
+            if frontier:
+                value[i][r] = row.finalize(frontier[-1][0], total)
+                penalty[i][r] = frontier[-1][1]
+    feasible_r = [r for r in range(1, k + 1) if states[k][r]]
+    chosen_r = max(feasible_r, key=lambda r: (value[k][r], -r))
+    blocks = []
+    i, r, idx = k, chosen_r, len(states[k][chosen_r]) - 1
+    while r > 0:
+        _, _, j, prev_idx = states[i][r][idx]
+        blocks.append((j, i - 1))
+        i, r, idx = j, r - 1, prev_idx
+    blocks.reverse()
+    return blocks_policy(blocks, k), value, penalty
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +736,26 @@ def local_search_oracle(
         status="feasible",
     )
     return policy, diagnostics
+
+
+# ---------------------------------------------------------------------------
+# policy cleanup: the per-row deficit loop
+
+
+def sanitize_loop_oracle(matrix):
+    """``sanitize_matrix`` with one row at a time, frozen as the bit-level
+    reference for its single fancy-indexed correction."""
+    mat = np.array(matrix, dtype=float)
+    k = mat.shape[0]
+    mat[np.tril_indices(k, -1)] = 0.0
+    mat[np.abs(mat) < DUST_TOL] = 0.0
+    mat = np.clip(mat, 0.0, 1.0)
+    for i in range(k):
+        row_sum = mat[i].sum()
+        if row_sum <= 0:
+            raise InfeasiblePolicyError("a policy row lost all probability mass")
+        mat[i, int(np.argmax(mat[i]))] += 1.0 - row_sum
+    return np.clip(mat, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from leakmit.cli import (
     _parse_sweep_grid,
     main,
 )
+from leakmit.enforcement import MAX_DEPTH
 from leakmit.errors import SolverError
 from leakmit.policy import full_merge_policy
 from leakmit.stochastic import MAX_STARTS
@@ -71,6 +72,24 @@ class TestExitCodes:
         bad.write_text("wrong,header,names\n1,2,3\n")
         assert run(["cluster", "--input", str(bad)], tmp_path) == 2
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1,1,1.0\n1,2\n", "bad.csv:3: expected 3 columns"),
+            ("1,1,1.0\n1,2,fast\n", "bad.csv:3: could not convert string to float"),
+            ("1,1,1.0\nx,2,1.0\n", "bad.csv:3: invalid literal for int()"),
+            ("", "bad.csv: no observations"),
+        ],
+        ids=["two-columns", "non-numeric-time", "non-numeric-secret", "header-only"],
+    )
+    def test_malformed_rows_exit_2(self, tmp_path, capsys, body, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("secret_id,public_value,time_seconds\n" + body)
+        assert run(["cluster", "--input", str(bad)], tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and message in err
+        assert not (tmp_path / "classes.json").exists()
+
     def test_non_finite_input_file(self, tmp_path, capsys):
         # three secrets; before the check, nan and inf merged all of them
         bad = tmp_path / "nan.csv"
@@ -115,6 +134,46 @@ class TestModuleEntryPoint:
         done = self.run_module(["cluster", "--bogus", "1"], tmp_path)
         assert done.returncode == 1
         assert "configuration error" in done.stderr
+
+
+class TestDeepTree:
+    """Secrets 0 and 1 take y * 2y, secrets 2 and 3 take y * (2y + 1), so
+    their time_per_unit features interleave and only a chain of splits
+    separates the two classes: the tree grows as deep as it may."""
+
+    @pytest.fixture
+    def deep_csv(self, tmp_path):
+        path = tmp_path / "deep.csv"
+        lines = ["secret_id,public_value,time_seconds"]
+        for secret in range(4):
+            for y in range(1, 3001):
+                lines.append(f"{secret},{y},{y * (2 * y + (secret >= 2))}")
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_tree_at_the_cap_is_written(self, tmp_path, deep_csv):
+        # Used to raise RecursionError at --max-depth 1000.
+        out = tmp_path / "out"
+        rc = main(["enforce", "--input", str(deep_csv), "--epsilon", "0.5",
+                   "--max-depth", str(MAX_DEPTH), "--out", str(out)])
+        assert rc == 0
+
+        def depth(node):
+            if node["kind"] == "leaf":
+                return 0
+            return 1 + max(depth(node["left"]), depth(node["right"]))
+
+        tree = json.loads((out / "tree.json").read_text())
+        assert tree["max_depth"] == MAX_DEPTH
+        assert depth(tree["root"]) == MAX_DEPTH
+
+    def test_depth_above_the_cap_exits_1(self, tmp_path, capsys, deep_csv):
+        out = tmp_path / "out"
+        rc = main(["enforce", "--input", str(deep_csv), "--epsilon", "0.5",
+                   "--max-depth", "1000", "--out", str(out)])
+        assert rc == 1
+        assert f"max_depth must be <= {MAX_DEPTH}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweepGrid:
@@ -598,13 +657,16 @@ class TestConfigFile:
             ("synthesize", {"algo": "stoch", "measure": "shannon"},
              ["--n-starts", str(MAX_STARTS + 1)]),
             ("sweep", {"n_starts": MAX_STARTS + 1}, ["--sweep", "0:0.5:0.25"]),
+            ("enforce", {}, ["--max-depth", str(MAX_DEPTH + 1)]),
+            ("enforce", {"max_depth": MAX_DEPTH + 1}, []),
         ],
         ids=["measure", "algo", "gen", "baseline", "epsilon-nan", "delta-nan",
              "sweep-nan", "sweep-inf", "max-depth-flag", "min-leaf-flag",
              "max-depth-config", "min-leaf-config", "n-bits-0", "n-publics-0",
              "buckets-0", "buckets-config-0", "noise-sigma-negative",
              "noise-sigma-nan", "unit-cost-nan", "slopes-nan", "n-starts-negative",
-             "n-starts-over-cap", "n-starts-config-over-cap"],
+             "n-starts-over-cap", "n-starts-config-over-cap",
+             "max-depth-over-cap", "max-depth-config-over-cap"],
     )
     def test_value_outside_its_domain_rejected(self, tmp_path, capsys,
                                                command, raw, flags):

@@ -8,7 +8,13 @@ from leakmit.policy import expected_overhead, validate
 from leakmit.deterministic import _block_tables, brute_force_det, synthesize_det
 
 from conftest import make_classset, random_classset
-from oracles import det_best_oracle, dp_tables_csv_oracle
+from oracles import (
+    block_tables_loop_oracle,
+    det_best_oracle,
+    det_dp_loop_oracle,
+    dp_tables_csv_oracle,
+    upward_map_oracle,
+)
 
 ALL_MEASURES = list(EntropyMeasure)
 
@@ -204,3 +210,61 @@ class TestBlockTables:
                 for hi in range(lo, 6):
                     assert block_raw[lo, hi] == term(cs.sizes[lo : hi + 1].sum())
             assert np.all(np.tril(block_raw, -1) == 0.0)
+
+
+def bit_equal(a, b) -> bool:
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestFrozenLoopDp:
+    """The recurrence seeded by the empty partition and the cumulative-sum
+    block tables reproduce the loop versions bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_bit_identical_to_the_loop_dp(self, seed):
+        # 15 class counts x 3 measures x 3 budgets: 135 solves per seed, on
+        # all-equal, tied, moderate and large sizes in turn.
+        rng = np.random.default_rng(seed)
+        size_hi = (1, 2, 50, 5000)[seed % 4]
+        for k in range(1, 16):
+            cs = random_classset(rng, k, size_hi=size_hi)
+            for measure in ALL_MEASURES:
+                got = _block_tables(cs, measure)
+                want = block_tables_loop_oracle(cs, measure)
+                assert bit_equal(got[0], want[0]) and bit_equal(got[1], want[1])
+                assert got[2] == want[2]
+                for delta in (0.0, float(rng.uniform(0.0, 0.6)), math.inf):
+                    policy, tables = synthesize_det(cs, measure, delta)
+                    ref_policy, value, penalty = det_dp_loop_oracle(cs, measure, delta)
+                    assert np.array_equal(policy.matrix, ref_policy.matrix)
+                    assert bit_equal(tables.value, value)
+                    assert bit_equal(tables.penalty, penalty)
+
+
+class TestRestrictedSet:
+    """The DP is exact over contiguous merges only: every upward map is a
+    candidate for the oracle, so the DP can never beat it and can lose."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_dp_never_beats_the_best_upward_map(self, seed):
+        rng = np.random.default_rng(seed)
+        cs = random_classset(rng, int(rng.integers(1, 7)))
+        sizes = cs.sizes.tolist()
+        penalty = cs.penalty.tolist()
+        for delta in (0.0, float(rng.uniform(0.0, 0.6)), math.inf):
+            for measure in ALL_MEASURES:
+                policy, _ = synthesize_det(cs, measure, delta)
+                best, _ = upward_map_oracle(sizes, penalty, measure.value, delta)
+                assert post_policy_entropy(policy, cs, measure) <= best + 1e-12
+
+    def test_a_non_contiguous_map_beats_every_contiguous_merge(self):
+        # Lifting class 0 over class 1 onto class 2 fits the budget; merging
+        # class 1 upward does not, so the best contiguous merge leaves a
+        # singleton class behind.
+        cs = make_classset([1.0, 100.0, 1.0], reps=[[0.5] * 4, [1.5] * 4, [2.5] * 4])
+        policy, _ = synthesize_det(cs, EntropyMeasure.MINGUESS, 0.03)
+        assert post_policy_entropy(policy, cs, EntropyMeasure.MINGUESS) == 1.0
+        best, best_map = upward_map_oracle(
+            cs.sizes.tolist(), cs.penalty.tolist(), "minguess", 0.03
+        )
+        assert (best, best_map) == (1.5, (2, 1, 2))

@@ -5,6 +5,7 @@ import pytest
 
 from leakmit.clustering import cluster_functions
 from leakmit.enforcement import (
+    MAX_DEPTH,
     SPLIT_BLOCK,
     DecisionTree,
     FeatureTable,
@@ -96,6 +97,8 @@ class TestLearnTree:
             learn_tree(one_feature([], []))
         with pytest.raises(ValueError, match=">= 1"):
             learn_tree(one_feature([1.0], [0]), max_depth=0)
+        with pytest.raises(ValueError, match=f"<= {MAX_DEPTH}"):
+            learn_tree(one_feature([1.0], [0]), max_depth=MAX_DEPTH + 1)
         with pytest.raises(ValueError, match="n_samples x n_features"):
             learn_tree((np.ones((2, 2)), np.array([0, 1]), ("f",)))
         with pytest.raises(ValueError, match="non-negative"):

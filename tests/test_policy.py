@@ -21,7 +21,7 @@ from leakmit.policy import (
 )
 
 from conftest import BINOMIAL_SIZES, make_classset
-from oracles import overhead_oracle, post_sizes_oracle
+from oracles import overhead_oracle, post_sizes_oracle, sanitize_loop_oracle
 
 
 def random_policy(rng, k):
@@ -238,3 +238,19 @@ class TestSanitizeMatrix:
         raw = np.array([[1e-12, 1e-12], [0.0, 1.0]])
         with pytest.raises(InfeasiblePolicyError):
             sanitize_matrix(raw)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bit_identical_to_the_row_loop(self, seed):
+        # Solver-like output: rows near sums of one, dust, small negatives,
+        # entries above one and tied row maxima.
+        rng = np.random.default_rng(seed)
+        for k in range(1, 13):
+            raw = rng.dirichlet(np.ones(k), size=k)
+            raw += rng.choice([0.0, 1e-13, -1e-13, 1e-7], size=(k, k))
+            raw[rng.random((k, k)) < 0.2] = 0.5
+            raw[0, -1] = 1.0 + 1e-10
+            raw[np.arange(k), np.arange(k)] += 1e-3
+            assert np.array_equal(
+                sanitize_matrix(raw).view(np.int64),
+                sanitize_loop_oracle(raw).view(np.int64),
+            )

@@ -53,6 +53,13 @@ class TestBasics:
         assert res.status == "infeasible"
         assert res.x is None
 
+    @pytest.mark.parametrize("hi", [0.5, -np.inf])
+    def test_upper_bound_below_lower_bound_is_infeasible(self, hi):
+        # An infinite upper bound adds no row, so -inf is only caught here.
+        res = solve_lp([1.0, 1.0], bounds=[(0.0, 1.0), (1.0, hi)])
+        assert res.status == "infeasible"
+        assert res.x is None and np.isnan(res.objective)
+
     def test_unbounded(self):
         res = solve_lp([1.0], a_ub=[[-1.0]], b_ub=[0.0])
         assert res.status == "unbounded"
@@ -198,6 +205,42 @@ def pivot_case(rng, m: int, width: int, row: int):
     tableau[kind == 2, col] = -0.0
     tableau[row, col] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
     return tableau, col
+
+
+class TestWarmStartFallbacks:
+    """A basis the warm start cannot use gives the cold solve's answer."""
+
+    @staticmethod
+    def assert_cold_answer(monkeypatch, program, basis):
+        cold_starts = []
+        cold_start = simplex._cold_start
+        monkeypatch.setattr(
+            simplex, "_cold_start",
+            lambda *args: cold_starts.append(1) or cold_start(*args),
+        )
+        warm = solve_lp(**program, basis=basis)
+        assert cold_starts == [1]
+        cold = solve_lp(**program)
+        assert warm.status == cold.status == "optimal"
+        assert warm.x.tobytes() == cold.x.tobytes()
+        assert warm.objective == cold.objective
+
+    def test_numerically_singular_basis(self, monkeypatch):
+        # The basis columns differ by 2**-50, so LU succeeds, but the
+        # right-hand side 1e300 overflows once it is scaled by 2**50.
+        a_ub = np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-50]])
+        b_ub = np.array([0.0, 1e300])
+        full = np.hstack([a_ub, np.eye(2), b_ub[:, None]])
+        assert not np.isfinite(np.linalg.solve(a_ub, full)).all()
+        program = {"c": [1.0, 1.0], "a_ub": a_ub, "b_ub": b_ub}
+        self.assert_cold_answer(monkeypatch, program, [0, 1])
+
+    def test_leaving_row_with_only_tiny_pivots(self, monkeypatch):
+        # The slack basis leaves row -1e-8 x <= -1 short, and its one
+        # negative entry lies between PIVOT_TOL and DUAL_PIVOT_TOL.
+        program = {"c": [-1.0], "a_ub": [[-1e-8]], "b_ub": [-1.0]}
+        assert simplex.PIVOT_TOL < 1e-8 < simplex.DUAL_PIVOT_TOL
+        self.assert_cold_answer(monkeypatch, program, [1])
 
 
 class TestRank1Pivot:
