@@ -41,14 +41,12 @@ from .policy import (
     MitigationPolicy,
     blocks_policy,
     build_report,
-    ensure_valid,
     expected_overhead,
     expected_sizes,
     full_merge_policy,
     identity_policy,
     policy_to_json,
     sanitize_matrix,
-    validate,
 )
 from .simplex import LpResult, solve_lp
 from .stochastic import SolveDiagnostics, synthesize_local, synthesize_minguess
@@ -88,7 +86,6 @@ __all__ = [
     "counter_features",
     "double_scheme",
     "enforce",
-    "ensure_valid",
     "entropy",
     "expected_overhead",
     "expected_sizes",
@@ -111,7 +108,6 @@ __all__ = [
     "timing_features",
     "training_samples",
     "tree_to_json",
-    "validate",
     "write_csv",
     "__version__",
 ]

@@ -74,7 +74,9 @@ def fit_buckets(scalar_times, n_buckets: int) -> BucketSet:
     """Choose boundaries minimizing the total added delay sum(bucket(t) - t).
 
     Dynamic program over the sorted distinct observed times; the top boundary
-    is always the maximum so every observation stays coverable.
+    is always the maximum so every observation stays coverable.  The first
+    and last buckets cost O(d) for d distinct times, each middle one
+    O(d^2).
     """
     times = np.asarray(scalar_times, dtype=float).ravel()
     if times.size == 0:
@@ -92,9 +94,12 @@ def fit_buckets(scalar_times, n_buckets: int) -> BucketSet:
 
     cost = np.full((n_buckets + 1, d + 1), np.inf)
     back = np.zeros((n_buckets + 1, d + 1), dtype=int)
-    cost[0][0] = 0.0
-    for j in range(1, n_buckets + 1):
-        for r in range(j, d + 1):
+    # Bucket 1 can only start at lo = 0, the empty prefix of cost 0, so its
+    # row is one array and its back pointers stay 0.
+    cost[1][1:] = 0.0 + (values * csum[1:] - vsum[1:])
+    for j in range(2, n_buckets + 1):
+        # The backtrack reads the last bucket's row only at r = d.
+        for r in range(j, d + 1) if j < n_buckets else (d,):
             # Bucket j holds values[lo..r-1], all snapped up to values[r-1],
             # for every lo in j-1..r-1; argmin keeps the first best lo.
             lo = slice(j - 1, r)

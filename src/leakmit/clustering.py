@@ -78,8 +78,9 @@ class ObservationClassSet:
     secret is in two classes, and classes are sorted by ascending
     representative mean.  ``representatives[i]`` is class i's function on
     the grid (finite and non-negative) and ``sizes[i]`` its member count,
-    both read-only.  ``penalty[i, j]`` prices elevating class i to class j;
-    entries below the diagonal are +inf.
+    both read-only.  ``penalty[i, j]`` prices elevating class i to class j:
+    exactly 0 on the diagonal, finite and non-negative above it, and +inf
+    below it.
     """
 
     grid: PublicGrid
@@ -109,6 +110,13 @@ class ObservationClassSet:
         pen = np.array(self.penalty, dtype=float)
         if pen.shape != (len(classes), len(classes)):
             raise ValueError("penalty matrix must be k x k")
+        if np.any(np.diagonal(pen) != 0.0):
+            raise ValueError("penalty diagonal must be exactly 0")
+        above = pen[np.triu_indices(len(classes), 1)]
+        if not np.all(np.isfinite(above) & (above >= 0)):
+            raise ValueError("penalties above the diagonal must be finite and >= 0")
+        if not np.all(pen[np.tril_indices(len(classes), -1)] == np.inf):
+            raise ValueError("penalties below the diagonal must be +inf")
         for arr in (reps, sizes, pen):
             arr.flags.writeable = False
         classes = tuple(

@@ -27,7 +27,7 @@ import numpy as np
 
 from .clustering import RECLUSTER_EPS, ObservationClassSet, cluster_functions
 from .entropy import EntropyMeasure, entropy
-from .policy import MitigationPolicy, ensure_valid
+from .policy import MitigationPolicy
 from .timing import TimingDataset, relative_overhead
 
 __all__ = [
@@ -304,15 +304,13 @@ def _draw_targets(
 ) -> np.ndarray:
     """Target class of each secret, given the class id of each secret.
 
-    A deterministic policy maps a class to its row's argmax.  A stochastic
-    one takes one uniform draw per secret and counts the entries of the
-    class's normalised CDF that are <= the draw: the same CDF, draws and
+    One uniform draw per secret counts the entries of its class's normalised
+    CDF that are <= the draw: the same CDF, draws and
     ``searchsorted(side="right")`` as ``rng.choice(k, p=row / row.sum())``
-    called once per secret.
+    called once per secret.  On a point-mass row the CDF steps from 0 to 1 at
+    the mass, so every draw lands there.
     """
     matrix = policy.matrix
-    if policy.deterministic:
-        return np.argmax(matrix, axis=1)[labels]
     u = rng.random(labels.size)
     cdf = np.cumsum(matrix / matrix.sum(axis=1, keepdims=True), axis=1)
     cdf /= cdf[:, -1:]
@@ -330,12 +328,15 @@ def enforce(
 ) -> tuple[TimingDataset, EnforcementReport]:
     """Apply a policy through the classifier and measure what actually happened.
 
-    Each secret samples its target class once (deterministic policies skip
-    the draw), every execution is padded by the representative gap between
-    the predicted class and the target, and the padded dataset is
-    re-clustered to report the realized class structure.
+    Each secret samples its target class once, every execution is padded by
+    the representative gap between the predicted class and the target, and
+    the padded dataset is re-clustered to report the realized class
+    structure.
     """
-    ensure_valid(policy, classes)
+    if policy.k != classes.k:
+        raise ValueError(
+            f"policy is {policy.k} x {policy.k} but there are {classes.k} classes"
+        )
     n_grid = len(dataset.grid)
     if features.secrets != dataset.secrets or features.values.shape[1] != n_grid:
         raise ValueError("features must cover the dataset secrets and grid")

@@ -2,7 +2,7 @@
 
 
 class InfeasiblePolicyError(ValueError):
-    """A mitigation policy puts probability mass on a forbidden move."""
+    """A mitigation policy is malformed or breaks its budget."""
 
 
 class SolverError(RuntimeError):

@@ -3,7 +3,8 @@
 A policy is a k x k matrix whose row i gives the probability of reporting a
 secret from class i as class j.  Moves must respect the class order (j >= i,
 padding only adds delay), so entries below the diagonal are structurally
-zero.  Deterministic policies have point-mass rows.
+zero.  A policy checks its matrix once, at construction, and a
+deterministic policy is one whose rows are point masses.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ __all__ = [
     "identity_policy",
     "full_merge_policy",
     "blocks_policy",
-    "validate",
-    "ensure_valid",
     "expected_sizes",
     "expected_overhead",
     "EntropyReport",
@@ -38,15 +37,39 @@ BUDGET_TOL = 1e-9  # a policy is within budget when its overhead is <= delta + t
 
 @dataclass(frozen=True)
 class MitigationPolicy:
-    """Row-stochastic class-elevation matrix."""
+    """Row-stochastic, upward-only class-elevation matrix.
+
+    Construction raises ``InfeasiblePolicyError`` unless the matrix is square
+    and finite, every entry lies in [0, 1] and at most ``ROW_TOL`` below the
+    diagonal, and every row sums to 1 within ``ROW_TOL``.
+    """
 
     matrix: np.ndarray
-    deterministic: bool
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("policy matrix must be square")
+            raise InfeasiblePolicyError("policy matrix must be square")
+        violations = [
+            f"entry ({i},{j}) = {float(mat[i, j])!r} is not finite"
+            for i, j in np.argwhere(~np.isfinite(mat))
+        ]
+        if not violations:
+            row_sums = mat.sum(axis=1)
+            violations += [
+                f"row {i} sums to {float(row_sums[i])!r}"
+                for i in np.flatnonzero(np.abs(row_sums - 1.0) > ROW_TOL)
+            ]
+            violations += [
+                f"entry ({i},{j}) = {float(mat[i, j])!r} outside [0, 1]"
+                for i, j in np.argwhere((mat < -ROW_TOL) | (mat > 1.0 + ROW_TOL))
+            ]
+            violations += [
+                f"order violated at ({i},{j})"
+                for i, j in np.argwhere(np.tril(mat, -1) > ROW_TOL)
+            ]
+        if violations:
+            raise InfeasiblePolicyError("; ".join(violations))
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
@@ -54,16 +77,21 @@ class MitigationPolicy:
     def k(self) -> int:
         return self.matrix.shape[0]
 
+    @property
+    def deterministic(self) -> bool:
+        """Every row is a point mass: each entry is exactly 0 or 1."""
+        return bool(np.all((self.matrix == 0.0) | (self.matrix == 1.0)))
+
 
 def identity_policy(k: int) -> MitigationPolicy:
-    return MitigationPolicy(np.eye(int(k)), deterministic=True)
+    return MitigationPolicy(np.eye(int(k)))
 
 
 def full_merge_policy(k: int) -> MitigationPolicy:
     """Send every class to the top class."""
     mat = np.zeros((int(k), int(k)))
     mat[:, -1] = 1.0
-    return MitigationPolicy(mat, deterministic=True)
+    return MitigationPolicy(mat)
 
 
 def blocks_policy(blocks, k: int) -> MitigationPolicy:
@@ -81,37 +109,7 @@ def blocks_policy(blocks, k: int) -> MitigationPolicy:
         covered = hi + 1
     if covered != k:
         raise ValueError("blocks must cover all classes")
-    return MitigationPolicy(mat, deterministic=True)
-
-
-def validate(policy: MitigationPolicy, classes: ObservationClassSet) -> list[str]:
-    """Return all violations; an empty list means the policy is well formed."""
-    if policy.k != classes.k:
-        raise ValueError(
-            f"policy is {policy.k} x {policy.k} but there are {classes.k} classes"
-        )
-    mat = policy.matrix
-    violations: list[str] = []
-    for i in range(policy.k):
-        row_sum = float(mat[i].sum())
-        if abs(row_sum - 1.0) > ROW_TOL:
-            violations.append(f"row {i} sums to {row_sum!r}")
-        for j in range(policy.k):
-            v = float(mat[i, j])
-            if v < -ROW_TOL or v > 1.0 + ROW_TOL:
-                violations.append(f"entry ({i},{j}) = {v!r} outside [0, 1]")
-            if j < i and v > ROW_TOL:
-                violations.append(f"order violated at ({i},{j})")
-        if policy.deterministic:
-            if not np.any(np.abs(mat[i] - 1.0) <= ROW_TOL):
-                violations.append(f"row {i} is not a point mass")
-    return violations
-
-
-def ensure_valid(policy: MitigationPolicy, classes: ObservationClassSet) -> None:
-    violations = validate(policy, classes)
-    if violations:
-        raise InfeasiblePolicyError("; ".join(violations))
+    return MitigationPolicy(mat)
 
 
 def expected_sizes(policy: MitigationPolicy, sizes) -> np.ndarray:
@@ -126,10 +124,9 @@ def expected_overhead(policy: MitigationPolicy, classes: ObservationClassSet) ->
     """Size-weighted mean move penalty: (1/B) * sum B_i * mu[i, j] * penalty[i, j]."""
     mat = policy.matrix
     pen = classes.penalty
-    support = mat > ROW_TOL
-    if np.any(support & np.isinf(pen)):
-        raise InfeasiblePolicyError("policy puts mass on a forbidden move")
-    weighted = mat * np.where(support, pen, 0.0)
+    # Below the diagonal moves cost +inf and a policy holds at most ROW_TOL;
+    # entries that small are left unpriced.
+    weighted = mat * np.where(mat > ROW_TOL, pen, 0.0)
     b = classes.sizes
     return float((b[:, None] * weighted).sum() / b.sum())
 
@@ -153,7 +150,6 @@ def build_report(
     delta: float,
 ) -> EntropyReport:
     measure = EntropyMeasure(measure)
-    ensure_valid(policy, classes)
     sizes = classes.sizes
     post = expected_sizes(policy, sizes)
     if abs(float(post.sum()) - float(sizes.sum())) > 1e-6:

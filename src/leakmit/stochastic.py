@@ -233,7 +233,7 @@ def synthesize_minguess(
         raise SolverError(f"the winning z pattern re-solves {leaf.status}")
 
     mat = sanitize_matrix(_matrix_from_mu(leaf.x, iu, k))
-    policy = MitigationPolicy(mat, deterministic=False)
+    policy = MitigationPolicy(mat)
     diagnostics = SolveDiagnostics(
         nodes_explored=nodes_explored,
         restarts=0,
@@ -434,7 +434,7 @@ def synthesize_local(
         mat = lam * mat + (1.0 - lam) * np.eye(k)
     if overhead(mat[None])[0] > delta + BUDGET_TOL:
         raise SolverError("sanitized policy slipped past the budget")
-    policy = MitigationPolicy(mat, deterministic=False)
+    policy = MitigationPolicy(mat)
     diagnostics = SolveDiagnostics(
         nodes_explored=0,
         restarts=len(starts),

@@ -727,7 +727,7 @@ def local_search_oracle(
         mat = lam * mat + (1.0 - lam) * np.eye(k)
     if overhead(mat) > delta + 1e-9:
         raise SolverError("sanitized policy slipped past the budget")
-    policy = MitigationPolicy(mat, deterministic=False)
+    policy = MitigationPolicy(mat)
     diagnostics = SolveDiagnostics(
         nodes_explored=0,
         restarts=len(starts),
@@ -827,18 +827,20 @@ def bucket_dp_loop_oracle(times, n_buckets: int):
     """
     values, counts = np.unique(np.asarray(times, dtype=float), return_counts=True)
     d = values.size
-    csum = np.concatenate([[0.0], np.cumsum(counts)])
-    vsum = np.concatenate([[0.0], np.cumsum(counts * values)])
+    # Python floats are the same doubles as NumPy's, and faster one at a time.
+    csum = np.concatenate([[0.0], np.cumsum(counts)]).tolist()
+    vsum = np.concatenate([[0.0], np.cumsum(counts * values)]).tolist()
+    values = values.tolist()
 
     def segment_cost(lo, hi):
         return values[hi] * (csum[hi + 1] - csum[lo]) - (vsum[hi + 1] - vsum[lo])
 
-    cost = np.full((n_buckets + 1, d + 1), np.inf)
-    back = np.zeros((n_buckets + 1, d + 1), dtype=int)
+    cost = [[math.inf] * (d + 1) for _ in range(n_buckets + 1)]
+    back = [[0] * (d + 1) for _ in range(n_buckets + 1)]
     cost[0][0] = 0.0
     for j in range(1, n_buckets + 1):
         for r in range(j, d + 1):
-            best, best_lo = np.inf, -1
+            best, best_lo = math.inf, -1
             for lo in range(j - 1, r):
                 c = cost[j - 1][lo] + segment_cost(lo, r - 1)
                 if c < best:

@@ -96,6 +96,17 @@ class TestFitBuckets:
                 got = fit_buckets(times, n).boundaries
                 assert got == bucket_dp_loop_oracle(times, n)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_the_loop_dp_on_thousands_of_values(self, n):
+        # The first and last buckets are one array each: check them over
+        # about 1 200 distinct values, ties from a half-unit lattice among them.
+        rng = np.random.default_rng(40 + n)
+        times = np.concatenate(
+            [rng.uniform(0.0, 1e3, 900), rng.integers(0, 400, 600) * 0.5]
+        )
+        assert np.unique(times).size > 1000
+        assert fit_buckets(times, n).boundaries == bucket_dp_loop_oracle(times, n)
+
     def test_enough_buckets_mean_zero_delay(self):
         times = [4.0, 7.0, 7.0, 9.0]
         buckets = fit_buckets(times, 3)

@@ -391,6 +391,39 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match=self.MALFORMED[fault]):
             self.with_class(binomial_classes, 1, rep, members)
 
+    BAD_PENALTIES = {
+        "nan_diagonal": ((1, 1), math.nan, "diagonal must be exactly 0"),
+        "nonzero_diagonal": ((0, 0), 1e-300, "diagonal must be exactly 0"),
+        "nan_above": ((0, 1), math.nan, "above the diagonal must be finite"),
+        "inf_above": ((0, 2), math.inf, "above the diagonal must be finite"),
+        "negative_above": ((0, 1), -1.0, "above the diagonal must be finite"),
+        "finite_below": ((1, 0), 0.5, r"below the diagonal must be \+inf"),
+        "zero_below": ((2, 1), 0.0, r"below the diagonal must be \+inf"),
+        "nan_below": ((2, 0), math.nan, r"below the diagonal must be \+inf"),
+        "minus_inf_below": ((1, 0), -math.inf, r"below the diagonal must be \+inf"),
+    }
+
+    @pytest.mark.parametrize("fault", BAD_PENALTIES)
+    def test_malformed_penalty_rejected(self, binomial_classes, fault):
+        (i, j), value, message = self.BAD_PENALTIES[fault]
+        pen = binomial_classes.penalty.copy()
+        pen[i, j] = value
+        with pytest.raises(ValueError, match=message):
+            ObservationClassSet(binomial_classes.grid, binomial_classes.classes, pen)
+
+    def test_overflowing_times_fail_at_the_class_set(self):
+        # The mean time overflows, so a finite gap over an infinite baseline
+        # would price a move at nan.
+        ds = dataset_from_rows([[0.0, 0.0], [1.7e308, 1.7e308], [1.75e308] * 2])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="above the diagonal"):
+                cluster_functions(ds, 1.0)
+
+    def test_penalty_shape_rejected(self, binomial_classes):
+        pen = binomial_classes.penalty[:-1, :-1]
+        with pytest.raises(ValueError, match="k x k"):
+            ObservationClassSet(binomial_classes.grid, binomial_classes.classes, pen)
+
     def test_mean_l1_matches_oracle(self):
         rng = np.random.default_rng(11)
         ds = gen_mod_exp(4, 1.0, 0.5, seed=2)

@@ -327,7 +327,7 @@ class TestEnforce:
         matrix[0] = 0.0
         matrix[0, 0] = 0.5
         matrix[0, k - 1] = 0.5
-        policy = MitigationPolicy(matrix, deterministic=False)
+        policy = MitigationPolicy(matrix)
         first, _ = enforce(
             binomial_dataset, binomial_classes, policy, tree, 3, features
         )
@@ -371,7 +371,7 @@ class TestEnforce:
         k = classes.k
         matrix = np.triu(np.ones((k, k)))
         matrix /= matrix.sum(axis=1, keepdims=True)
-        policy = MitigationPolicy(matrix, deterministic=False)
+        policy = MitigationPolicy(matrix)
         mitigated, report = enforce(ds, classes, policy, tree, 5, features)
 
         label = classes.class_of()
@@ -398,6 +398,13 @@ class TestEnforce:
         with pytest.raises(ValueError, match="cover the dataset"):
             enforce(other, grouped_classes, policy, tree, 0, features)
 
+    def test_policy_must_match_the_classes(self, grouped_dataset, grouped_classes):
+        features = timing_features(grouped_dataset)
+        tree = fitted(grouped_dataset, grouped_classes, features)
+        policy = identity_policy(grouped_classes.k + 1)
+        with pytest.raises(ValueError, match="classes"):
+            enforce(grouped_dataset, grouped_classes, policy, tree, 0, features)
+
     def test_noisy_classifier_still_pads_upward(self):
         # sigma > 0 breaks perfect classification; delays stay non-negative
         ds = gen_branch_loop((5, 5, 5, 10), (1, 2, 3, 4), 50, 0.05, seed=1)
@@ -412,17 +419,25 @@ class TestEnforce:
 
 class TestDrawTargets:
     def test_single_draw_matches_one_choice_per_secret(self):
+        # Stochastic and point-mass matrices take the same CDF draw; the
+        # oracle makes one rng.choice per secret for the first and takes
+        # the row's argmax for the second.
         rng = np.random.default_rng(9)
         for seed in range(300):
             k = int(rng.integers(1, 21))
-            matrix = np.triu(rng.random((k, k)) * (rng.random((k, k)) < 0.5))
-            matrix[np.arange(k), rng.integers(np.arange(k), k)] += rng.random(k)
-            matrix /= matrix.sum(axis=1, keepdims=True)
+            stochastic = np.triu(rng.random((k, k)) * (rng.random((k, k)) < 0.5))
+            stochastic[np.arange(k), rng.integers(np.arange(k), k)] += rng.random(k)
+            stochastic /= stochastic.sum(axis=1, keepdims=True)
+            point_mass = np.zeros((k, k))
+            point_mass[np.arange(k), rng.integers(np.arange(k), k)] = 1.0
             labels = rng.integers(0, k, int(rng.integers(1, 200)))
-            for deterministic in (False, True):
-                policy = MitigationPolicy(matrix, deterministic)
+            for matrix in (stochastic, point_mass):
+                policy = MitigationPolicy(matrix)
+                assert policy.deterministic or matrix is stochastic
                 got = _draw_targets(policy, labels, np.random.default_rng(seed))
-                want = choice_loop_oracle(matrix, deterministic, labels, seed)
+                want = choice_loop_oracle(
+                    matrix, policy.deterministic, labels, seed
+                )
                 assert got.tolist() == want.tolist()
 
 

@@ -58,6 +58,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             entropy([3.0, -1.0], EntropyMeasure.GUESSING)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("measure", list(EntropyMeasure))
+    def test_non_finite_rejected(self, measure, bad):
+        with pytest.raises(ValueError, match="finite"):
+            entropy([bad, 1.0], measure)
+
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             entropy([0.0, 0.0], EntropyMeasure.MINGUESS)

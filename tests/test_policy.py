@@ -4,20 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from leakmit.entropy import EntropyMeasure
+from leakmit.entropy import EntropyMeasure, post_policy_entropy
 from leakmit.errors import InfeasiblePolicyError
 from leakmit.policy import (
     MitigationPolicy,
     blocks_policy,
     build_report,
-    ensure_valid,
     expected_overhead,
     expected_sizes,
     full_merge_policy,
     identity_policy,
     policy_to_json,
     sanitize_matrix,
-    validate,
 )
 
 from conftest import BINOMIAL_SIZES, make_classset
@@ -30,58 +28,96 @@ def random_policy(rng, k):
     for i in range(k):
         row = rng.dirichlet(np.ones(k - i))
         mat[i, i:] = row
-    return MitigationPolicy(mat, deterministic=False)
+    return MitigationPolicy(mat)
+
+
+def violations(mat) -> list[str]:
+    """The messages construction rejects ``mat`` with."""
+    with pytest.raises(InfeasiblePolicyError) as err:
+        MitigationPolicy(mat)
+    return str(err.value).split("; ")
 
 
 class TestValidate:
+    """``MitigationPolicy`` checks its matrix once, at construction."""
+
     def test_identity_is_valid(self):
-        cs = make_classset([2.0, 3.0, 4.0])
-        assert validate(identity_policy(3), cs) == []
+        pol = identity_policy(3)
+        assert pol.k == 3
+        assert pol.deterministic
 
     def test_row_sum_violation_message(self):
-        cs = make_classset([1.0] * 5)
         mat = np.eye(5)
         mat[3, 3] = 0.9
-        issues = validate(MitigationPolicy(mat, deterministic=False), cs)
-        assert "row 3 sums to 0.9" in issues
+        assert violations(mat) == ["row 3 sums to 0.9"]
 
     def test_downward_move_message(self):
-        cs = make_classset([1.0] * 5)
         mat = np.eye(5)
         mat[4, 4] = 0.5
         mat[4, 2] = 0.5
-        issues = validate(MitigationPolicy(mat, deterministic=False), cs)
-        assert "order violated at (4,2)" in issues
+        assert violations(mat) == ["order violated at (4,2)"]
 
     def test_out_of_range_entry(self):
-        cs = make_classset([1.0, 1.0])
         mat = np.array([[1.5, -0.5], [0.0, 1.0]])
-        issues = validate(MitigationPolicy(mat, deterministic=False), cs)
-        assert any("outside [0, 1]" in v for v in issues)
+        assert violations(mat) == [
+            "entry (0,0) = 1.5 outside [0, 1]",
+            "entry (0,1) = -0.5 outside [0, 1]",
+        ]
 
-    def test_deterministic_flag_requires_point_masses(self):
-        cs = make_classset([1.0, 1.0])
-        mat = np.array([[0.5, 0.5], [0.0, 1.0]])
-        issues = validate(MitigationPolicy(mat, deterministic=True), cs)
-        assert any("not a point mass" in v for v in issues)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry(self, bad):
+        mat = np.eye(3)
+        mat[1, 2] = bad
+        assert violations(mat) == [f"entry (1,2) = {bad!r} is not finite"]
+
+    @pytest.mark.parametrize(
+        "i, row, message",
+        [
+            (0, [-2e-9, 0.5 + 1e-9, 0.5 + 1e-9], "entry (0,0) = -2e-09 outside [0, 1]"),
+            (0, [1.0 + 2e-9, 0.0, 0.0], "entry (0,0) = 1.000000002 outside [0, 1]"),
+            (2, [2e-9, 0.0, 1.0 - 2e-9], "order violated at (2,0)"),
+            (2, [0.0, 0.0, 1.0 + 2e-9], "row 2 sums to 1.000000002"),
+        ],
+    )
+    def test_perturbations_past_the_tolerance(self, i, row, message):
+        mat = np.eye(3)
+        mat[i] = row
+        assert message in violations(mat)
+        # A quarter of the same perturbation, 5e-10, is within ROW_TOL.
+        mat[i] = np.array(row) / 4 + 0.75 * np.eye(3)[i]
+        assert MitigationPolicy(mat).k == 3
+
+    def test_not_square(self):
+        assert violations(np.ones((2, 3)) / 3) == ["policy matrix must be square"]
+
+    def test_deterministic_is_read_off_the_matrix(self):
+        assert not MitigationPolicy([[0.5, 0.5], [0.0, 1.0]]).deterministic
+        assert not MitigationPolicy([[1.0 - 1e-12, 1e-12], [0.0, 1.0]]).deterministic
+        assert MitigationPolicy([[0.0, 1.0], [0.0, 1.0]]).deterministic
+        with pytest.raises(AttributeError):
+            MitigationPolicy(np.eye(2)).deterministic = False
 
     def test_dimension_mismatch_raises(self):
         cs = make_classset([1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
-            validate(identity_policy(2), cs)
+            build_report(identity_policy(2), cs, EntropyMeasure.SHANNON, 1.0)
+        with pytest.raises(ValueError):
+            post_policy_entropy(identity_policy(2), cs, EntropyMeasure.SHANNON)
 
     def test_every_block_policy_validates(self):
-        cs = make_classset([3.0, 1.0, 4.0, 1.0])
         for blocks in ([(0, 3)], [(0, 0), (1, 3)], [(0, 1), (2, 2), (3, 3)]):
             pol = blocks_policy(blocks, 4)
-            assert validate(pol, cs) == []
+            assert pol.deterministic
 
-    def test_ensure_valid_raises_with_joined_messages(self):
-        cs = make_classset([1.0] * 3)
+    def test_construction_raises_with_joined_messages(self):
         mat = np.eye(3)
         mat[1, 1] = 0.4
-        with pytest.raises(InfeasiblePolicyError, match="row 1 sums"):
-            ensure_valid(MitigationPolicy(mat, deterministic=False), cs)
+        mat[2, 0] = 0.5
+        with pytest.raises(InfeasiblePolicyError) as err:
+            MitigationPolicy(mat)
+        assert str(err.value) == (
+            "row 1 sums to 0.4; row 2 sums to 1.5; order violated at (2,0)"
+        )
 
 
 class TestExpectedSizes:
@@ -100,7 +136,7 @@ class TestExpectedSizes:
         mat[1, 3] = 1.0
         mat[2, 2] = 1.0
         mat[3, 3] = 1.0
-        got = expected_sizes(MitigationPolicy(mat, deterministic=False), b)
+        got = expected_sizes(MitigationPolicy(mat), b)
         assert np.allclose(got, [0.6 * 10, 0.0, 30 + 0.4 * 10, 40 + 20])
 
     def test_two_block_merge_on_binomial_sizes(self):
@@ -132,8 +168,8 @@ class TestExpectedSizes:
         bumped = base.copy()
         bumped[0, 0] -= eps
         bumped[0, 2] += eps
-        c0 = expected_sizes(MitigationPolicy(base, deterministic=False), b)
-        c1 = expected_sizes(MitigationPolicy(bumped, deterministic=False), b)
+        c0 = expected_sizes(MitigationPolicy(base), b)
+        c1 = expected_sizes(MitigationPolicy(bumped), b)
         diff = c1 - c0
         assert np.allclose(diff, [-eps * 8.0, 0.0, eps * 8.0])
 
@@ -156,7 +192,7 @@ class TestExpectedOverhead:
         mat = np.eye(3)
         mat[0, 0] = 0.0
         mat[0, 2] = 1.0
-        pol = MitigationPolicy(mat, deterministic=True)
+        pol = MitigationPolicy(mat)
         want = (2.0 / 10.0) * cs.penalty[0, 2]
         assert expected_overhead(pol, cs) == pytest.approx(want)
 
@@ -186,7 +222,7 @@ class TestExpectedOverhead:
         cs = make_classset([1.0, 1.0])
         mat = np.array([[1.0, 0.0], [0.5, 0.5]])
         with pytest.raises(InfeasiblePolicyError):
-            expected_overhead(MitigationPolicy(mat, deterministic=False), cs)
+            expected_overhead(MitigationPolicy(mat), cs)
 
 
 class TestBuildReport:

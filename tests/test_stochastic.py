@@ -24,7 +24,6 @@ from leakmit.policy import (
     build_report,
     expected_overhead,
     expected_sizes,
-    validate,
 )
 from leakmit import simplex, stochastic
 from leakmit.simplex import LpResult, solve_lp
@@ -115,7 +114,7 @@ class TestMinguessExact:
         cs = random_classset(rng, int(rng.integers(2, 7)))
         delta = float(rng.uniform(0.0, 0.5))
         pol, _ = synthesize_minguess(cs, delta)
-        assert validate(pol, cs) == []
+        assert pol.k == cs.k  # the constructor checked the matrix
         assert expected_overhead(pol, cs) <= delta + 1e-9
         assert expected_sizes(pol, cs.sizes).sum() == pytest.approx(
             cs.sizes.sum()
@@ -156,6 +155,21 @@ class TestMinguessExact:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             synthesize_minguess(tiny_instance(), -0.5)
+
+
+class TestDeterministicIsReadOffTheMatrix:
+    def test_dp_policies_are_and_a_split_bb_policy_is_not(self):
+        rng = np.random.default_rng(31)
+        for _ in range(8):
+            cs = random_classset(rng, int(rng.integers(1, 10)))
+            for measure in EntropyMeasure:
+                delta = float(rng.choice([0.0, rng.uniform(0.0, 1.0), math.inf]))
+                pol, _ = synthesize_det(cs, measure, delta)
+                assert pol.deterministic
+        # Class 0 splits 0.8 / 0.2 between classes 1 and 2.
+        pol, _ = synthesize_minguess(make_classset([2.0, 2.0, 2.0]), 0.2)
+        assert 0.0 < pol.matrix[0, 2] < 1.0
+        assert not pol.deterministic
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -274,7 +288,7 @@ class TestLocalSearch:
         cs = random_classset(rng, int(rng.integers(2, 7)))
         delta = float(rng.uniform(0.0, 0.5))
         pol, _ = synthesize_local(cs, EntropyMeasure.GUESSING, delta, n_starts=4)
-        assert validate(pol, cs) == []
+        assert pol.k == cs.k  # the constructor checked the matrix
         assert expected_overhead(pol, cs) <= delta + 1e-9
         assert expected_sizes(pol, cs.sizes).sum() == pytest.approx(
             cs.sizes.sum()
@@ -542,7 +556,7 @@ def near_budget_line(cs, share):
     k = cs.k
     merge = np.zeros((k, k))
     merge[:, -1] = 1.0
-    over = expected_overhead(MitigationPolicy(merge, deterministic=False), cs)
+    over = expected_overhead(MitigationPolicy(merge), cs)
     delta = share * over
     lam = (delta + 5e-10) / over
     return delta, lam * merge + (1.0 - lam) * np.eye(k)
