@@ -67,8 +67,6 @@ class PipelineConfig:
     sweep: str | None = _setting(None, help="budget grid start:stop:step")
     seed: int = 0
     out: str = _setting("out", help="output directory")
-    max_depth: int = 6
-    min_leaf: int = 1
     dump_tables: bool = False
 
 
@@ -183,13 +181,11 @@ def _run_baseline(dataset, config: PipelineConfig, method: str):
     Returns (mitigated dataset, classes after, relative overhead)."""
     if method == "double":
         mitigated, after = baselines.double_scheme(dataset, epsilon=config.epsilon)
-    elif method == "bucketing":
+    else:
         buckets = baselines.fit_buckets(dataset.times.ravel(), config.buckets)
         mitigated, after = baselines.apply_buckets(
             dataset, buckets, epsilon=config.epsilon
         )
-    else:
-        raise ConfigError(f"unknown baseline {method!r}")
     return mitigated, after, timing.relative_overhead(dataset, mitigated)
 
 
@@ -279,7 +275,7 @@ def run_pipeline(config: PipelineConfig) -> list[Path]:
     else:
         features = enforcement.counter_features(dataset, counts)
     samples = enforcement.training_samples(features, classes)
-    tree = enforcement.learn_tree(samples, config.max_depth, config.min_leaf)
+    tree = enforcement.learn_tree(samples)
     mitigated, enforce_report = enforcement.enforce(
         dataset, classes, policy, tree, config.seed, features,
         epsilon=config.epsilon,
@@ -552,14 +548,11 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
         raise ConfigError("delta must be >= 0")
     if not config.epsilon > 0:
         raise ConfigError("epsilon must be > 0")
-    for name, low in (("seed", 0), ("n_starts", 0), ("buckets", 1),
-                      ("max_depth", 1), ("min_leaf", 1)):
+    for name, low in (("seed", 0), ("n_starts", 0), ("buckets", 1)):
         if getattr(config, name) < low:
             raise ConfigError(f"{name} must be >= {low}")
     if config.n_starts > MAX_STARTS:
         raise ConfigError(f"n_starts must be <= {MAX_STARTS}")
-    if config.max_depth > enforcement.MAX_DEPTH:
-        raise ConfigError(f"max_depth must be <= {enforcement.MAX_DEPTH}")
     return config
 
 

@@ -1,6 +1,6 @@
 """Runtime enforcement: classify an execution, then pad it to its target.
 
-A small CART-style decision tree is trained on per-execution features
+A CART-style decision tree is trained on per-execution features
 (simulated instrumentation counters for the synthetic benchmarks, or
 time-derived ratios as a fallback) labeled with observation classes.  All
 features of a dataset live in one ``(n_secrets, n_grid, n_features)`` array.
@@ -101,7 +101,6 @@ class TreeSplit:
 class DecisionTree:
     root: TreeSplit | TreeLeaf
     feature_names: tuple[str, ...]
-    max_depth: int
     train_accuracy: float
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -133,18 +132,16 @@ def _gini(counts: np.ndarray) -> np.ndarray:
 
 
 def _best_cut(
-    xs: np.ndarray, ys: np.ndarray, totals: np.ndarray, min_leaf: int
+    xs: np.ndarray, ys: np.ndarray, totals: np.ndarray
 ) -> tuple[float, int] | None:
     """``(impurity, cut)`` of the lowest-impurity cut of one sorted feature.
 
     ``xs`` is the sorted feature and ``ys`` the labels in that order.  A cut
     at ``c`` puts ``ys[:c]`` on the left; it must fall between two different
-    values and leave ``min_leaf`` rows on each side.  The first cut wins a
-    tie.
+    values.  The first cut wins a tie.
     """
     n = ys.size
     cuts = np.flatnonzero(xs[1:] != xs[:-1]) + 1
-    cuts = cuts[(cuts >= min_leaf) & (cuts <= n - min_leaf)]
     if cuts.size == 0:
         return None
     k = totals.size
@@ -171,47 +168,42 @@ def _midpoint(a: float, b: float) -> float:
     return mid if math.isfinite(mid) else a / 2.0 + b / 2.0
 
 
-def _grow(x: np.ndarray, y: np.ndarray, depth: int, max_depth: int, min_leaf: int):
+def _grow(x: np.ndarray, y: np.ndarray, depth: int):
+    """The subtree grown from ``(x, y)`` and how many of its rows the leaf
+    majorities label correctly."""
     counts = np.bincount(y)
-    parent_gini = float(_gini(counts))
     # np.argmax takes the smallest id on ties.
-    if depth >= max_depth or parent_gini == 0.0 or y.size < 2 * min_leaf:
-        return TreeLeaf(int(np.argmax(counts)))
+    majority = int(np.argmax(counts))
+    leaf = TreeLeaf(majority), int(counts[majority])
+    parent_gini = float(_gini(counts))
+    if depth >= MAX_DEPTH or parent_gini == 0.0:
+        return leaf
     best = None
     for f in range(x.shape[1]):
         order = np.argsort(x[:, f], kind="stable")
         xs = x[order, f]
-        found = _best_cut(xs, y[order], counts, min_leaf)
+        found = _best_cut(xs, y[order], counts)
         if found is not None and (best is None or found[0] < best[0]):
             impurity, cut = found
             best = (impurity, f, _midpoint(float(xs[cut - 1]), float(xs[cut])))
     if best is None or best[0] >= parent_gini - 1e-12:
-        return TreeLeaf(int(np.argmax(counts)))
+        return leaf
     _, f, threshold = best
     mask = x[:, f] <= threshold
-    return TreeSplit(
-        f,
-        float(threshold),
-        _grow(x[mask], y[mask], depth + 1, max_depth, min_leaf),
-        _grow(x[~mask], y[~mask], depth + 1, max_depth, min_leaf),
-    )
+    left, left_hits = _grow(x[mask], y[mask], depth + 1)
+    right, right_hits = _grow(x[~mask], y[~mask], depth + 1)
+    return TreeSplit(f, float(threshold), left, right), left_hits + right_hits
 
 
-def learn_tree(
-    samples: tuple[np.ndarray, np.ndarray, Sequence[str]],
-    max_depth: int = 6,
-    min_leaf: int = 1,
-) -> DecisionTree:
+def learn_tree(samples: tuple[np.ndarray, np.ndarray, Sequence[str]]) -> DecisionTree:
     """Fit a Gini-split CART tree on ``(x, y, feature names)``.
 
     ``x`` is an ``(N, n_features)`` finite feature array and ``y`` the ``N``
     class ids, as :func:`training_samples` returns them.  A node becomes a
-    leaf (its majority class, the smallest id on ties) at ``max_depth``
-    (at most ``MAX_DEPTH``), when it is pure, when it has fewer than
-    ``2 * min_leaf`` rows, or when no cut lowers its Gini impurity by more
-    than 1e-12.  Otherwise it splits at the midpoint of the cut with the
-    lowest weighted impurity among the cuts that leave ``min_leaf`` rows on
-    each side; ties go to the lower feature, then the lower threshold.
+    leaf (its majority class, the smallest id on ties) when it is pure, when
+    no cut lowers its Gini impurity by more than 1e-12, or at ``MAX_DEPTH``.
+    Otherwise it splits at the midpoint of the cut with the lowest weighted
+    impurity; ties go to the lower feature, then the lower threshold.
     """
     x, y, names = samples
     x = np.asarray(x, dtype=float)
@@ -219,20 +211,14 @@ def learn_tree(
     names = tuple(names)
     if y.size == 0:
         raise ValueError("need at least one training sample")
-    if max_depth < 1 or min_leaf < 1:
-        raise ValueError("max_depth and min_leaf must be >= 1")
-    if max_depth > MAX_DEPTH:
-        raise ValueError(f"max_depth must be <= {MAX_DEPTH}")
     if y.ndim != 1 or x.shape != (y.size, len(names)):
         raise ValueError("x must be n_samples x n_features, y one id per sample")
     if np.any(y < 0):
         raise ValueError("class ids must be non-negative")
     if not np.all(np.isfinite(x)):
         raise ValueError("feature values must be finite")
-    root = _grow(x, y, 0, int(max_depth), int(min_leaf))
-    tree = DecisionTree(root, names, int(max_depth), 0.0)
-    hits = int(np.count_nonzero(tree.predict(x) == y))
-    return DecisionTree(root, names, int(max_depth), hits / y.size)
+    root, hits = _grow(x, y, 0)
+    return DecisionTree(root, names, hits / y.size)
 
 
 def mod_exp_counts(dataset: TimingDataset) -> np.ndarray:
@@ -399,7 +385,6 @@ def _node_to_json(node) -> dict:
 def tree_to_json(tree: DecisionTree) -> dict:
     return {
         "feature_names": list(tree.feature_names),
-        "max_depth": tree.max_depth,
         "train_accuracy": tree.train_accuracy,
         "root": _node_to_json(tree.root),
     }

@@ -430,7 +430,7 @@ def synthesize_local(
     if over > delta:
         # Cleanup dust can nudge the budget; an exact pull toward the
         # zero-cost identity restores feasibility at negligible objective cost.
-        lam = (delta / over) * (1.0 - 1e-12) if over > 0 else 0.0
+        lam = (delta / over) * (1.0 - 1e-12)
         mat = lam * mat + (1.0 - lam) * np.eye(k)
     if overhead(mat[None])[0] > delta + BUDGET_TOL:
         raise SolverError("sanitized policy slipped past the budget")

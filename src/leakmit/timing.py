@@ -83,6 +83,11 @@ class TimingDataset:
             raise ValueError("execution times must be finite")
         if np.any(times < 0):
             raise ValueError("execution times must be non-negative")
+        # Every overhead divides by the total, so it must not overflow.
+        with np.errstate(over="ignore"):
+            total = times.sum()
+        if not np.isfinite(total):
+            raise ValueError("execution times must sum to a finite total")
         times.flags.writeable = False
         object.__setattr__(self, "secrets", secrets)
         object.__setattr__(self, "times", times)

@@ -102,6 +102,20 @@ class TestExitCodes:
         assert "data error" in err and "finite" in err
         assert not (tmp_path / "entropy.json").exists()
 
+    def test_overflowing_total_exits_2(self, tmp_path, capsys):
+        # Every time is finite but their total overflows, so the mean time
+        # that prices a move would be inf and every penalty 0.
+        big = tmp_path / "big.csv"
+        big.write_text(
+            "secret_id,public_value,time_seconds\n"
+            "0,1,0\n1,1,1.7e308\n2,1,1.75e308\n"
+        )
+        args = ["synthesize", "--input", str(big), "--measure", "minguess",
+                "--delta", "0", "--algo", "det"]
+        assert run(args, tmp_path) == 2
+        assert "sum to a finite total" in capsys.readouterr().err
+        assert not (tmp_path / "policy.json").exists()
+
     def test_solver_failures_map_to_3(self, tmp_path, monkeypatch, capsys):
         def explode(config):
             raise SolverError("no policy")
@@ -139,7 +153,7 @@ class TestModuleEntryPoint:
 class TestDeepTree:
     """Secrets 0 and 1 take y * 2y, secrets 2 and 3 take y * (2y + 1), so
     their time_per_unit features interleave and only a chain of splits
-    separates the two classes: the tree grows as deep as it may."""
+    separates the two classes: the tree grows to ``MAX_DEPTH``."""
 
     @pytest.fixture
     def deep_csv(self, tmp_path):
@@ -152,10 +166,9 @@ class TestDeepTree:
         return path
 
     def test_tree_at_the_cap_is_written(self, tmp_path, deep_csv):
-        # Used to raise RecursionError at --max-depth 1000.
         out = tmp_path / "out"
         rc = main(["enforce", "--input", str(deep_csv), "--epsilon", "0.5",
-                   "--max-depth", str(MAX_DEPTH), "--out", str(out)])
+                   "--out", str(out)])
         assert rc == 0
 
         def depth(node):
@@ -164,16 +177,8 @@ class TestDeepTree:
             return 1 + max(depth(node["left"]), depth(node["right"]))
 
         tree = json.loads((out / "tree.json").read_text())
-        assert tree["max_depth"] == MAX_DEPTH
+        assert list(tree) == ["feature_names", "train_accuracy", "root"]
         assert depth(tree["root"]) == MAX_DEPTH
-
-    def test_depth_above_the_cap_exits_1(self, tmp_path, capsys, deep_csv):
-        out = tmp_path / "out"
-        rc = main(["enforce", "--input", str(deep_csv), "--epsilon", "0.5",
-                   "--max-depth", "1000", "--out", str(out)])
-        assert rc == 1
-        assert f"max_depth must be <= {MAX_DEPTH}" in capsys.readouterr().err
-        assert not out.exists()
 
 
 class TestSweepGrid:
@@ -336,6 +341,18 @@ class TestPipeline:
         assert len(header) == len(row) == 11
         assert row[0] == str(source)
 
+    def test_full_tree_keeps_the_planned_classes(self, tmp_path):
+        # n_bits 12 is the smallest mod_exp whose depth-6 tree was impure:
+        # it split off one secret as a third class, so min-guess stayed 1.
+        args = ["enforce", "--gen", "mod_exp", "--n-bits", "12", "--algo",
+                "stoch", "--measure", "minguess", "--delta", "0.5"]
+        assert run(args, tmp_path) == 0
+        report = json.loads((tmp_path / "enforcement.json").read_text())
+        assert report["misclassification_rate"] == 0.0
+        assert report["class_sizes_after"] == [2054, 2041]
+        (minguess,) = [e for e in report["entropies"] if e["measure"] == "minguess"]
+        assert minguess["entropy_after"] == 1021.0
+
     def test_stochastic_pipeline(self, tmp_path):
         args = ["enforce"] + BRANCH + ["--measure", "minguess", "--algo",
                                        "stoch", "--delta", "0.8"]
@@ -348,9 +365,10 @@ class TestPipeline:
 class TestGoldenArtifacts:
     """Every ``enforce`` artifact of three small runs, pinned by sha256 across
     commits.  Run (a) covers counter features and stochastic target draws;
-    run (b) covers timing features and padding of executions the depth-2
-    tree gets wrong (misclassification 0.2); run (c) clusters 200 distinct
-    noisy rows into 4 classes, so the linkage makes 196 merges."""
+    run (b) covers padding of executions the tree gets wrong: noise splits
+    the 4 slopes into 18 classes that the slope counter cannot tell apart
+    (misclassification 0.64); run (c) clusters 200 distinct noisy rows into
+    4 classes, so the linkage makes 196 merges."""
 
     RUNS = {
         "a": (
@@ -362,19 +380,19 @@ class TestGoldenArtifacts:
                 "mitigated.csv": "64c88309da97ddf4397dd4db168bdaa65fac45ff82333d838e1cee1b4371c761",
                 "policy.json": "169dea02d6ddc821ab2f7fdd5d7bdd12b6c951d389bbec21d6bba1d674e34d6c",
                 "summary.csv": "213826d389cff7c86336c0e1425bbd7582ca5a61a977f84babd8a96bb687adf8",
-                "tree.json": "b8bae00b3cd3ca3005a2aeb5773a0d91d0ea81b68723c40f77338095c5ac5a15",
+                "tree.json": "ee6a92d8d7ef98b6a878ce276e487d88ed9c5990c345b986eb58e1ab5f3da009",
             },
         ),
         "b": (
-            ["--gen", "branch_loop", "--noise-sigma", "0.3", "--epsilon", "2.0",
-             "--max-depth", "2", "--delta", "0.3", "--seed", "1"],
+            ["--gen", "branch_loop", "--noise-sigma", "1.0", "--epsilon", "1.0",
+             "--delta", "0.3", "--seed", "1"],
             {
-                "classes.json": "1fb723b4463f48c7cd82f4398f761848beb0c10a3cb6bee37081e42216242f3f",
-                "enforcement.json": "df2d00df786a3f273146e83fadabfb121ae5c9fbe84ebde72874b7ccb440c809",
-                "mitigated.csv": "149f10e1fae1d8fa16ba8d4aca23dc3a9fb4113a16b60bcaf7955fcb5fb51e03",
-                "policy.json": "3c0b5732e09d8e0e4091b1ecaf57443ef035a4ec6680f820d59e927a6fb2612d",
-                "summary.csv": "23ac3d81d6f967ba812a0436c1bd7a149a38a00ab15f42542813ba346958dbe2",
-                "tree.json": "e1f70d0235f7b464ffc85681a99a890b901782cd5c1702c05c52c98447fbfe50",
+                "classes.json": "f88166d884cca59f86de82c027f6db4fa8b9f99d47e13997e9d401d4c2648d96",
+                "enforcement.json": "5a8b58b632a3ce6f9a87d3ec74bf6a19a37424fc4f0b90ff65b7030e8f3f9dc6",
+                "mitigated.csv": "0cf5a88a88ebfd9d6c9c2ef9d185b1265880d06c2d42913a38d3f610aa107040",
+                "policy.json": "236e03fe8b422b57da09730efd7d310e00dca3bf227610cb7a5162752af5e7a9",
+                "summary.csv": "7abc16ee57ec962c8b4785ec0f4208db212494cf2150b8fb0f5ba0f31610ed32",
+                "tree.json": "437f553d67a17303d1c94e6627b7e702d1fb88414a37ad45a7778c9e7ce428f1",
             },
         ),
         "c": (
@@ -386,7 +404,7 @@ class TestGoldenArtifacts:
                 "mitigated.csv": "73f955085eaede3445ba51b0406d4390f386e95cbea6afcb6c9e9deb84f54801",
                 "policy.json": "a6f9cbd96975088ef511fa72dd2c93ad43620dcc0a978f93e0300d62f83631fd",
                 "summary.csv": "3679e4d1dea926e89c9d8a163fcc5dfeab6cde8eca8baec81d7def0d5880d725",
-                "tree.json": "19db7bd33c8f443f8e6218d2eb4fe35b03b7bfad65031516723cc48405088a0e",
+                "tree.json": "98cc630e8c0d2f240c8f32b83c836fa2fc76fba5d2d35f9659decbe0e296134e",
             },
         ),
     }
@@ -639,6 +657,8 @@ class TestConfigFile:
             ("synthesize", {}, ["--delta", "nan"]),
             ("sweep", {}, ["--sweep", "nan:1:0.25"]),
             ("sweep", {}, ["--sweep", "0:inf:0.25"]),
+            # the tree sizes itself: a depth or leaf-size setting left in a
+            # command line or config file is refused, not silently ignored
             ("enforce", {}, ["--max-depth", "0"]),
             ("enforce", {}, ["--min-leaf", "0"]),
             ("enforce", {"max_depth": 0}, []),
@@ -657,6 +677,7 @@ class TestConfigFile:
             ("synthesize", {"algo": "stoch", "measure": "shannon"},
              ["--n-starts", str(MAX_STARTS + 1)]),
             ("sweep", {"n_starts": MAX_STARTS + 1}, ["--sweep", "0:0.5:0.25"]),
+            # removed settings, as above
             ("enforce", {}, ["--max-depth", str(MAX_DEPTH + 1)]),
             ("enforce", {"max_depth": MAX_DEPTH + 1}, []),
         ],

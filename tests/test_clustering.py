@@ -412,12 +412,11 @@ class TestJsonRoundTrip:
             ObservationClassSet(binomial_classes.grid, binomial_classes.classes, pen)
 
     def test_overflowing_times_fail_at_the_class_set(self):
-        # The mean time overflows, so a finite gap over an infinite baseline
-        # would price a move at nan.
-        ds = dataset_from_rows([[0.0, 0.0], [1.7e308, 1.7e308], [1.75e308] * 2])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="above the diagonal"):
-                cluster_functions(ds, 1.0)
+        # The total time overflows, so a finite gap over an infinite baseline
+        # would price a move at nan: the dataset is refused before any class
+        # set is built from it.
+        with pytest.raises(ValueError, match="sum to a finite total"):
+            dataset_from_rows([[0.0, 0.0], [1.7e308, 1.7e308], [1.75e308] * 2])
 
     def test_penalty_shape_rejected(self, binomial_classes):
         pen = binomial_classes.penalty[:-1, :-1]
