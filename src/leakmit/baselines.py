@@ -33,13 +33,15 @@ def double_scheme(
     """Pad every observation up to its doubling checkpoint, then re-cluster.
 
     ``quantum`` defaults to the minimum positive observed time at each grid
-    point; passing the same explicit quantum makes the scheme idempotent.
+    point, so a zero time (noise clipped at 0) is held to the first
+    checkpoint, one quantum; passing the same explicit quantum makes the
+    scheme idempotent.
     """
     times = dataset.times
-    if np.any(times <= 0):
-        raise ValueError("doubling scheme requires strictly positive times")
     if quantum is None:
-        q = times.min(axis=0)
+        q = times.min(axis=0, initial=np.inf, where=times > 0)
+        if np.isinf(q).any():
+            raise ValueError("doubling needs a positive time at every grid point")
     else:
         q = np.broadcast_to(np.asarray(quantum, dtype=float), (len(dataset.grid),))
     if np.any(q <= 0):

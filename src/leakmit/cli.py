@@ -2,9 +2,9 @@
 
 Subcommands: generate, cluster, entropy, synthesize, baseline, enforce,
 sweep, compare.  Inputs come from a CSV dataset (--input) or a generator
-(--gen); an optional JSON config file supplies defaults that explicit flags
-override.  All artifacts are written atomically (temp file + rename) and are
-byte-identical across reruns with the same config and seed.
+(--gen); every setting is a flag.  All artifacts are written atomically
+(temp file + rename) and are byte-identical across reruns with the same
+flags and seed.
 
 Exit codes: 0 ok, 1 configuration error, 2 data error, 3 solver error.
 """
@@ -32,7 +32,7 @@ __all__ = ["ConfigError", "PipelineConfig", "run_pipeline", "sweep", "compare", 
 
 
 class ConfigError(Exception):
-    """Bad flags, bad config file, or an unusable flag combination."""
+    """Bad flags or an unusable flag combination."""
 
 
 def _setting(default, **metadata):
@@ -43,10 +43,10 @@ def _setting(default, **metadata):
 @dataclass
 class PipelineConfig:
     """Every setting of a run.  Each field but ``command`` is one flag of
-    every subcommand (``--`` and its name, ``_`` as ``-``) and one config
-    key.  Its annotation types the flag (``X | None`` takes an ``X``, a tuple
-    a comma list, a bool is a switch); its metadata holds the flag's
-    ``choices``, which bind config files too, or ``help``."""
+    every subcommand (``--`` and its name, ``_`` as ``-``); a flag left out
+    keeps the field's default.  Its annotation types the flag (``X | None``
+    takes an ``X``, a tuple a comma list, a bool is a switch); its metadata
+    holds the flag's ``choices`` or ``help``."""
 
     command: str = "enforce"
     input: str | None = _setting(None, help="dataset CSV path")
@@ -70,7 +70,7 @@ class PipelineConfig:
     dump_tables: bool = False
 
 
-# The settings that are flags and config keys, and their resolved types.
+# The settings that are flags, and their resolved types.
 _SETTINGS = {
     f.name: f for f in dataclasses.fields(PipelineConfig) if f.name != "command"
 }
@@ -111,28 +111,22 @@ def _announce(paths: list[Path]) -> list[Path]:
 
 
 def _load_dataset(config: PipelineConfig):
-    """Returns (dataset, counts) where counts are simulated instrumentation
-    counters when a generator cost model is available, else None."""
     if config.input is not None and config.gen is not None:
         raise ConfigError("give either --input or --gen, not both")
     if config.input is not None:
-        return timing.read_csv(config.input), None
+        return timing.read_csv(config.input)
     try:
         if config.gen == "mod_exp":
-            ds = timing.gen_mod_exp(
+            return timing.gen_mod_exp(
                 config.n_bits, config.unit_cost, config.noise_sigma, config.seed
             )
-            return ds, enforcement.mod_exp_counts(ds)
         if config.gen == "branch_loop":
-            ds = timing.gen_branch_loop(
+            return timing.gen_branch_loop(
                 config.group_sizes,
                 config.slopes,
                 config.n_publics,
                 config.noise_sigma,
                 config.seed,
-            )
-            return ds, enforcement.branch_loop_counts(
-                ds, config.group_sizes, config.slopes
             )
     except ValueError as exc:
         # A generator's parameters are all settings, so a bad one is a
@@ -142,9 +136,9 @@ def _load_dataset(config: PipelineConfig):
 
 
 def _load_classes(config: PipelineConfig):
-    """Load and cluster: returns (dataset, counts, classes)."""
-    dataset, counts = _load_dataset(config)
-    return dataset, counts, clustering.cluster_functions(dataset, config.epsilon)
+    """Load and cluster: returns (dataset, classes)."""
+    dataset = _load_dataset(config)
+    return dataset, clustering.cluster_functions(dataset, config.epsilon)
 
 
 def _entropies(sizes) -> dict[str, float]:
@@ -190,14 +184,14 @@ def _run_baseline(dataset, config: PipelineConfig, method: str):
 
 
 def cmd_generate(config: PipelineConfig) -> list[Path]:
-    dataset, _ = _load_dataset(config)
+    dataset = _load_dataset(config)
     out = _write_dataset(Path(config.out) / "dataset.csv", dataset)
     print(f"wrote {out} ({dataset.n_secrets} secrets x {len(dataset.grid)} points)")
     return [out]
 
 
 def cmd_cluster(config: PipelineConfig) -> list[Path]:
-    dataset, _, classes = _load_classes(config)
+    dataset, classes = _load_classes(config)
     out = _write_json(
         Path(config.out) / "classes.json", clustering.classset_to_json(classes)
     )
@@ -206,7 +200,7 @@ def cmd_cluster(config: PipelineConfig) -> list[Path]:
 
 
 def cmd_entropy(config: PipelineConfig) -> list[Path]:
-    _, _, classes = _load_classes(config)
+    _, classes = _load_classes(config)
     values = _entropies(classes.sizes)
     data = {
         "k": classes.k,
@@ -222,7 +216,7 @@ def cmd_entropy(config: PipelineConfig) -> list[Path]:
 
 
 def cmd_synthesize(config: PipelineConfig) -> list[Path]:
-    _, _, classes = _load_classes(config)
+    _, classes = _load_classes(config)
     algo = config.algo or "det"
     policy, report, diag, tables = _solve(classes, config, algo, config.delta)
     out_dir = Path(config.out)
@@ -237,7 +231,7 @@ def cmd_synthesize(config: PipelineConfig) -> list[Path]:
 
 
 def cmd_baseline(config: PipelineConfig) -> list[Path]:
-    dataset, _, classes = _load_classes(config)
+    dataset, classes = _load_classes(config)
     mitigated, after, overhead = _run_baseline(dataset, config, config.baseline)
     before, post = _entropies(classes.sizes), _entropies(after.sizes)
     report = {
@@ -266,13 +260,21 @@ def cmd_baseline(config: PipelineConfig) -> list[Path]:
 
 def run_pipeline(config: PipelineConfig) -> list[Path]:
     """Cluster, synthesize, train the classifier, enforce, and report."""
-    dataset, counts, classes = _load_classes(config)
+    dataset, classes = _load_classes(config)
     algo = config.algo or "det"
     policy, report, diag, _ = _solve(classes, config, algo, config.delta)
 
-    if counts is None:
+    # A generator's cost model gives simulated instrumentation counters; a
+    # measured dataset has only its times.
+    if config.gen is None:
         features = enforcement.timing_features(dataset)
     else:
+        if config.gen == "mod_exp":
+            counts = enforcement.mod_exp_counts(dataset)
+        else:
+            counts = enforcement.branch_loop_counts(
+                dataset, config.group_sizes, config.slopes
+            )
         features = enforcement.counter_features(dataset, counts)
     samples = enforcement.training_samples(features, classes)
     tree = enforcement.learn_tree(samples)
@@ -415,7 +417,7 @@ def sweep(config: PipelineConfig) -> list[Path]:
     if not config.sweep:
         raise ConfigError("--sweep start:stop:step is required")
     grid = _parse_sweep_grid(config.sweep)
-    _, _, classes = _load_classes(config)
+    _, classes = _load_classes(config)
     algos = [config.algo] if config.algo else ["det", "stoch"]
     measure = EntropyMeasure(config.measure).value
 
@@ -448,7 +450,7 @@ def sweep(config: PipelineConfig) -> list[Path]:
 
 def compare(config: PipelineConfig) -> list[Path]:
     """One table row per mitigation approach on a shared dataset."""
-    dataset, _, classes = _load_classes(config)
+    dataset, classes = _load_classes(config)
     header = ("method", "classes_after", "minguess", "shannon", "guessing", "overhead")
 
     def row(name, n_classes, sizes, overhead):
@@ -490,7 +492,6 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        p.add_argument("--config", help="JSON file with flag defaults")
         for name, setting in _SETTINGS.items():
             hint, keywords = _HINTS[name], dict(setting.metadata, dest=name)
             if hint is bool:
@@ -503,46 +504,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _json_fits(value, hint) -> bool:
-    """Whether a JSON config value has the type of a PipelineConfig field."""
-    if typing.get_origin(hint) is tuple:
-        item = typing.get_args(hint)[0]
-        return isinstance(value, list) and all(_json_fits(v, item) for v in value)
-    if typing.get_args(hint):  # an optional field: X | None
-        return any(_json_fits(value, arg) for arg in typing.get_args(hint))
-    if isinstance(value, bool):
-        return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
-
-
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
-    values = {"command": args.command}
-    if args.config is not None:
-        try:
-            raw = json.loads(Path(args.config).read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}")
-        if not isinstance(raw, dict):
-            raise ConfigError("config file must hold a JSON object")
-        for key, value in raw.items():
-            if key not in _SETTINGS:
-                raise ConfigError(f"unknown config key {key!r}")
-            if not _json_fits(value, _HINTS[key]):
-                raise ConfigError(
-                    f"config key {key!r} must be {_SETTINGS[key].type}, got {value!r}"
-                )
-            if isinstance(value, list):
-                value = tuple(map(typing.get_args(_HINTS[key])[0], value))
-            values[key] = value
-    flags = {name: getattr(args, name) for name in _SETTINGS}
-    values.update((name, v) for name, v in flags.items() if v is not None)
-    config = PipelineConfig(**values)
-    for name, setting in _SETTINGS.items():
-        choices, value = setting.metadata.get("choices"), getattr(config, name)
-        if choices is not None and value is not None and value not in choices:
-            raise ConfigError(f"{name} must be one of {choices}, got {value!r}")
+    # A flag left out parses as None, and the field's default stands.
+    config = PipelineConfig(**{k: v for k, v in vars(args).items() if v is not None})
     # Written as "not >=" so that NaN fails too.
     if not config.delta >= 0:
         raise ConfigError("delta must be >= 0")

@@ -51,8 +51,6 @@ class DpTables:
 
     value: np.ndarray
     penalty: np.ndarray
-    measure: EntropyMeasure
-    delta: float
 
     def to_csv(self, path: str | Path) -> None:
         k = self.value.shape[0] - 1
@@ -160,8 +158,7 @@ def synthesize_det(
         i, r, idx = j, r - 1, prev_idx
     blocks.reverse()
 
-    tables = DpTables(value, penalty, measure, float(delta))
-    return blocks_policy(blocks, k), tables
+    return blocks_policy(blocks, k), DpTables(value, penalty)
 
 
 def brute_force_det(

@@ -59,9 +59,17 @@ class TestDoubleScheme:
         assert np.array_equal(once.times, twice.times)
 
     def test_zero_time_rejected(self):
+        # no positive time at the first grid point, so no default quantum
         ds = dataset_from_rows([[0.0, 1.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive time"):
             double_scheme(ds)
+
+    def test_zero_time_is_released_at_the_quantum(self):
+        # quanta 3 and 2: the zero waits one quantum, like the time 3 beside it
+        ds = dataset_from_rows([[0.0, 2.0], [3.0, 4.0]])
+        mitigated, after = double_scheme(ds)
+        assert mitigated.times.tolist() == [[3.0, 2.0], [3.0, 6.0]]
+        assert after.k == 2
 
     def test_bad_quantum_rejected(self, binomial_dataset):
         with pytest.raises(ValueError):
@@ -157,3 +165,16 @@ class TestApplyBuckets:
         buckets = fit_buckets(ds.times.ravel(), 2)
         mitigated, after = apply_buckets(ds, buckets)
         assert after.k > 2
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: BucketSet(()), "at least one boundary"),
+        (lambda: fit_buckets([1.0, -1.0], 1), "times must be non-negative"),
+    ],
+    ids=["no-boundaries", "negative-time"],
+)
+def test_bad_input_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -79,8 +79,10 @@ class TestExitCodes:
             ("1,1,1.0\n1,2,fast\n", "bad.csv:3: could not convert string to float"),
             ("1,1,1.0\nx,2,1.0\n", "bad.csv:3: invalid literal for int()"),
             ("", "bad.csv: no observations"),
+            ("1,1,1.0\n2,1,-1\n", "execution times must be non-negative"),
         ],
-        ids=["two-columns", "non-numeric-time", "non-numeric-secret", "header-only"],
+        ids=["two-columns", "non-numeric-time", "non-numeric-secret", "header-only",
+             "negative-time"],
     )
     def test_malformed_rows_exit_2(self, tmp_path, capsys, body, message):
         bad = tmp_path / "bad.csv"
@@ -566,6 +568,31 @@ class TestSweep:
     def test_sweep_requires_a_grid(self, tmp_path):
         assert run(["sweep"] + BRANCH, tmp_path) == 1
 
+    def test_a_lower_entropy_at_a_larger_budget_repeats_the_best_point(
+        self, tmp_path, monkeypatch
+    ):
+        # A policy feasible at 0.25 is feasible at 0.5, so a solve that does
+        # worse there is replaced by the best point so far.
+        solve = cli._solve
+
+        def wobbly(classes, config, algo, delta):
+            policy, report, diag, tables = solve(classes, config, algo, delta)
+            if delta == 0.5:
+                report = dataclasses.replace(
+                    report, entropy_after=-1.0, expected_overhead=0.0
+                )
+            return policy, report, diag, tables
+
+        monkeypatch.setattr(cli, "_solve", wobbly)
+        args = ["sweep"] + BRANCH + ["--measure", "minguess", "--algo", "det",
+                                     "--sweep", "0:0.75:0.25"]
+        assert run(args, tmp_path) == 0
+        _, rows = read_rows(tmp_path / "sweep.csv")
+        points = [(r["entropy_after"], r["overhead"]) for r in rows]
+        assert float(points[1][0]) > float(points[0][0])
+        assert points[2] == points[1]
+        assert float(points[3][0]) >= float(points[1][0])
+
 
 class TestCompare:
     def test_one_row_per_method(self, tmp_path):
@@ -583,6 +610,18 @@ class TestCompare:
         assert float(by_method["stoch"]["minguess"]) >= float(
             by_method["det"]["minguess"]
         )
+
+    def test_zero_times_reach_the_doubling_baseline(self, tmp_path):
+        # noise clipped at 0 leaves zero times beside positive ones
+        noisy = BRANCH + ["--noise-sigma", "2.0"]
+        assert np.any(gen_branch_loop((5, 5, 5, 10), (1.0, 2.0, 3.0, 4.0),
+                                      noise_sigma=2.0).times == 0.0)
+        assert run(["compare"] + noisy, tmp_path) == 0
+        _, rows = read_rows(tmp_path / "compare.csv")
+        assert [r["method"] for r in rows] == [
+            "initial", "double", "bucketing", "det", "stoch"
+        ]
+        assert run(["baseline", "--baseline", "double"] + noisy, tmp_path) == 0
 
     @pytest.mark.parametrize("command", ["synthesize", "compare"])
     def test_over_budget_policy_is_a_data_error(self, tmp_path, monkeypatch,
@@ -613,106 +652,78 @@ def other_than_default(field):
 
 
 class TestConfigFile:
-    def test_config_supplies_defaults_and_flags_win(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "gen": "mod_exp", "n_bits": 6, "delta": 0.0, "measure": "shannon",
-            "algo": "det",
-        }))
-        out_a = tmp_path / "a"
-        assert main(["synthesize", "--config", str(cfg), "--out", str(out_a)]) == 0
-        data = json.loads((out_a / "policy.json").read_text())
-        assert data["overhead"] == 0.0
+    """Every setting is one flag, checked when the command line is read."""
 
-        out_b = tmp_path / "b"
-        rc = main(["synthesize", "--config", str(cfg), "--delta", "100",
-                   "--out", str(out_b)])
-        assert rc == 0
-        data = json.loads((out_b / "policy.json").read_text())
-        assert data["entropy_after"] > data["entropy_before"]
-
-    def test_unknown_key_rejected(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"gen": "mod_exp", "volume": 11}))
-        assert main(["cluster", "--config", str(cfg)]) == 1
-
-    @pytest.mark.parametrize(
-        "raw", [{"delta": "x"}, {"group_sizes": 5}, {"n_bits": 2.5}]
-    )
+    @pytest.mark.parametrize("raw", [
+        ["--delta", "x"], ["--n-bits", "2.5"], ["--seed", "true"],
+    ])
     def test_mistyped_value_rejected(self, tmp_path, capsys, raw):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"gen": "mod_exp", **raw}))
-        assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == 1
-        assert "configuration error" in capsys.readouterr().err
+        flag, text = raw
+        assert run(["cluster"] + MOD_EXP + raw, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert f"argument {flag}: invalid" in err and f"value: {text!r}" in err
         assert not (tmp_path / "classes.json").exists()
 
     @pytest.mark.parametrize(
-        "command, raw, flags",
+        "command, flags, message",
         [
-            ("synthesize", {"measure": "bogus"}, []),
-            ("synthesize", {"algo": "both"}, []),
-            ("cluster", {"gen": "rsa"}, []),
-            ("baseline", {"baseline": "none"}, []),
-            ("cluster", {}, ["--epsilon", "nan"]),
-            ("synthesize", {}, ["--delta", "nan"]),
-            ("sweep", {}, ["--sweep", "nan:1:0.25"]),
-            ("sweep", {}, ["--sweep", "0:inf:0.25"]),
-            # the tree sizes itself: a depth or leaf-size setting left in a
-            # command line or config file is refused, not silently ignored
-            ("enforce", {}, ["--max-depth", "0"]),
-            ("enforce", {}, ["--min-leaf", "0"]),
-            ("enforce", {"max_depth": 0}, []),
-            ("enforce", {"min_leaf": -1}, []),
-            ("cluster", {}, ["--n-bits", "0"]),
-            ("cluster", {}, ["--gen", "branch_loop", "--n-publics", "0"]),
-            ("baseline", {}, ["--baseline", "bucketing", "--buckets", "0"]),
-            ("compare", {"buckets": 0}, []),
-            ("cluster", {}, ["--noise-sigma", "-1"]),
-            ("cluster", {}, ["--noise-sigma", "nan"]),
-            ("cluster", {}, ["--unit-cost", "nan"]),
-            ("cluster", {}, ["--gen", "branch_loop", "--slopes", "1,nan"]),
-            ("synthesize", {"algo": "stoch", "measure": "shannon"},
-             ["--n-starts", "-3"]),
+            ("synthesize", ["--measure", "bogus"], "--measure: invalid choice"),
+            ("synthesize", ["--algo", "both"], "--algo: invalid choice"),
+            ("cluster", ["--gen", "rsa"], "--gen: invalid choice"),
+            ("baseline", ["--baseline", "none"], "--baseline: invalid choice"),
+            ("cluster", ["--epsilon", "nan"], "epsilon must be > 0"),
+            ("synthesize", ["--delta", "nan"], "delta must be >= 0"),
+            ("sweep", ["--sweep", "nan:1:0.25"], "--sweep expects finite"),
+            ("sweep", ["--sweep", "0:inf:0.25"], "--sweep expects finite"),
+            # the tree sizes itself and the config file is gone: a removed
+            # setting left in a command line is refused, not silently ignored
+            ("enforce", ["--max-depth", "0"], "unrecognized arguments: --max-depth"),
+            ("enforce", ["--min-leaf", "0"], "unrecognized arguments: --min-leaf"),
+            ("cluster", ["--n-bits", "0"], "n_bits must be in [1, 20]"),
+            ("cluster", ["--gen", "branch_loop", "--n-publics", "0"],
+             "n_publics must be >= 1"),
+            ("baseline", ["--baseline", "bucketing", "--buckets", "0"],
+             "buckets must be >= 1"),
+            ("cluster", ["--noise-sigma", "-1"], "noise_sigma must be finite"),
+            ("cluster", ["--noise-sigma", "nan"], "noise_sigma must be finite"),
+            ("cluster", ["--unit-cost", "nan"], "unit_cost must be finite"),
+            ("cluster", ["--gen", "branch_loop", "--group-sizes", "2,2",
+                         "--slopes", "1,nan"],
+             "slopes must be finite, positive and strictly increasing"),
+            ("cluster", ["--gen", "branch_loop", "--group-sizes", "0,5",
+                         "--slopes", "1,2"], "group sizes must be positive"),
+            ("synthesize", ["--algo", "stoch", "--measure", "shannon",
+                            "--n-starts", "-3"], "n_starts must be >= 0"),
             # one over the cap: rejected before any start is built
-            ("synthesize", {"algo": "stoch", "measure": "shannon"},
-             ["--n-starts", str(MAX_STARTS + 1)]),
-            ("sweep", {"n_starts": MAX_STARTS + 1}, ["--sweep", "0:0.5:0.25"]),
+            ("synthesize", ["--algo", "stoch", "--measure", "shannon",
+                            "--n-starts", str(MAX_STARTS + 1)],
+             f"n_starts must be <= {MAX_STARTS}"),
             # removed settings, as above
-            ("enforce", {}, ["--max-depth", str(MAX_DEPTH + 1)]),
-            ("enforce", {"max_depth": MAX_DEPTH + 1}, []),
+            ("enforce", ["--max-depth", str(MAX_DEPTH + 1)],
+             "unrecognized arguments: --max-depth"),
+            ("cluster", ["--config", "x.json"], "unrecognized arguments: --config"),
         ],
         ids=["measure", "algo", "gen", "baseline", "epsilon-nan", "delta-nan",
              "sweep-nan", "sweep-inf", "max-depth-flag", "min-leaf-flag",
-             "max-depth-config", "min-leaf-config", "n-bits-0", "n-publics-0",
-             "buckets-0", "buckets-config-0", "noise-sigma-negative",
-             "noise-sigma-nan", "unit-cost-nan", "slopes-nan", "n-starts-negative",
-             "n-starts-over-cap", "n-starts-config-over-cap",
-             "max-depth-over-cap", "max-depth-config-over-cap"],
+             "n-bits-0", "n-publics-0", "buckets-0", "noise-sigma-negative",
+             "noise-sigma-nan", "unit-cost-nan", "slopes-nan", "group-sizes-0",
+             "n-starts-negative",
+             "n-starts-over-cap", "max-depth-over-cap", "config"],
     )
     def test_value_outside_its_domain_rejected(self, tmp_path, capsys,
-                                               command, raw, flags):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"gen": "mod_exp", "n_bits": 4, **raw}))
-        rc = main([command, "--config", str(cfg), "--out", str(tmp_path)] + flags)
+                                               command, flags, message):
+        rc = run([command, "--gen", "mod_exp", "--n-bits", "4"] + flags, tmp_path)
         assert rc == 1
         err = capsys.readouterr().err
-        assert "configuration error" in err
-        assert "execution times must be finite" not in err
+        assert "configuration error" in err and message in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_list_values_reach_the_generator(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "gen": "branch_loop", "group_sizes": [2, 3], "slopes": [1, 2],
-        }))
-        assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        args = ["cluster"] + BRANCH + ["--group-sizes", "2,3", "--slopes", "1,2"]
+        assert run(args, tmp_path) == 0
         data = json.loads((tmp_path / "classes.json").read_text())
         assert [c["size"] for c in data["classes"]] == [2, 3]
-
-    def test_bool_is_not_a_number(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"gen": "mod_exp", "n_bits": 4, "seed": True}))
-        assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == 1
-        assert "config key 'seed' must be int" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags, noun",
@@ -724,37 +735,27 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert f"expected a comma-separated {noun} list, got '{flags[1]}'" in err
 
-    def test_every_setting_is_one_flag_and_one_config_key(self, tmp_path):
+    def test_every_setting_is_one_flag(self):
         # PipelineConfig declares each setting once: every field but
-        # command is, in field order, one flag of every subcommand and one
-        # config key that sets that field.
+        # command is, in field order, one flag of every subcommand, and
+        # that flag sets the field.
         names = [f.name for f in dataclasses.fields(PipelineConfig)][1:]
+        flags = ["--" + name.replace("_", "-") for name in names]
         parser = cli._build_parser()
         (sub,) = [a for a in parser._actions
                   if isinstance(a, argparse._SubParsersAction)]
         assert list(sub.choices) == list(cli._COMMANDS) and len(sub.choices) == 8
         for command, sub_parser in sub.choices.items():
             actions = [a for a in sub_parser._actions if a.dest != "help"]
-            assert [a.dest for a in actions] == ["config"] + names
-            assert [a.option_strings for a in actions[1:]] == [
-                ["--" + name.replace("_", "-")] for name in names
-            ]
-        for field in dataclasses.fields(PipelineConfig)[1:]:
+            assert [a.dest for a in actions] == names
+            assert [a.option_strings for a in actions] == [[f] for f in flags]
+        for field, flag in zip(dataclasses.fields(PipelineConfig)[1:], flags):
             value = other_than_default(field)
-            cfg = tmp_path / f"{field.name}.json"
-            cfg.write_text(json.dumps({field.name: value}))
-            args = parser.parse_args(["cluster", "--config", str(cfg)])
+            if isinstance(value, bool):
+                argv = [flag]
+            elif isinstance(value, tuple):
+                argv = [flag, ",".join(map(str, value))]
+            else:
+                argv = [flag, str(value)]
+            args = parser.parse_args(["cluster"] + argv)
             assert getattr(cli._build_config(args), field.name) == value
-        cfg = tmp_path / "command.json"
-        cfg.write_text(json.dumps({"command": "cluster"}))
-        with pytest.raises(ConfigError, match="unknown config key 'command'"):
-            cli._build_config(parser.parse_args(["cluster", "--config", str(cfg)]))
-
-    def test_unreadable_config(self, tmp_path):
-        assert main(["cluster", "--config", str(tmp_path / "nope.json")]) == 1
-        broken = tmp_path / "broken.json"
-        broken.write_text("{not json")
-        assert main(["cluster", "--config", str(broken)]) == 1
-        listy = tmp_path / "list.json"
-        listy.write_text("[1, 2]")
-        assert main(["cluster", "--config", str(listy)]) == 1

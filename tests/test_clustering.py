@@ -418,6 +418,10 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="sum to a finite total"):
             dataset_from_rows([[0.0, 0.0], [1.7e308, 1.7e308], [1.75e308] * 2])
 
+    def test_no_classes_rejected(self, binomial_classes):
+        with pytest.raises(ValueError, match="at least one class"):
+            ObservationClassSet(binomial_classes.grid, (), np.zeros((0, 0)))
+
     def test_penalty_shape_rejected(self, binomial_classes):
         pen = binomial_classes.penalty[:-1, :-1]
         with pytest.raises(ValueError, match="k x k"):

@@ -156,8 +156,6 @@ class TestTables:
                                    scan_all_r=True)
         assert tables.value.shape == (4, 4)
         assert tables.penalty.shape == (4, 4)
-        assert tables.measure is EntropyMeasure.SHANNON
-        assert tables.delta == 0.5
 
     def test_to_csv(self, tmp_path):
         cs = tiny_instance()

@@ -290,3 +290,18 @@ class TestSanitizeMatrix:
                 sanitize_matrix(raw).view(np.int64),
                 sanitize_loop_oracle(raw).view(np.int64),
             )
+
+
+@pytest.mark.parametrize(
+    "blocks, k, message",
+    [
+        ([(0, 0), (2, 2)], 3, "blocks must partition 0..k-1 in order"),
+        ([(0, 1), (1, 2)], 3, "blocks must partition 0..k-1 in order"),
+        ([(0, 3)], 3, "blocks must partition 0..k-1 in order"),
+        ([(0, 0)], 2, "blocks must cover all classes"),
+    ],
+    ids=["gap", "overlap", "past-the-end", "short"],
+)
+def test_bad_blocks_rejected(blocks, k, message):
+    with pytest.raises(ValueError, match=message):
+        blocks_policy(blocks, k)

@@ -185,6 +185,11 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match=name):
             solve_lp(**args)
 
+    @pytest.mark.parametrize("lo", [-np.inf, np.inf, np.nan])
+    def test_non_finite_lower_bound_rejected(self, lo):
+        with pytest.raises(ValueError, match="lower bounds must be finite"):
+            solve_lp([1.0], a_ub=[[1.0]], b_ub=[3.0], bounds=[(lo, None)])
+
     def test_nan_upper_bound_rejected(self):
         with pytest.raises(ValueError):
             solve_lp([1.0], a_ub=[[1.0]], b_ub=[3.0], bounds=[(0.0, np.nan)])

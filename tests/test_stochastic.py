@@ -216,6 +216,11 @@ class TestLocalSearch:
         with pytest.raises(ValueError):
             synthesize_local(tiny_instance(), EntropyMeasure.MINGUESS, 0.5)
 
+    @pytest.mark.parametrize("delta", [-0.1, math.nan])
+    def test_bad_budget_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta must be >= 0"):
+            synthesize_local(tiny_instance(), EntropyMeasure.SHANNON, delta)
+
     def test_unbounded_budget_reaches_single_class(self):
         cs = tiny_instance()
         for measure in (EntropyMeasure.SHANNON, EntropyMeasure.GUESSING):

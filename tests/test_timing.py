@@ -265,3 +265,23 @@ class TestDatasetInvariants:
         ds = gen_mod_exp(3, 1.0, 0.0, seed=0)
         with pytest.raises(ValueError):
             ds.times[0, 0] = 99.0
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TimingDataset((), grid(1, 2), np.ones((0, 2))),
+         "at least one secret"),
+        (lambda: TimingDataset((1, 2), grid(1, 2), np.ones((2, 3))),
+         "times matrix must be n_secrets x n_grid_points"),
+        (lambda: TimingDataset((1, 2), grid(1, 2), [[1.0, 2.0], [-1.0, 2.0]]),
+         "execution times must be non-negative"),
+        (lambda: gen_branch_loop((), (), 5, 0.0, 0), "need at least one group"),
+        (lambda: gen_branch_loop((0, 5), (1.0, 2.0), 5, 0.0, 0),
+         "group sizes must be positive"),
+    ],
+    ids=["no-secrets", "wrong-shape", "negative-time", "no-groups", "empty-group"],
+)
+def test_bad_input_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
