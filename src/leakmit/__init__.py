@@ -21,7 +21,7 @@ from .clustering import (
     cluster_functions,
     penalty_matrix,
 )
-from .deterministic import DpTables, synthesize_det
+from .deterministic import synthesize_det
 from .enforcement import (
     DecisionTree,
     EnforcementReport,
@@ -64,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BucketSet",
     "DecisionTree",
-    "DpTables",
     "EnforcementReport",
     "EntropyMeasure",
     "EntropyReport",

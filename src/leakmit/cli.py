@@ -45,8 +45,8 @@ class PipelineConfig:
     """Every setting of a run.  Each field but ``command`` is one flag of
     every subcommand (``--`` and its name, ``_`` as ``-``); a flag left out
     keeps the field's default.  Its annotation types the flag (``X | None``
-    takes an ``X``, a tuple a comma list, a bool is a switch); its metadata
-    holds the flag's ``choices`` or ``help``."""
+    takes an ``X``, a tuple a comma list); its metadata holds the flag's
+    ``choices`` or ``help``."""
 
     command: str = "enforce"
     input: str | None = _setting(None, help="dataset CSV path")
@@ -67,7 +67,6 @@ class PipelineConfig:
     sweep: str | None = _setting(None, help="budget grid start:stop:step")
     seed: int = 0
     out: str = _setting("out", help="output directory")
-    dump_tables: bool = False
 
 
 # The settings that are flags, and their resolved types.
@@ -149,18 +148,18 @@ def _entropies(sizes) -> dict[str, float]:
 def _solve(classes, config: PipelineConfig, algo: str, delta: float):
     """Synthesize under ``delta`` and check the policy against it.
 
-    Returns (policy, report, diagnostics or None, DP tables or None)."""
+    Returns (policy, report, diagnostics or None)."""
     measure = EntropyMeasure(config.measure)
-    diag = tables = None
+    diag = None
     if algo == "det":
-        policy, tables = synthesize_det(classes, measure, delta)
+        policy, _ = synthesize_det(classes, measure, delta)
     elif measure is EntropyMeasure.MINGUESS:
         policy, diag = synthesize_minguess(classes, delta)
     else:
         policy, diag = synthesize_local(
             classes, measure, delta, n_starts=config.n_starts, seed=config.seed
         )
-    return policy, build_report(policy, classes, measure, delta), diag, tables
+    return policy, build_report(policy, classes, measure, delta), diag
 
 
 def _write_policy(out_dir: Path, policy, report, diag) -> Path:
@@ -218,16 +217,13 @@ def cmd_entropy(config: PipelineConfig) -> list[Path]:
 def cmd_synthesize(config: PipelineConfig) -> list[Path]:
     _, classes = _load_classes(config)
     algo = config.algo or "det"
-    policy, report, diag, tables = _solve(classes, config, algo, config.delta)
-    out_dir = Path(config.out)
-    written = [_write_policy(out_dir, policy, report, diag)]
-    if tables is not None and config.dump_tables:
-        written.append(_write_atomic(out_dir / "dp_tables.csv", tables.to_csv))
+    policy, report, diag = _solve(classes, config, algo, config.delta)
+    out = _write_policy(Path(config.out), policy, report, diag)
     print(
         f"{algo} policy: entropy {report.entropy_before!r} -> "
         f"{report.entropy_after!r}, overhead {report.expected_overhead!r}"
     )
-    return _announce(written)
+    return _announce([out])
 
 
 def cmd_baseline(config: PipelineConfig) -> list[Path]:
@@ -262,7 +258,7 @@ def run_pipeline(config: PipelineConfig) -> list[Path]:
     """Cluster, synthesize, train the classifier, enforce, and report."""
     dataset, classes = _load_classes(config)
     algo = config.algo or "det"
-    policy, report, diag, _ = _solve(classes, config, algo, config.delta)
+    policy, report, diag = _solve(classes, config, algo, config.delta)
 
     # A generator's cost model gives simulated instrumentation counters; a
     # measured dataset has only its times.
@@ -425,7 +421,7 @@ def sweep(config: PipelineConfig) -> list[Path]:
     for algo in algos:
         best = None
         for delta in grid:
-            _, report, _, _ = _solve(classes, config, algo, delta)
+            _, report, _ = _solve(classes, config, algo, delta)
             point = (report.entropy_after, report.expected_overhead)
             # A feasible policy stays feasible at any larger budget, so
             # carrying the best-so-far forward repairs any local-search wobble.
@@ -462,7 +458,7 @@ def compare(config: PipelineConfig) -> list[Path]:
         _, after, overhead = _run_baseline(dataset, config, method)
         rows.append(row(method, after.k, after.sizes, overhead))
     for algo in ("det", "stoch"):
-        policy, report, _, _ = _solve(classes, config, algo, config.delta)
+        policy, report, _ = _solve(classes, config, algo, config.delta)
         post = report.expected_sizes
         rows.append(row(algo, sum(c > 1e-9 for c in post), post,
                         expected_overhead(policy, classes)))
@@ -494,9 +490,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(command, help=help_text)
         for name, setting in _SETTINGS.items():
             hint, keywords = _HINTS[name], dict(setting.metadata, dest=name)
-            if hint is bool:
-                keywords.update(action="store_true", default=None)
-            elif typing.get_origin(hint) is tuple:
+            if typing.get_origin(hint) is tuple:
                 keywords["type"] = _comma_list(typing.get_args(hint)[0])
             else:  # X | None takes an X
                 keywords["type"] = (typing.get_args(hint) or (hint,))[0]

@@ -17,52 +17,22 @@ every instance, not just the friendly ones.  Objectives decompose per block:
 each block contributes its measure's ``term`` of the block size, blocks are
 folded with the measure's ``combine`` (``+`` or ``min``), and the raw result
 is mapped onto the entropy scale by ``finalize`` (see ``entropy.MEASURES``).
-The program fills every block count and returns the best feasible objective
-over all of them, the fewest blocks on ties.
+The program fills every block count and returns the partition with the best
+feasible objective over all of them, the fewest blocks on ties.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 
 from .clustering import ObservationClassSet
 from .entropy import MEASURES, EntropyMeasure
 from .policy import MitigationPolicy, blocks_policy
-from .timing import write_table
 
-__all__ = ["DpTables", "synthesize_det", "brute_force_det"]
-
-
-@dataclass(frozen=True)
-class DpTables:
-    """Per-state summaries of the synthesis run.
-
-    ``value[i][r]`` is the best feasible objective over partitions of the
-    first i classes into r blocks, mapped onto the entropy scale by the
-    measure's ``finalize``; ``penalty[i][r]`` is the budget spent by that best
-    point (inf when the state is infeasible).
-    Row and column 0 are padding so indices read naturally.
-    """
-
-    value: np.ndarray
-    penalty: np.ndarray
-
-    def to_csv(self, path: str | Path) -> None:
-        k = self.value.shape[0] - 1
-        header = (
-            ["i"]
-            + [f"value_r{r}" for r in range(1, k + 1)]
-            + [f"penalty_r{r}" for r in range(1, k + 1)]
-        )
-        columns = (
-            np.arange(1, k + 1), *self.value[1:, 1:].T, *self.penalty[1:, 1:].T
-        )
-        write_table(path, header, [columns])
+__all__ = ["synthesize_det", "brute_force_det"]
 
 
 def _block_tables(classes: ObservationClassSet, measure: EntropyMeasure):
@@ -105,10 +75,12 @@ def synthesize_det(
     measure: EntropyMeasure | str,
     delta: float,
     scan_all_r: bool = True,
-) -> tuple[MitigationPolicy, DpTables]:
+) -> tuple[MitigationPolicy, list[tuple[int, int]]]:
     """Budget-constrained exact search over contiguous merge policies.
 
-    Every block count is scanned; ``scan_all_r`` accepts only ``True``.
+    Returns the policy and its partition: the ``(lo, hi)`` class range of
+    each block, in order.  Every block count is scanned; ``scan_all_r``
+    accepts only ``True``.
     """
     if scan_all_r is not True:
         raise ValueError("synthesize_det always scans every block count")
@@ -120,15 +92,10 @@ def synthesize_det(
     combine = MEASURES[measure].combine
     finalize = MEASURES[measure].finalize
 
-    value = np.full((k + 1, k + 1), -np.inf)
-    penalty = np.full((k + 1, k + 1), np.inf)
-
     # states[i][r] is the frontier of (i, r); each point is (raw objective,
     # spent budget, predecessor i, point index).  The empty partition seeds
     # it with the fold's identity at no cost, so r = 1 is no special case.
-    states: list[list[list[tuple[float, float, int, int]]]] = [
-        [[] for _ in range(k + 1)] for _ in range(k + 1)
-    ]
+    states = [[[] for _ in range(k + 1)] for _ in range(k + 1)]
     states[0][0] = [(np.inf if combine is min else 0.0, 0.0, 0, 0)]
     for r in range(1, k + 1):
         for i in range(r, k + 1):
@@ -140,25 +107,23 @@ def synthesize_det(
                         candidates.append(
                             (combine(raw, block_raw[j, i - 1]), new_cost, j, idx)
                         )
-            frontier = _pareto(candidates)
-            states[i][r] = frontier
-            if frontier:
-                # Values rise strictly along a frontier: its last point is best.
-                value[i][r] = finalize(frontier[-1][0], total)
-                penalty[i][r] = frontier[-1][1]
+            states[i][r] = _pareto(candidates)
+    # Values rise strictly along a frontier, so its last point is its best.
     # Identity (r = k) costs nothing, so some r is always feasible.
-    feasible_r = [r for r in range(1, k + 1) if states[k][r]]
-    chosen_r = max(feasible_r, key=lambda r: (value[k][r], -r))
+    chosen_r = max(
+        (r for r in range(1, k + 1) if states[k][r]),
+        key=lambda r: (finalize(states[k][r][-1][0], total), -r),
+    )
 
     blocks: list[tuple[int, int]] = []
     i, r, idx = k, chosen_r, len(states[k][chosen_r]) - 1
     while r > 0:
-        raw, cost, j, prev_idx = states[i][r][idx]
+        _, _, j, prev_idx = states[i][r][idx]
         blocks.append((j, i - 1))
         i, r, idx = j, r - 1, prev_idx
     blocks.reverse()
 
-    return blocks_policy(blocks, k), DpTables(value, penalty)
+    return blocks_policy(blocks, k), blocks
 
 
 def brute_force_det(

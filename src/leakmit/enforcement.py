@@ -250,6 +250,9 @@ def counter_features(dataset: TimingDataset, counts: np.ndarray) -> FeatureTable
 
 def timing_features(dataset: TimingDataset) -> FeatureTable:
     """Fallback features when no instrumentation model is available."""
+    low = dataset.grid.points[0]  # the grid ascends
+    if low <= 0:
+        raise ValueError(f"time_per_unit needs positive public values, got {low!r}")
     per_unit = dataset.times / dataset.grid.array
     return FeatureTable(("time_per_unit",), per_unit[:, :, None], dataset.secrets)
 

@@ -32,6 +32,7 @@ __all__ = [
 
 CSV_HEADER = ("secret_id", "public_value", "time_seconds")
 CSV_BLOCK_ROWS = 4096
+MAX_CELLS = (2**20 - 1) * 20  # gen_mod_exp's table at n_bits = 20
 
 
 @dataclass(frozen=True)
@@ -170,6 +171,8 @@ def gen_branch_loop(
         raise ValueError("slopes must be finite, positive and strictly increasing")
     if int(n_publics) < 1:
         raise ValueError("n_publics must be >= 1")
+    if sum(sizes) * int(n_publics) > MAX_CELLS:
+        raise ValueError(f"sum(group_sizes) * n_publics must be <= {MAX_CELLS}")
     slope_per_secret = np.repeat(np.asarray(slope_list), sizes)
     grid = PublicGrid(tuple(float(y) for y in range(1, int(n_publics) + 1)))
     base = slope_per_secret[:, None] * grid.array[None, :]

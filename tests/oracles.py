@@ -281,21 +281,19 @@ def det_dp_loop_oracle(classes, measure, delta: float):
     """The contiguous-merge DP with its separate one-block initialisation,
     frozen as the bit-level reference for ``synthesize_det``.
 
-    Returns ``(policy, value, penalty)``, the last two as ``DpTables`` holds
-    them.
+    Returns ``(policy, blocks)``, ``blocks`` the ``(lo, hi)`` partition it
+    backtracks.
     """
     row = MEASURES[EntropyMeasure(measure)]
     k = classes.k
     block_cost, block_raw, total = block_tables_loop_oracle(classes, measure)
     value = np.full((k + 1, k + 1), -np.inf)
-    penalty = np.full((k + 1, k + 1), np.inf)
     states = [[[] for _ in range(k + 1)] for _ in range(k + 1)]
     for i in range(1, k + 1):
         cost = block_cost[0, i - 1]
         if cost <= delta:
             states[i][1] = [(block_raw[0, i - 1], cost, 0, -1)]
             value[i][1] = row.finalize(block_raw[0, i - 1], total)
-            penalty[i][1] = cost
     for r in range(2, k + 1):
         for i in range(r, k + 1):
             candidates = []
@@ -310,7 +308,6 @@ def det_dp_loop_oracle(classes, measure, delta: float):
             states[i][r] = frontier
             if frontier:
                 value[i][r] = row.finalize(frontier[-1][0], total)
-                penalty[i][r] = frontier[-1][1]
     feasible_r = [r for r in range(1, k + 1) if states[k][r]]
     chosen_r = max(feasible_r, key=lambda r: (value[k][r], -r))
     blocks = []
@@ -320,7 +317,7 @@ def det_dp_loop_oracle(classes, measure, delta: float):
         blocks.append((j, i - 1))
         i, r, idx = j, r - 1, prev_idx
     blocks.reverse()
-    return blocks_policy(blocks, k), value, penalty
+    return blocks_policy(blocks, k), blocks
 
 
 # ---------------------------------------------------------------------------
@@ -759,8 +756,8 @@ def sanitize_loop_oracle(matrix):
 
 
 # ---------------------------------------------------------------------------
-# CSV text: the row-at-a-time writers, frozen as the byte-level reference for
-# the streaming table writer
+# CSV text: the row-at-a-time dataset writer, frozen as the byte-level
+# reference for the streaming table writer
 
 
 def dataset_csv_oracle(dataset, path) -> None:
@@ -771,23 +768,6 @@ def dataset_csv_oracle(dataset, path) -> None:
         for i, secret in enumerate(dataset.secrets):
             for p, y in enumerate(dataset.grid.points):
                 writer.writerow((secret, repr(y), repr(float(dataset.times[i, p]))))
-
-
-def dp_tables_csv_oracle(tables, path) -> None:
-    k = tables.value.shape[0] - 1
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["i"]
-            + [f"value_r{r}" for r in range(1, k + 1)]
-            + [f"penalty_r{r}" for r in range(1, k + 1)]
-        )
-        for i in range(1, k + 1):
-            writer.writerow(
-                [i]
-                + [repr(float(tables.value[i][r])) for r in range(1, k + 1)]
-                + [repr(float(tables.penalty[i][r])) for r in range(1, k + 1)]
-            )
 
 
 # ---------------------------------------------------------------------------

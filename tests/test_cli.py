@@ -104,6 +104,24 @@ class TestExitCodes:
         assert "data error" in err and "finite" in err
         assert not (tmp_path / "entropy.json").exists()
 
+    @pytest.mark.parametrize("public", ["0", "-2"])
+    def test_non_positive_public_value_in_enforce_exits_2(
+        self, tmp_path, capsys, public
+    ):
+        # enforce's time_per_unit feature divides each time by its public
+        # value; synthesize reads no features, so it takes the same file.
+        data = tmp_path / "publics.csv"
+        data.write_text(
+            "secret_id,public_value,time_seconds\n"
+            f"1,{public},1.0\n1,1,2.0\n2,{public},1.5\n2,1,3.0\n"
+        )
+        assert run(["synthesize", "--input", str(data)], tmp_path / "s") == 0
+        assert run(["enforce", "--input", str(data)], tmp_path / "e") == 2
+        err = capsys.readouterr().err
+        assert "data error" in err
+        assert f"positive public values, got {float(public)!r}" in err
+        assert not (tmp_path / "e").exists()
+
     def test_overflowing_total_exits_2(self, tmp_path, capsys):
         # Every time is finite but their total overflows, so the mean time
         # that prices a move would be inf and every penalty 0.
@@ -270,12 +288,6 @@ class TestSingleCommands:
         assert data["entropy_after"] == pytest.approx(3.8)
         assert data["overhead"] <= 0.1
 
-    def test_dump_tables(self, tmp_path):
-        args = ["synthesize"] + MOD_EXP + ["--algo", "det", "--dump-tables"]
-        assert run(args, tmp_path) == 0
-        text = (tmp_path / "dp_tables.csv").read_text()
-        assert text.startswith("i,value_r1")
-
     def test_baseline_double(self, tmp_path):
         args = ["baseline", "--gen", "mod_exp", "--n-bits", "10",
                 "--baseline", "double"]
@@ -431,7 +443,7 @@ NINE_CLASS_SWEEP = [
 class TestGoldenSubcommands:
     """Every artifact of every other subcommand, pinned by sha256 across
     commits on small generator runs: the dataset CSV (noisy and exact),
-    classes, entropies, a DP policy with its tables, a local-search policy,
+    classes, entropies, a DP policy, a local-search policy,
     both baselines, a sweep with its chart, and the comparison table."""
 
     RUNS = {
@@ -463,9 +475,8 @@ class TestGoldenSubcommands:
         ),
         "synthesize-det": (
             ["synthesize", "--gen", "mod_exp", "--n-bits", "6", "--algo", "det",
-             "--measure", "shannon", "--delta", "0.3", "--dump-tables"],
+             "--measure", "shannon", "--delta", "0.3"],
             {
-                "dp_tables.csv": "8484ff9d9cf8b36dc46f4c55ad7910fa88b25e1bbddfd4468245b5583131a1ee",
                 "policy.json": "78d42b36741a65b9ec2195c795e67b2e86827ba09871fe146ba5eb13a54c4fe1",
             },
         ),
@@ -576,12 +587,12 @@ class TestSweep:
         solve = cli._solve
 
         def wobbly(classes, config, algo, delta):
-            policy, report, diag, tables = solve(classes, config, algo, delta)
+            policy, report, diag = solve(classes, config, algo, delta)
             if delta == 0.5:
                 report = dataclasses.replace(
                     report, entropy_after=-1.0, expected_overhead=0.0
                 )
-            return policy, report, diag, tables
+            return policy, report, diag
 
         monkeypatch.setattr(cli, "_solve", wobbly)
         args = ["sweep"] + BRANCH + ["--measure", "minguess", "--algo", "det",
@@ -642,8 +653,6 @@ def other_than_default(field):
     default, choices = field.default, field.metadata.get("choices")
     if choices:
         return next(c for c in choices if c != default)
-    if isinstance(default, bool):
-        return not default
     if isinstance(default, (int, float)):
         return default + 1
     if isinstance(default, tuple):
@@ -703,13 +712,18 @@ class TestConfigFile:
             ("enforce", ["--max-depth", str(MAX_DEPTH + 1)],
              "unrecognized arguments: --max-depth"),
             ("cluster", ["--config", "x.json"], "unrecognized arguments: --config"),
+            ("synthesize", ["--dump-tables"], "unrecognized arguments: --dump-tables"),
+            # a table too large to build is refused before it is allocated
+            ("cluster", ["--gen", "branch_loop", "--n-publics", "1000000000"],
+             "sum(group_sizes) * n_publics must be <= 20971500"),
         ],
         ids=["measure", "algo", "gen", "baseline", "epsilon-nan", "delta-nan",
              "sweep-nan", "sweep-inf", "max-depth-flag", "min-leaf-flag",
              "n-bits-0", "n-publics-0", "buckets-0", "noise-sigma-negative",
              "noise-sigma-nan", "unit-cost-nan", "slopes-nan", "group-sizes-0",
              "n-starts-negative",
-             "n-starts-over-cap", "max-depth-over-cap", "config"],
+             "n-starts-over-cap", "max-depth-over-cap", "config", "dump-tables",
+             "branch-loop-over-cap"],
     )
     def test_value_outside_its_domain_rejected(self, tmp_path, capsys,
                                                command, flags, message):
@@ -751,9 +765,7 @@ class TestConfigFile:
             assert [a.option_strings for a in actions] == [[f] for f in flags]
         for field, flag in zip(dataclasses.fields(PipelineConfig)[1:], flags):
             value = other_than_default(field)
-            if isinstance(value, bool):
-                argv = [flag]
-            elif isinstance(value, tuple):
+            if isinstance(value, tuple):
                 argv = [flag, ",".join(map(str, value))]
             else:
                 argv = [flag, str(value)]

@@ -12,7 +12,6 @@ from oracles import (
     block_tables_loop_oracle,
     det_best_oracle,
     det_dp_loop_oracle,
-    dp_tables_csv_oracle,
     upward_map_oracle,
 )
 
@@ -31,8 +30,9 @@ def tiny_instance():
 class TestSmallCases:
     def test_single_class_returns_identity(self):
         cs = make_classset([5.0])
-        pol, tables = synthesize_det(cs, EntropyMeasure.MINGUESS, 1.0)
+        pol, blocks = synthesize_det(cs, EntropyMeasure.MINGUESS, 1.0)
         assert np.array_equal(pol.matrix, np.eye(1))
+        assert blocks == [(0, 0)]
 
     def test_zero_budget_returns_identity(self):
         cs = tiny_instance()
@@ -137,63 +137,18 @@ class TestReturnedPolicy:
     def test_early_stop_uses_fewest_blocks(self):
         cs = tiny_instance()
         # full merge affordable: defaults must pick the single block
-        pol, tables = synthesize_det(cs, EntropyMeasure.MINGUESS, math.inf)
+        pol, blocks = synthesize_det(cs, EntropyMeasure.MINGUESS, math.inf)
         assert np.count_nonzero(pol.matrix.sum(axis=0)) == 1
+        assert blocks == [(0, 2)]
         # zero budget: only the identity (k blocks) is feasible
-        pol0, _ = synthesize_det(cs, EntropyMeasure.MINGUESS, 0.0)
+        pol0, blocks0 = synthesize_det(cs, EntropyMeasure.MINGUESS, 0.0)
         assert np.count_nonzero(pol0.matrix.sum(axis=0)) == 3
+        assert blocks0 == [(0, 0), (1, 1), (2, 2)]
 
     def test_scan_all_r_false_is_rejected(self):
         with pytest.raises(ValueError, match="every block count"):
             synthesize_det(tiny_instance(), EntropyMeasure.SHANNON, 0.5,
                            scan_all_r=False)
-
-
-class TestTables:
-    def test_table_shapes_and_padding(self):
-        cs = tiny_instance()
-        _, tables = synthesize_det(cs, EntropyMeasure.SHANNON, 0.5,
-                                   scan_all_r=True)
-        assert tables.value.shape == (4, 4)
-        assert tables.penalty.shape == (4, 4)
-
-    def test_to_csv(self, tmp_path):
-        cs = tiny_instance()
-        _, tables = synthesize_det(cs, EntropyMeasure.GUESSING, 0.5)
-        path = tmp_path / "tables.csv"
-        tables.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("i,value_r1")
-        assert len(lines) == 4  # header + one row per prefix length
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_to_csv_bytes_match_the_row_loop(self, tmp_path, seed):
-        # Budgets from none to ample, so the tables hold -inf, inf and finite
-        # values side by side.
-        rng = np.random.default_rng(seed)
-        cs = random_classset(rng, int(rng.integers(1, 9)))
-        for delta in (0.0, 0.2, 5.0):
-            for measure in ALL_MEASURES:
-                _, tables = synthesize_det(cs, measure, delta, scan_all_r=True)
-                tables.to_csv(tmp_path / "a.csv")
-                dp_tables_csv_oracle(tables, tmp_path / "b.csv")
-                assert (tmp_path / "a.csv").read_bytes() == (
-                    tmp_path / "b.csv"
-                ).read_bytes()
-
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_value_is_minus_inf_exactly_where_penalty_is_inf(self, seed):
-        # A state reports a value only when one of its partitions fits the
-        # budget, one block (r = 1) included.
-        rng = np.random.default_rng(seed)
-        cs = random_classset(rng, int(rng.integers(1, 10)))
-        for delta in (0.0, *rng.uniform(0.0, 0.6, size=4), math.inf):
-            for measure in ALL_MEASURES:
-                _, tables = synthesize_det(cs, measure, delta)
-                assert np.array_equal(
-                    np.isneginf(tables.value), np.isposinf(tables.penalty)
-                )
 
 
 class TestBlockTables:
@@ -216,7 +171,8 @@ def bit_equal(a, b) -> bool:
 
 class TestFrozenLoopDp:
     """The recurrence seeded by the empty partition and the cumulative-sum
-    block tables reproduce the loop versions bit for bit."""
+    block tables reproduce the loop versions: the block tables bit for bit,
+    the policy and its partition exactly."""
 
     @pytest.mark.parametrize("seed", range(16))
     def test_bit_identical_to_the_loop_dp(self, seed):
@@ -232,11 +188,10 @@ class TestFrozenLoopDp:
                 assert bit_equal(got[0], want[0]) and bit_equal(got[1], want[1])
                 assert got[2] == want[2]
                 for delta in (0.0, float(rng.uniform(0.0, 0.6)), math.inf):
-                    policy, tables = synthesize_det(cs, measure, delta)
-                    ref_policy, value, penalty = det_dp_loop_oracle(cs, measure, delta)
+                    policy, blocks = synthesize_det(cs, measure, delta)
+                    ref_policy, ref_blocks = det_dp_loop_oracle(cs, measure, delta)
                     assert np.array_equal(policy.matrix, ref_policy.matrix)
-                    assert bit_equal(tables.value, value)
-                    assert bit_equal(tables.penalty, penalty)
+                    assert blocks == ref_blocks
 
 
 class TestRestrictedSet:

@@ -231,11 +231,15 @@ class TestWriteTable:
             (["a,b.csv", 'say "hi"', "plain"], [1, np.int64(2), 3],
              [0.1, np.float64(0.1), np.float32(0.1)]),
             (["line\nbreak"], np.array([4]), np.array([1e-7])),
+            # summary.csv holds inf under --delta inf
+            (["inf", "-inf", "-0"], [5, 6, 7],
+             [math.inf, np.float64(-math.inf), np.float32(-0.0)]),
         ])
         assert path.read_text() == (
             'name,n,x\n"a,b.csv",1,0.1\n"say ""hi""",2,0.1\n'
             "plain,3,0.10000000149011612\n"
             '"line\nbreak",4,1e-07\n'
+            "inf,5,inf\n-inf,6,-inf\n-0,7,-0.0\n"
         )
 
     def test_empty_table_is_the_header(self, tmp_path):
