@@ -11,11 +11,13 @@ count grows linearly in the public value.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -185,32 +187,62 @@ def write_table(path: str | Path, header: Sequence[str], blocks: Iterable) -> No
 
     Every CSV file the package writes goes through here.  A block is one
     column per header field, each a NumPy array or a sequence of cells, and
-    only one block at a time is turned into Python objects, so a caller
-    streams a large table by yielding small blocks.  Floats are written as
-    ``repr(float(v))``, every line ends in a bare line feed, and a text cell
-    holding a comma, a quote or a line break is quoted the way the ``csv``
-    module quotes it.
+    only one block at a time is turned into text, so a caller streams a
+    large table by yielding small blocks.  Floats are written as
+    ``repr(float(v))``, every line ends in a bare line feed, and every other
+    cell is written the way ``csv.writer`` writes it, quoting included.
     """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(next(_lines([[field] for field in _strings(header)]), "") + "\n")
         for block in blocks:
-            writer.writerows(zip(*map(_cells, block)))
+            text = "\n".join(_lines([_strings(column) for column in block]))
+            if text:
+                fh.write(text + "\n")
 
 
-def _cells(column) -> list:
-    # The csv module writes a cell as str(v), and str(np.float32(0.1)) is
-    # "0.1" where repr(float(v)) is "0.10000000149011612", so every float
-    # becomes a Python float first.
-    if isinstance(column, np.ndarray):
-        return column.tolist()
-    return [float(v) if isinstance(v, (float, np.floating)) else v for v in column]
+def _lines(columns: list[list[str]]) -> Iterator[str]:
+    if len(columns) == 1:
+        # The csv module's one exception: a record that is a single empty
+        # field is written as "".
+        columns = [[cell or '""' for cell in columns[0]]]
+    return map(",".join, zip(*columns))
+
+
+def _strings(column) -> list[str]:
+    """One column of a block as CSV fields."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+        # repr once per distinct value, gathered back through the inverse
+        # index.  Floats are keyed by their bits: keyed by value, -0.0 and
+        # 0.0 in one block would print alike.
+        if column.dtype.kind == "f":
+            bits, index = np.unique(column.astype(float).view(np.int64),
+                                    return_inverse=True)
+            values = bits.view(float)
+        else:
+            values, index = np.unique(column, return_inverse=True)
+        return np.array(list(map(repr, values.tolist())), dtype=object)[index].tolist()
+    # Every other cell is formatted by the csv module itself, as the record
+    # (v, ""), which it writes as "v,\n".  It writes a cell as str(v), and
+    # str(np.float32(0.1)) is "0.1" where repr(float(v)) is
+    # "0.10000000149011612", so every float becomes a Python float first.
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    fields = []
+    for v in column.tolist() if isinstance(column, np.ndarray) else column:
+        writer.writerow((float(v) if isinstance(v, (float, np.floating)) else v, ""))
+        fields.append(buf.getvalue()[:-2])
+        buf.seek(0)
+        buf.truncate()
+    return fields
 
 
 def write_csv(dataset: TimingDataset, path: str | Path) -> None:
     """Write rows secret-major, grid-ascending: secret_id,public_value,time_seconds."""
     points = dataset.grid.array
-    secrets = np.asarray(dataset.secrets, dtype=object)
+    try:
+        secrets = np.array(dataset.secrets, dtype=np.int64)
+    except OverflowError:
+        secrets = np.array(dataset.secrets, dtype=object)
     # Blocks of whole secrets, about CSV_BLOCK_ROWS rows each: a block per
     # secret pays more in per-block overhead than the rows cost to write.
     step = max(1, CSV_BLOCK_ROWS // points.size)
@@ -228,8 +260,50 @@ def read_csv(path: str | Path) -> TimingDataset:
     """Load a dataset written by :func:`write_csv`.
 
     Every secret must be observed at every grid point exactly once.  Secrets
-    keep the order of their first row.
+    keep the order of their first row.  One ``np.loadtxt`` call parses the
+    rows; on any input it refuses or any check that fails, the file is read
+    again by :func:`_read_rows`, which decides what is accepted and words
+    every error.
     """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        _check_header(path, next(reader, None))
+        try:
+            lines = _within_field_limit(fh)
+            # loadtxt warns on a table with no rows, so look for one first.
+            first = next((line for line in lines if line.strip("\r\n")), None)
+            if first is not None:
+                table = np.loadtxt(
+                    itertools.chain([first], lines), delimiter=",", ndmin=1,
+                    comments=None, dtype=[("secret", "i8"), ("public", "f8"), ("time", "f8")],
+                )
+                ids, firsts, index = np.unique(
+                    table["secret"], return_index=True, return_inverse=True)
+                # Secrets in order of first appearance, and each row's rank.
+                order = np.argsort(firsts)
+                return _assemble(path, ids[order].tolist(), np.argsort(order)[index],
+                                 table["public"], table["time"])
+        except (ValueError, OverflowError):
+            pass
+    return _read_rows(path)
+
+
+def _within_field_limit(lines: Iterable[str]) -> Iterator[str]:
+    # csv.reader refuses a field longer than its limit; loadtxt would not.
+    limit = csv.field_size_limit()
+    for line in lines:
+        if len(line) > limit:
+            raise ValueError("line longer than the csv field size limit")
+        yield line
+
+
+def _check_header(path, header) -> None:
+    if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
+        raise ValueError(f"{path}: expected header {','.join(CSV_HEADER)}")
+
+
+def _read_rows(path: str | Path) -> TimingDataset:
+    """:func:`read_csv` one row at a time, each error numbered by its line."""
     # One typed buffer per column: a row costs four machine numbers, not a
     # Python tuple.  Secrets may exceed int64, so each is stored as its row.
     row_of: dict[int, int] = {}
@@ -237,9 +311,7 @@ def read_csv(path: str | Path) -> TimingDataset:
     publics, times = array("d"), array("d")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(CSV_HEADER)}")
+        _check_header(path, next(reader, None))
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -255,13 +327,23 @@ def read_csv(path: str | Path) -> TimingDataset:
             lines.append(lineno)
     if not row_of:
         raise ValueError(f"{path}: no observations")
-    secrets = list(row_of)
-    rows = np.frombuffer(rows, dtype=np.int64)
-    publics = np.frombuffer(publics)
-    times = np.frombuffer(times)
+    return _assemble(path, list(row_of), np.frombuffer(rows, dtype=np.int64),
+                     np.frombuffer(publics), np.frombuffer(times), lines)
+
+
+def _assemble(path, secrets: list[int], rows: np.ndarray, publics: np.ndarray,
+              times: np.ndarray, lines: Sequence[int] | None = None) -> TimingDataset:
+    """The dataset whose observation i is (secrets[rows[i]], publics[i], times[i]).
+
+    An error names the line of the observation at fault, ``lines[i]``, when
+    the lines are given.
+    """
+    def at(i) -> str:
+        return f"{path}:{lines[i]}" if lines is not None else f"{path}"
+
     bad = ~(np.isfinite(publics) & np.isfinite(times))
     if bad.any():
-        raise ValueError(f"{path}:{lines[np.argmax(bad)]}: values must be finite")
+        raise ValueError(f"{at(np.argmax(bad))}: values must be finite")
     grid_points, cols = np.unique(publics, return_inverse=True)
     cell = rows * grid_points.size + cols
     # The first row whose cell an earlier row already filled.
@@ -270,8 +352,7 @@ def read_csv(path: str | Path) -> TimingDataset:
     if repeat.size:
         first = int(repeat.min())
         raise ValueError(
-            f"{path}:{lines[first]}: duplicate observation for secret "
-            f"{secrets[rows[first]]}"
+            f"{at(first)}: duplicate observation for secret {secrets[rows[first]]}"
         )
     short = np.bincount(rows, minlength=len(secrets)) != grid_points.size
     if short.any():

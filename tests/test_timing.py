@@ -1,8 +1,11 @@
+import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from leakmit import timing
 from leakmit.timing import (
     PublicGrid,
     TimingDataset,
@@ -198,6 +201,99 @@ class TestCsvRoundTrip:
             read_csv(tmp_path / "absent.csv")
 
 
+H = "secret_id,public_value,time_seconds\n"
+# Inputs on which the loadtxt path and the checked loop must agree.
+READ_CASES = {
+    "spaces": H + " 1 , 1 , 1.5 \n 2 ,1, 2.5\n",
+    "tabs": H + "\t1\t,1,\t1.5\n",
+    "nbsp": H + "\xa01,1,1.5\xa0\n",
+    "signs": H + "+1,+1,+1.5\n-0,1,-0\n",
+    "bare-dots": H + "1,1.,.5\n",
+    "leading-zeros": H + "007,01,01.50\n",
+    "01-and-1": H + "01,1,1.0\n1,1,2.0\n",
+    "nan": H + "1,nan,1.0\n",
+    "NaN": H + "1,1,NaN\n",
+    "Infinity": H + "1,1,Infinity\n",
+    "1e400": H + "1,1,1e400\n",
+    "400-digits": H + "1,1," + "9" * 400 + "\n",
+    "hex-secret": H + "0x1,1,1.0\n",
+    "1d3": H + "1,1,1d3\n",
+    "float-secret": H + "1.0,1,1.0\n",
+    "exp-secret": H + "1e1,1,1.0\n",
+    "2**63": H + f"{2**63},1,1.0\n{2**63 + 1},1,2.0\n",
+    "-2**63": H + f"{-2**63},1,1.0\n",
+    "underscore": H + "1_0,1,1.0\n",
+    "unicode-digit": H + "\u0661,1,1.0\n",
+    "subnormals": H + "1,1,5e-324\n2,1,2.2250738585072014e-308\n",
+    "blank-lines": H + "\n1,1,1.0\n\n2,1,2.0\n\n",
+    "whitespace-line": H + "1,1,1.0\n   \n",
+    "comment": H + "1,1,1.0\n#2,1,2.0\n",
+    "quoted": H + '"1",1,"1.5"\n',
+    "cr": (H + "1,1,1.0\n2,1,2.0\n").replace("\n", "\r"),
+    "crlf": (H + "1,1,1.0\n2,1,2.0\n").replace("\n", "\r\n"),
+    "cr-header": H.replace("\n", "\r") + "1,1,1.0\n",
+    "nul": H + "1,1,1.0\x00\n",
+    "trailing-comma": H + "1,1,1.0,\n",
+    "two-columns": H + "1,1\n",
+    "empty-field": H + "1,,1.0\n",
+    "over-field-limit": H + "1,1," + "0" * 140_000 + "1\n",
+    "header-only": H,
+    "header-and-blanks": H + "\n\r\n",
+    "empty": "",
+    "duplicate": H + "1,1,1.0\n2,1,1.0\n1,1,2.0\n",
+    "missing-point": H + "1,1,1.0\n1,2,2.0\n2,1,1.0\n",
+    "overflowing-total": H + "1,1,1e308\n1,2,1e308\n",
+    "negative-time": H + "1,1,-1.0\n",
+    "wrong-header": "a,b,c\n1,1,1.0\n",
+    "spaced-header": " secret_id , public_value,time_seconds \n1,1,1.0\n",
+    "quoted-header": '"secret_id","public_value","time_seconds"\n1,1,1.0\n',
+    "two-line-header": '"secret_id\n",public_value,time_seconds\n1,1,1.0\n',
+    "shuffled": H + "7,2,4.0\n3,1,1.0\n7,1,3.0\n3,2,2.0\n",
+}
+
+
+def _outcome(read, path):
+    try:
+        ds = read(path)
+    except Exception as exc:  # the loop's exception is the reference
+        return type(exc), str(exc)
+    return ds.secrets, ds.grid.points, ds.times.tobytes()
+
+
+def _assert_read_matches_the_loop(path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _outcome(read_csv, path)
+    assert caught == []
+    assert got == _outcome(timing._read_rows, path)
+
+
+class TestReadCsvMatchesTheLoop:
+    @pytest.mark.parametrize("text", READ_CASES.values(), ids=READ_CASES.keys())
+    def test_edge_inputs(self, tmp_path, text):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode())
+        _assert_read_matches_the_loop(path)
+
+    def test_a_written_dataset_is_read_once(self, tmp_path, monkeypatch):
+        # Only an input that loadtxt refuses or that fails a check is read
+        # again by the loop.
+        path = tmp_path / "in.csv"
+        write_csv(gen_branch_loop((40, 40), (1.0, 2.0), 50, 0.05, 1), path)
+        monkeypatch.setattr(timing, "_read_rows", lambda p: pytest.fail("read twice"))
+        assert read_csv(path).times.shape == (80, 50)
+
+    @pytest.mark.parametrize("dataset", [
+        lambda: gen_mod_exp(10, 1.0, 0.0, seed=0),
+        lambda: gen_branch_loop((40, 40, 40, 40), (1.0, 2.0, 3.0, 4.0), 50, 0.05, 1),
+        lambda: TimingDataset((2**70, -3, 0), grid(-1.5, 0.0, 2.0),
+                              [[0.0, 1.0, 5e-324], [-0.0, 1e300, 2.5], [3.0, 3.0, 3.0]]),
+    ], ids=["mod-exp", "noisy", "wide-secrets"])
+    def test_written_datasets(self, tmp_path, dataset):
+        path = tmp_path / "in.csv"
+        write_csv(dataset(), path)
+        _assert_read_matches_the_loop(path)
+
 
 class TestWriteTable:
     @pytest.mark.parametrize("n_secrets, n_points", [
@@ -225,22 +321,69 @@ class TestWriteTable:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert read_csv(tmp_path / "a.csv").secrets == secrets
 
-    def test_cells(self, tmp_path):
-        path = tmp_path / "t.csv"
-        write_table(path, ("name", "n", "x"), [
+    CELL_TABLES = [
+        ([
             (["a,b.csv", 'say "hi"', "plain"], [1, np.int64(2), 3],
              [0.1, np.float64(0.1), np.float32(0.1)]),
             (["line\nbreak"], np.array([4]), np.array([1e-7])),
             # summary.csv holds inf under --delta inf
             (["inf", "-inf", "-0"], [5, 6, 7],
              [math.inf, np.float64(-math.inf), np.float32(-0.0)]),
-        ])
-        assert path.read_text() == (
+        ], (
             'name,n,x\n"a,b.csv",1,0.1\n"say ""hi""",2,0.1\n'
             "plain,3,0.10000000149011612\n"
             '"line\nbreak",4,1e-07\n'
             "inf,5,inf\n-inf,6,-inf\n-0,7,-0.0\n"
-        )
+        )),
+        # Float arrays are printed once per distinct value.  0.0 and -0.0
+        # are equal but print differently, so they must not share a string.
+        ([(np.array(["z", "nz", "nan", "inf", "-inf", "sub", "z"]),
+           np.arange(7, dtype=np.int64),
+           np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 0.0])),
+          (np.array(["f32", "f32"]), np.array([7, 8], dtype=np.uint8),
+           np.array([0.1, -0.0], dtype=np.float32))], (
+            "name,n,x\nz,0,0.0\nnz,1,-0.0\nnan,2,nan\ninf,3,inf\n"
+            "-inf,4,-inf\nsub,5,5e-324\nz,6,0.0\n"
+            "f32,7,0.10000000149011612\nf32,8,-0.0\n"
+        )),
+    ]
+
+    def test_cells(self, tmp_path):
+        path = tmp_path / "t.csv"
+        for blocks, expected in self.CELL_TABLES:
+            write_table(path, ("name", "n", "x"), blocks)
+            assert path.read_text() == expected
+            # The same bytes as the csv module writing one row at a time.
+            with open(tmp_path / "ref.csv", "w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(("name", "n", "x"))
+                for block in blocks:
+                    for row in zip(*block):
+                        writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
+                                         else v for v in row])
+            assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    TEXT = ["a,b", 'say "hi"', "cr\r", "lf\n", "crlf\r\n", "", " lead", "trail ",
+            "naïve 東京"]
+    OTHER = [None, True, np.int64(7), np.float32(0.1), -0.0]
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_text_cells_match_csv_writer(self, tmp_path, width, as_array):
+        # Every cell lands in every column; width 1 has the csv module's
+        # one special record, a single empty field.
+        cells = self.TEXT + self.OTHER + self.TEXT[:width - 1]
+        rows = [cells[i:i + width] for i in range(len(cells) - width + 1)]
+        columns = [np.array(c, dtype=object) if as_array else c for c in zip(*rows)]
+        for header in (self.TEXT[i:i + width] for i in range(len(self.TEXT) - width + 1)):
+            write_table(tmp_path / "a.csv", header, [columns, columns])
+            with open(tmp_path / "b.csv", "w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                for row in rows + rows:
+                    writer.writerow([float(v) if isinstance(v, np.floating) else v
+                                     for v in row])
+            assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_empty_table_is_the_header(self, tmp_path):
         path = tmp_path / "t.csv"
