@@ -52,7 +52,6 @@ class PipelineConfig:
     input: str | None = _setting(None, help="dataset CSV path")
     gen: str | None = _setting(None, choices=("mod_exp", "branch_loop"))
     n_bits: int = 10
-    unit_cost: float = 1.0
     noise_sigma: float = 0.0
     group_sizes: tuple[int, ...] = (5, 5, 5, 10)
     slopes: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0)
@@ -117,7 +116,7 @@ def _load_dataset(config: PipelineConfig):
     try:
         if config.gen == "mod_exp":
             return timing.gen_mod_exp(
-                config.n_bits, config.unit_cost, config.noise_sigma, config.seed
+                config.n_bits, noise_sigma=config.noise_sigma, seed=config.seed
             )
         if config.gen == "branch_loop":
             return timing.gen_branch_loop(

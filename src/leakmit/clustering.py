@@ -298,7 +298,7 @@ def classset_to_json(cs: ObservationClassSet) -> dict:
         [None if math.isinf(v) else float(v) for v in row] for row in cs.penalty
     ]
     return {
-        "grid": [float(p) for p in cs.grid.points],
+        "grid": cs.grid.points.tolist(),
         "classes": [
             {
                 "id": i,

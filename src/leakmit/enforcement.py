@@ -224,7 +224,7 @@ def learn_tree(samples: tuple[np.ndarray, np.ndarray, Sequence[str]]) -> Decisio
 def mod_exp_counts(dataset: TimingDataset) -> np.ndarray:
     """Inner-loop iteration counts setbits(secret) * y for the modexp model."""
     setbits = np.asarray([int(s).bit_count() for s in dataset.secrets], dtype=float)
-    return setbits[:, None] * dataset.grid.array[None, :]
+    return setbits[:, None] * dataset.grid.points[None, :]
 
 
 def branch_loop_counts(
@@ -236,7 +236,7 @@ def branch_loop_counts(
     )
     if slope_per_secret.size != dataset.n_secrets:
         raise ValueError("group sizes do not cover the dataset secrets")
-    return slope_per_secret[:, None] * dataset.grid.array[None, :]
+    return slope_per_secret[:, None] * dataset.grid.points[None, :]
 
 
 def counter_features(dataset: TimingDataset, counts: np.ndarray) -> FeatureTable:
@@ -244,16 +244,16 @@ def counter_features(dataset: TimingDataset, counts: np.ndarray) -> FeatureTable
     counts = np.asarray(counts, dtype=float)
     if counts.shape != dataset.times.shape:
         raise ValueError("counts must be n_secrets x n_grid_points")
-    per_unit = counts / dataset.grid.array
+    per_unit = counts / dataset.grid.points
     return FeatureTable(("iterations_per_unit",), per_unit[:, :, None], dataset.secrets)
 
 
 def timing_features(dataset: TimingDataset) -> FeatureTable:
     """Fallback features when no instrumentation model is available."""
-    low = dataset.grid.points[0]  # the grid ascends
+    low = float(dataset.grid.points[0])  # the grid ascends
     if low <= 0:
         raise ValueError(f"time_per_unit needs positive public values, got {low!r}")
-    per_unit = dataset.times / dataset.grid.array
+    per_unit = dataset.times / dataset.grid.points
     return FeatureTable(("time_per_unit",), per_unit[:, :, None], dataset.secrets)
 
 

@@ -37,28 +37,28 @@ CSV_BLOCK_ROWS = 4096
 MAX_CELLS = (2**20 - 1) * 20  # gen_mod_exp's table at n_bits = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PublicGrid:
-    """Strictly increasing public-input magnitudes shared by all functions."""
+    """Strictly increasing public-input magnitudes shared by all functions,
+    copied into one read-only float64 array and checked once."""
 
-    points: tuple[float, ...]
+    points: np.ndarray
 
     def __post_init__(self):
-        pts = tuple(float(p) for p in self.points)
-        if not pts:
+        pts = np.array(self.points, dtype=float)
+        if pts.ndim != 1:
+            raise ValueError("public grid points must be one flat sequence")
+        if not pts.size:
             raise ValueError("public grid must contain at least one point")
-        if not all(math.isfinite(p) for p in pts):
+        if not np.all(np.isfinite(pts)):
             raise ValueError("public grid points must be finite")
-        if any(b <= a for a, b in zip(pts, pts[1:])):
+        if np.any(pts[1:] <= pts[:-1]):
             raise ValueError("public grid points must be strictly increasing")
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.points, dtype=float)
+        return self.points.size
 
 
 @dataclass(frozen=True)
@@ -141,8 +141,8 @@ def gen_mod_exp(
     setbits = np.zeros(secrets.size, dtype=np.int64)
     for b in range(n_bits):
         setbits += (secrets >> b) & 1
-    grid = PublicGrid(tuple(float(y) for y in range(1, n_bits + 1)))
-    base = unit_cost * setbits[:, None].astype(float) * grid.array[None, :]
+    grid = PublicGrid(np.arange(1.0, n_bits + 1))
+    base = unit_cost * setbits[:, None].astype(float) * grid.points[None, :]
     times = _apply_noise(base, noise_sigma, seed)
     return TimingDataset(tuple(int(s) for s in secrets), grid, times)
 
@@ -176,8 +176,8 @@ def gen_branch_loop(
     if sum(sizes) * int(n_publics) > MAX_CELLS:
         raise ValueError(f"sum(group_sizes) * n_publics must be <= {MAX_CELLS}")
     slope_per_secret = np.repeat(np.asarray(slope_list), sizes)
-    grid = PublicGrid(tuple(float(y) for y in range(1, int(n_publics) + 1)))
-    base = slope_per_secret[:, None] * grid.array[None, :]
+    grid = PublicGrid(np.arange(1.0, int(n_publics) + 1))
+    base = slope_per_secret[:, None] * grid.points[None, :]
     times = _apply_noise(base, noise_sigma, seed)
     return TimingDataset(tuple(range(len(slope_per_secret))), grid, times)
 
@@ -238,7 +238,7 @@ def _strings(column) -> list[str]:
 
 def write_csv(dataset: TimingDataset, path: str | Path) -> None:
     """Write rows secret-major, grid-ascending: secret_id,public_value,time_seconds."""
-    points = dataset.grid.array
+    points = dataset.grid.points
     try:
         secrets = np.array(dataset.secrets, dtype=np.int64)
     except OverflowError:
@@ -267,8 +267,8 @@ def read_csv(path: str | Path) -> TimingDataset:
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        _check_header(path, next(reader, None))
         try:
+            _check_header(path, next(reader, None))
             lines = _within_field_limit(fh)
             # loadtxt warns on a table with no rows, so look for one first.
             first = next((line for line in lines if line.strip("\r\n")), None)
@@ -283,7 +283,7 @@ def read_csv(path: str | Path) -> TimingDataset:
                 order = np.argsort(firsts)
                 return _assemble(path, ids[order].tolist(), np.argsort(order)[index],
                                  table["public"], table["time"])
-        except (ValueError, OverflowError):
+        except (ValueError, OverflowError, csv.Error):
             pass
     return _read_rows(path)
 
@@ -311,20 +311,24 @@ def _read_rows(path: str | Path) -> TimingDataset:
     publics, times = array("d"), array("d")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        _check_header(path, next(reader, None))
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 columns")
-            try:
-                secret = int(row[0])
-                publics.append(float(row[1]))
-                times.append(float(row[2]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            rows.append(row_of.setdefault(secret, len(row_of)))
-            lines.append(lineno)
+        try:
+            _check_header(path, next(reader, None))
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise ValueError(f"{path}:{lineno}: expected 3 columns")
+                try:
+                    secret = int(row[0])
+                    publics.append(float(row[1]))
+                    times.append(float(row[2]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                rows.append(row_of.setdefault(secret, len(row_of)))
+                lines.append(lineno)
+        except csv.Error as exc:
+            # A field over the csv module's size limit, for one.
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not row_of:
         raise ValueError(f"{path}: no observations")
     return _assemble(path, list(row_of), np.frombuffer(rows, dtype=np.int64),
@@ -344,6 +348,9 @@ def _assemble(path, secrets: list[int], rows: np.ndarray, publics: np.ndarray,
     bad = ~(np.isfinite(publics) & np.isfinite(times))
     if bad.any():
         raise ValueError(f"{at(np.argmax(bad))}: values must be finite")
+    negative = times < 0
+    if negative.any():
+        raise ValueError(f"{at(np.argmax(negative))}: execution times must be non-negative")
     grid_points, cols = np.unique(publics, return_inverse=True)
     cell = rows * grid_points.size + cols
     # The first row whose cell an earlier row already filled.
@@ -361,5 +368,7 @@ def _assemble(path, secrets: list[int], rows: np.ndarray, publics: np.ndarray,
         )
     matrix = np.empty((len(secrets), grid_points.size))
     matrix.reshape(-1)[cell] = times
-    grid = PublicGrid(tuple(grid_points.tolist()))
-    return TimingDataset(tuple(secrets), grid, matrix)
+    try:
+        return TimingDataset(tuple(secrets), PublicGrid(grid_points), matrix)
+    except ValueError as exc:  # an overflowing total
+        raise ValueError(f"{path}: {exc}") from None

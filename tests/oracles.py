@@ -766,7 +766,7 @@ def dataset_csv_oracle(dataset, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("secret_id", "public_value", "time_seconds"))
         for i, secret in enumerate(dataset.secrets):
-            for p, y in enumerate(dataset.grid.points):
+            for p, y in enumerate(dataset.grid.points.tolist()):
                 writer.writerow((secret, repr(y), repr(float(dataset.times[i, p]))))
 
 

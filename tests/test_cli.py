@@ -27,6 +27,7 @@ from leakmit.timing import gen_branch_loop, gen_mod_exp, read_csv, write_csv
 
 
 MOD_EXP = ["--gen", "mod_exp", "--n-bits", "6"]
+HEADER = "secret_id,public_value,time_seconds\n"
 BRANCH = ["--gen", "branch_loop"]
 
 
@@ -73,20 +74,25 @@ class TestExitCodes:
         assert run(["cluster", "--input", str(bad)], tmp_path) == 2
 
     @pytest.mark.parametrize(
-        "body, message",
+        "text, message",
         [
-            ("1,1,1.0\n1,2\n", "bad.csv:3: expected 3 columns"),
-            ("1,1,1.0\n1,2,fast\n", "bad.csv:3: could not convert string to float"),
-            ("1,1,1.0\nx,2,1.0\n", "bad.csv:3: invalid literal for int()"),
-            ("", "bad.csv: no observations"),
-            ("1,1,1.0\n2,1,-1\n", "execution times must be non-negative"),
+            (HEADER + "1,1,1.0\n1,2\n", "bad.csv:3: expected 3 columns"),
+            (HEADER + "1,1,1.0\n1,2,fast\n", "bad.csv:3: could not convert string to float"),
+            (HEADER + "1,1,1.0\nx,2,1.0\n", "bad.csv:3: invalid literal for int()"),
+            (HEADER, "bad.csv: no observations"),
+            (HEADER + "1,1,1.0\n2,1,-1\n", "bad.csv:3: execution times must be non-negative"),
+            # fields over the csv module's size limit, in a row and in the header
+            (HEADER + "1,1," + "1" * 140_001 + "\n",
+             "bad.csv:2: field larger than field limit (131072)"),
+            ("x" * 140_000 + ",public_value,time_seconds\n1,1,1.0\n",
+             "bad.csv:1: field larger than field limit (131072)"),
         ],
         ids=["two-columns", "non-numeric-time", "non-numeric-secret", "header-only",
-             "negative-time"],
+             "negative-time", "long-field", "long-header"],
     )
-    def test_malformed_rows_exit_2(self, tmp_path, capsys, body, message):
+    def test_malformed_rows_exit_2(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.csv"
-        bad.write_text("secret_id,public_value,time_seconds\n" + body)
+        bad.write_text(text)
         assert run(["cluster", "--input", str(bad)], tmp_path) == 2
         err = capsys.readouterr().err
         assert "data error" in err and message in err
@@ -133,7 +139,7 @@ class TestExitCodes:
         args = ["synthesize", "--input", str(big), "--measure", "minguess",
                 "--delta", "0", "--algo", "det"]
         assert run(args, tmp_path) == 2
-        assert "sum to a finite total" in capsys.readouterr().err
+        assert "big.csv: execution times must sum to a finite total" in capsys.readouterr().err
         assert not (tmp_path / "policy.json").exists()
 
     def test_solver_failures_map_to_3(self, tmp_path, monkeypatch, capsys):
@@ -696,7 +702,7 @@ class TestConfigFile:
              "buckets must be >= 1"),
             ("cluster", ["--noise-sigma", "-1"], "noise_sigma must be finite"),
             ("cluster", ["--noise-sigma", "nan"], "noise_sigma must be finite"),
-            ("cluster", ["--unit-cost", "nan"], "unit_cost must be finite"),
+            ("cluster", ["--unit-cost", "1"], "unrecognized arguments: --unit-cost"),
             ("cluster", ["--gen", "branch_loop", "--group-sizes", "2,2",
                          "--slopes", "1,nan"],
              "slopes must be finite, positive and strictly increasing"),
@@ -720,7 +726,7 @@ class TestConfigFile:
         ids=["measure", "algo", "gen", "baseline", "epsilon-nan", "delta-nan",
              "sweep-nan", "sweep-inf", "max-depth-flag", "min-leaf-flag",
              "n-bits-0", "n-publics-0", "buckets-0", "noise-sigma-negative",
-             "noise-sigma-nan", "unit-cost-nan", "slopes-nan", "group-sizes-0",
+             "noise-sigma-nan", "unit-cost-flag", "slopes-nan", "group-sizes-0",
              "n-starts-negative",
              "n-starts-over-cap", "max-depth-over-cap", "config", "dump-tables",
              "branch-loop-over-cap"],

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -40,13 +41,38 @@ class TestPublicGrid:
         with pytest.raises(ValueError, match="finite"):
             PublicGrid((1.0, bad))
 
+    @pytest.mark.parametrize("points", [[[1.0, 2.0], [3.0, 4.0]], 1.0],
+                             ids=["two-dimensional", "scalar"])
+    def test_not_flat_rejected(self, points):
+        with pytest.raises(ValueError, match="one flat sequence"):
+            PublicGrid(points)
+
     def test_frozen(self):
         g = grid(1, 2, 3)
         with pytest.raises(AttributeError):
             g.points = (4.0,)
-        # the array view is a copy, mutating it cannot corrupt the grid
-        g.array[0] = 9.0
+        # the points are one read-only array, so no caller can corrupt them
+        assert g.points.dtype == np.float64 and g.points.ndim == 1
+        with pytest.raises(ValueError, match="read-only"):
+            g.points[0] = 9.0
         assert g.points[0] == 1.0
+
+    def test_copies_the_given_points(self):
+        given = np.array([1.0, 2.0, 3.0])
+        g = PublicGrid(given)
+        given[0] = 9.0
+        assert g.points.tolist() == [1.0, 2.0, 3.0]
+
+    def test_long_grid_costs_one_array(self):
+        # A million public values: the times and the grid are 8 MB each.
+        tracemalloc.start()
+        try:
+            ds = gen_branch_loop((1,), (1.0,), 1_000_000)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.grid.points.nbytes == ds.times.nbytes == 8_000_000
+        assert held <= 20_000_000
 
 
 class TestModExpGenerator:
@@ -171,7 +197,7 @@ class TestCsvRoundTrip:
         )
         back = read_csv(path)
         assert back.secrets == (7, 3)
-        assert back.grid.points == (1.0, 2.0)
+        assert back.grid.points.tolist() == [1.0, 2.0]
         assert back.times.tolist() == [[3.0, 4.0], [1.0, 2.0]]
 
     def test_errors_count_blank_lines(self, tmp_path):
@@ -248,6 +274,7 @@ READ_CASES = {
     "spaced-header": " secret_id , public_value,time_seconds \n1,1,1.0\n",
     "quoted-header": '"secret_id","public_value","time_seconds"\n1,1,1.0\n',
     "two-line-header": '"secret_id\n",public_value,time_seconds\n1,1,1.0\n',
+    "over-field-limit-header": "x" * 140_000 + H + "1,1,1.0\n",
     "shuffled": H + "7,2,4.0\n3,1,1.0\n7,1,3.0\n3,2,2.0\n",
 }
 
@@ -257,7 +284,7 @@ def _outcome(read, path):
         ds = read(path)
     except Exception as exc:  # the loop's exception is the reference
         return type(exc), str(exc)
-    return ds.secrets, ds.grid.points, ds.times.tobytes()
+    return ds.secrets, ds.grid.points.tobytes(), ds.times.tobytes()
 
 
 def _assert_read_matches_the_loop(path):
