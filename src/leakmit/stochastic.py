@@ -21,11 +21,14 @@ best-bound node order.  Only classes i <= j feed class j, so the link
 C_j <= P_j * z_j uses the prefix mass P_j = B_0 + ... + B_j rather than B,
 and the top class can never be emptied, so z_{k-1} = 1 is a bound.  A child
 differs from its parent in one z bound, which changes only right-hand sides,
-so it re-solves warm from the parent's basis (``solve_lp(basis=...)``); open
-nodes keep just that basis.  Once the search closes, the winning leaf is
-solved once more, cold, with every z pinned to its integral value, so the
-returned policy is the bits of a cold solve and its smallest non-empty class
-is the reported optimum.
+so it re-solves warm from the parent's basis; open nodes keep just that
+basis.  An expansion refactorizes the basis once for both children
+(``simplex.warm_starts``), and each child's ``solve_lp(basis=start)`` runs
+the dual and primal phases from its share, the bits of a warm solve of its
+own.  Once the search closes, the winning leaf is solved once more, cold,
+with every z pinned to its integral value, so the returned policy is the
+bits of a cold solve and its smallest non-empty class is the reported
+optimum.
 
 Shannon and guessing objectives are convex in C, so their optimum sits on a
 polytope vertex; they are attacked by multi-start projected gradient ascent
@@ -35,18 +38,24 @@ advance in lockstep as one (n, k, k) stack: each iteration projects every
 row of every running start in one sort-and-threshold pass (``_project_rows``)
 and evaluates overheads, objectives and gradients for the whole stack, while
 each start keeps its own step, budget line search, accept/reject decision
-and stopping point.  Vertex jumps maximize the gradient's linearization over
-the same polytope; they run in rounds: ascend every start, jump each stalled
-start, ascend the jumped starts together, at most five rounds.  Jump LPs are
-memoised within one call on the gradient's bytes, since distinct starts
-often stall at the same gradient.  Each start sees exactly the float
-operations of a lone ascent, so the result is the bits of a start-by-start
-search; the batched objective (``MeasureRow.raw_rows``) folds each start's
-positive classes as the 1-D ``raw`` does.
+and stopping point.  A rejected trial leaves a start where it was, so a start
+whose last trial failed tries its next ``LADDER_RUNGS`` halvings as one
+batched ladder and takes the first rung it accepts; every rung counts as a
+trial toward ``MAX_ASCENT_ITERS``.  Vertex jumps maximize the gradient's
+linearization over the same polytope; they run in rounds: ascend every
+start, jump each stalled start, ascend the jumped starts together, at most
+five rounds.  Jump LPs are memoised within one call on the gradient's bytes,
+since distinct starts often stall at the same gradient, and share one phase
+one (``simplex.phase_one``), solved at the first jump: it never reads the
+objective.  Each start sees exactly the float operations of a lone ascent,
+so the result is the bits of a start-by-start search; the batched objective
+(``MeasureRow.raw_rows``) folds each start's positive classes as the 1-D
+``raw`` does.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -64,13 +73,15 @@ from .policy import (
     sanitize_matrix,
 )
 from .deterministic import synthesize_det
-from .simplex import LpResult, solve_lp
+from .simplex import LpResult, phase_one, solve_lp, warm_starts
 
 __all__ = ["SolveDiagnostics", "synthesize_minguess", "synthesize_local"]
 
 INT_TOL = 1e-9
 STEP_TOL = 1e-8
 MAX_ASCENT_ITERS = 10_000
+# A start whose last trial was rejected tries this many halvings at once.
+LADDER_RUNGS = 4
 # synthesize_local builds every start before it ascends any, n x k x k floats
 # at once; more random starts than this is a mistake, not a search.
 MAX_STARTS = 1_000
@@ -182,11 +193,14 @@ def synthesize_minguess(
     base_bounds += [(0.0, 1.0)] * (k - 1) + [(1.0, 1.0)]
     base_bounds += [(0.0, None)]
 
-    def relax(fixes: dict[int, int], basis=None) -> LpResult:
+    def node_bounds(fixes: dict[int, int]) -> list[tuple[float, float | None]]:
         bounds = list(base_bounds)
         for j, v in fixes.items():
             bounds[z0 + j] = (float(v), float(v))
-        return solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds, basis=basis)
+        return bounds
+
+    def relax(fixes: dict[int, int], start=None) -> LpResult:
+        return solve_lp(c, a_ub, b_ub, a_eq, b_eq, node_bounds(fixes), basis=start)
 
     nodes_explored = 0
     incumbent_obj = -np.inf
@@ -195,10 +209,10 @@ def synthesize_minguess(
     # (-bound, tie-breaking counter, z fixes, optimal basis, branching index)
     heap: list[tuple[float, int, dict[int, int], np.ndarray, int]] = []
 
-    def visit(fixes: dict[int, int], basis=None) -> str:
+    def visit(fixes: dict[int, int], start=None) -> str:
         """Solve one node: prune it, take it as incumbent, or queue it."""
         nonlocal nodes_explored, incumbent_obj, incumbent_z
-        res = relax(fixes, basis)
+        res = relax(fixes, start)
         nodes_explored += 1
         if res.status != "optimal" or res.objective <= incumbent_obj + 1e-9:
             return res.status
@@ -223,8 +237,13 @@ def synthesize_minguess(
         neg_bound, _, fixes, basis, branch_j = heapq.heappop(heap)
         if -neg_bound <= incumbent_obj + 1e-9:
             continue
-        for v in (0, 1):
-            visit({**fixes, branch_j: v}, basis)
+        # Both children start from one refactorization of the parent's basis.
+        children = [{**fixes, branch_j: v} for v in (0, 1)]
+        starts = warm_starts(
+            a_ub, b_ub, a_eq, b_eq, [node_bounds(f) for f in children], basis
+        )
+        for child, start in zip(children, starts):
+            visit(child, start)
 
     if incumbent_z is None:
         raise SolverError("no integral point found, identity should be feasible")
@@ -244,6 +263,20 @@ def synthesize_minguess(
     return policy, diagnostics
 
 
+@functools.cache
+def _row_masks(k: int):
+    """For k x k matrices: the upper triangle, its complement, each row's
+    live sorted positions (row i: the first k - i), their complement, and
+    1..k.  Read-only, shared by every projection of that size."""
+    idx = np.arange(k)
+    upper = idx[:, None] <= idx
+    live = upper[:, ::-1].copy()
+    masks = (upper, ~upper, live, ~live, idx + 1)
+    for mask in masks:
+        mask.flags.writeable = False
+    return masks
+
+
 def _project_rows(stack: np.ndarray) -> np.ndarray:
     """Project every row's upward part onto {x >= 0, sum x == 1} at once.
 
@@ -252,20 +285,29 @@ def _project_rows(stack: np.ndarray) -> np.ndarray:
     et al., ICML 2008) over all rows of all matrices in one pass: each row's
     live entries sort to its front in descending order, the dead tail is
     zeroed before the running sum, rho is the last live index whose entry
-    clears the running threshold, and tau = css[rho - 1] / rho.
+    clears the running threshold, and tau = css[rho - 1] / rho.  The
+    temporaries of stack size are worked in place.
     """
     k = stack.shape[-1]
-    idx = np.arange(k)
-    upper = idx[:, None] <= idx
-    live = upper[:, ::-1]  # row i: its first k - i sorted positions
-    ks = idx + 1
-    u = np.where(live, -np.sort(np.where(upper, -stack, np.inf), axis=-1), 0.0)
-    css = np.cumsum(u, axis=-1) - 1.0
-    cond = live & (u - css / ks > 0)
+    upper, lower, live, dead, ks = _row_masks(k)
+    u = np.negative(stack)
+    np.copyto(u, np.inf, where=lower)
+    u.sort(axis=-1)
+    np.negative(u, out=u)
+    np.copyto(u, 0.0, where=dead)
+    css = np.cumsum(u, axis=-1)
+    css -= 1.0
+    gap = css / ks
+    np.subtract(u, gap, out=gap)
+    cond = gap > 0
+    cond &= live
     rho = k - np.argmax(cond[..., ::-1], axis=-1)
     at_rho = css.reshape(-1, k)[np.arange(rho.size), rho.ravel() - 1]
     tau = at_rho.reshape(rho.shape) / rho
-    return np.where(upper, np.maximum(stack - tau[..., None], 0.0), 0.0)
+    out = stack - tau[..., None]
+    np.maximum(out, 0.0, out=out)
+    np.copyto(out, 0.0, where=lower)
+    return out
 
 
 def synthesize_local(
@@ -318,10 +360,13 @@ def synthesize_local(
     def ascend(stack: np.ndarray):
         """Ascend from every matrix of the stack in lockstep.
 
-        Each start keeps its own step, objective value, gradient norm and
-        (NaN until the repair needs it) overhead, and drops out of the
-        ``active`` mask when its step runs out.  Returns the final iterates
-        with their values and gradients.
+        Each start keeps its own step, objective value, gradient norm,
+        (NaN until the repair needs it) overhead and trial count.  A
+        rejected trial changes nothing but the step, so a start whose last
+        trial was rejected tries its next ``LADDER_RUNGS`` halvings at once
+        and takes the first rung it accepts; a start that just moved tries
+        one step.  A rung runs only where a lone ascent would still try it.
+        Returns the final iterates with their values and gradients.
         """
         mu = stack.copy()
         grad = gradient(mu)
@@ -329,13 +374,20 @@ def synthesize_local(
         value = objective(mu)
         mu_over = np.full(len(mu), np.nan)
         step = np.full(len(mu), 0.25)
-        active = np.ones(len(mu), dtype=bool)
+        trials = np.zeros(len(mu), dtype=int)
+        rejected = np.zeros(len(mu), dtype=bool)
+        rung = np.arange(LADDER_RUNGS)
+        halving = 0.5**rung
         for _ in range(MAX_ASCENT_ITERS):
-            active &= ~((norm * step < STEP_TOL) | (step < 1e-12))
-            if not active.any():
+            steps = step[:, None] * halving
+            tries = ~((norm[:, None] * steps < STEP_TOL) | (steps < 1e-12))
+            tries &= rung < np.where(rejected, LADDER_RUNGS, 1)[:, None]
+            tries &= trials[:, None] + rung < MAX_ASCENT_ITERS
+            tries = np.logical_and.accumulate(tries, axis=1)
+            run, run_rung = tries.nonzero()  # each start's rungs, in order
+            if not run.size:
                 break
-            run = np.flatnonzero(active)
-            cur, cur_step = mu[run], step[run]
+            cur, cur_step = mu[run], steps[run, run_rung]
             trial = _project_rows(cur + cur_step[:, None, None] * grad[run])
             over = overhead(trial)
             repair = over > delta
@@ -352,13 +404,29 @@ def synthesize_local(
                 trial[repair] = base + lam[:, None, None] * (trial[repair] - base)
                 over[repair] = np.nan
             trial_value = objective(trial)
-            up = trial_value > value[run] + 1e-12
-            if up.any():  # most steps after a jump are rejected halvings
-                moved, new_grad = run[up], gradient(trial[up])
-                mu[moved], value[moved] = trial[up], trial_value[up]
-                mu_over[moved], grad[moved] = over[up], new_grad
+            # A start moves to its first accepted rung; one that accepts
+            # none has halved its step once per rung.
+            accepted = np.zeros_like(tries)
+            accepted[run, run_rung] = trial_value > value[run] + 1e-12
+            row_of = np.zeros(tries.shape, dtype=int)
+            row_of[run, run_rung] = np.arange(run.size)
+            moves = accepted.any(axis=1)
+            stuck = (tries.any(axis=1) & ~moves).nonzero()[0]
+            tried = tries[stuck].sum(axis=1)
+            trials[stuck] += tried
+            step[stuck] *= 0.5**tried
+            rejected[stuck] = True
+            if moves.any():  # most steps after a jump are rejected halvings
+                moved = moves.nonzero()[0]
+                first = accepted[moved].argmax(axis=1)
+                take = row_of[moved, first]
+                new_grad = gradient(trial[take])
+                mu[moved], value[moved] = trial[take], trial_value[take]
+                mu_over[moved], grad[moved] = over[take], new_grad
                 norm[moved] = grad_norm(new_grad)
-            step[run] = np.where(up, np.minimum(cur_step * 1.3, 16.0), cur_step * 0.5)
+                trials[moved] += first + 1
+                step[moved] = np.minimum(cur_step[take] * 1.3, 16.0)
+                rejected[moved] = False
         return mu, value, grad
 
     # The linearized jumps below optimize over the upward-move polytope; the
@@ -366,6 +434,7 @@ def synthesize_local(
     iu, lp_eq, lp_eq_rhs, lp_ub, lp_ub_rhs = _upward_program(classes, delta)
     lp_bounds = [(0.0, None)] * iu[0].size
     vertices: dict[bytes, np.ndarray] = {}
+    jump_start = []  # phase one of the jump LPs, solved at the first jump
 
     def vertex(grad: np.ndarray) -> np.ndarray:
         """Best vertex of the feasible polytope for the gradient.
@@ -379,7 +448,14 @@ def synthesize_local(
         direction = grad[iu]
         key = direction.tobytes()
         if key not in vertices:
-            res = solve_lp(direction, lp_ub, lp_ub_rhs, lp_eq, lp_eq_rhs, lp_bounds)
+            if not jump_start:
+                jump_start.append(
+                    phase_one(lp_ub, lp_ub_rhs, lp_eq, lp_eq_rhs, lp_bounds)
+                )
+            res = solve_lp(
+                direction, lp_ub, lp_ub_rhs, lp_eq, lp_eq_rhs, lp_bounds,
+                basis=jump_start[0],
+            )
             if res.status != "optimal":
                 raise SolverError(f"vertex-jump LP is {res.status}")
             vertices[key] = _matrix_from_mu(res.x, iu, k)

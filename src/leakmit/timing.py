@@ -311,9 +311,13 @@ def _read_rows(path: str | Path) -> TimingDataset:
     publics, times = array("d"), array("d")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
+        next_line = 1  # the line the record being read starts on
         try:
             _check_header(path, next(reader, None))
-            for lineno, row in enumerate(reader, start=2):
+            next_line = reader.line_num + 1
+            for row in reader:
+                # A quoted field may span lines; a record is numbered by its first.
+                lineno, next_line = next_line, reader.line_num + 1
                 if not row:
                     continue
                 if len(row) != 3:
@@ -328,7 +332,7 @@ def _read_rows(path: str | Path) -> TimingDataset:
                 lines.append(lineno)
         except csv.Error as exc:
             # A field over the csv module's size limit, for one.
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            raise ValueError(f"{path}:{next_line}: {exc}") from None
     if not row_of:
         raise ValueError(f"{path}: no observations")
     return _assemble(path, list(row_of), np.frombuffer(rows, dtype=np.int64),

@@ -67,3 +67,17 @@ def grouped_dataset():
 @pytest.fixture(scope="session")
 def grouped_classes(grouped_dataset):
     return cluster_functions(grouped_dataset, 1e-6)
+
+
+def same_lp(got, want) -> bool:
+    """Same status and, for an optimal answer, the same x, basis and
+    objective bits."""
+    if got.status != want.status:
+        return False
+    if want.status != "optimal":
+        return got.x is None
+    return (
+        got.x.tobytes() == want.x.tobytes()
+        and got.basis.tobytes() == want.basis.tobytes()
+        and got.objective == want.objective
+    )

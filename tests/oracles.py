@@ -598,10 +598,13 @@ def local_search_oracle(
     n_starts: int = 8,
     seed: int = 0,
     warm_starts: tuple[np.ndarray, ...] = (),
+    trials: list[list[bool]] | None = None,
 ) -> tuple[MitigationPolicy, SolveDiagnostics]:
     """``synthesize_local`` as it ran each start alone: one ``ascend`` call
     per start, one vertex-jump LP per jump, no memo.  The package's lockstep
-    ascent must return the same policy bits and diagnostics."""
+    ascent must return the same policy bits and diagnostics.  ``trials``,
+    when given, receives one list per ascent: each trial step in order,
+    True where it was accepted."""
     measure = EntropyMeasure(measure)
     if measure is EntropyMeasure.MINGUESS:
         raise ValueError("use synthesize_minguess for the min-guess objective")
@@ -633,6 +636,9 @@ def local_search_oracle(
         value = objective(mu)
         mu_over = None
         step = 0.25
+        accepted: list[bool] = []
+        if trials is not None:
+            trials.append(accepted)
         for _ in range(MAX_ASCENT_ITERS):
             if norm * step < STEP_TOL:
                 break
@@ -646,6 +652,7 @@ def local_search_oracle(
                 trial = mu + lam * (trial - mu)
                 over = None
             trial_value = objective(trial)
+            accepted.append(trial_value > value + 1e-12)
             if trial_value > value + 1e-12:
                 mu, value, mu_over = trial, trial_value, over
                 grad = gradient(mu)

@@ -78,6 +78,8 @@ class TestExitCodes:
         [
             (HEADER + "1,1,1.0\n1,2\n", "bad.csv:3: expected 3 columns"),
             (HEADER + "1,1,1.0\n1,2,fast\n", "bad.csv:3: could not convert string to float"),
+            # a quoted field spanning two lines: the next record is on line 4
+            (HEADER + '"1\n",1,1.0\n2,1,fast\n', "bad.csv:4: could not convert string to float"),
             (HEADER + "1,1,1.0\nx,2,1.0\n", "bad.csv:3: invalid literal for int()"),
             (HEADER, "bad.csv: no observations"),
             (HEADER + "1,1,1.0\n2,1,-1\n", "bad.csv:3: execution times must be non-negative"),
@@ -86,9 +88,13 @@ class TestExitCodes:
              "bad.csv:2: field larger than field limit (131072)"),
             ("x" * 140_000 + ",public_value,time_seconds\n1,1,1.0\n",
              "bad.csv:1: field larger than field limit (131072)"),
+            # a field over the limit that spans lines 3 and 4
+            (HEADER + '1,1,1.0\n"1\n' + "1" * 140_001 + '",1,1.0\n',
+             "bad.csv:3: field larger than field limit (131072)"),
         ],
-        ids=["two-columns", "non-numeric-time", "non-numeric-secret", "header-only",
-             "negative-time", "long-field", "long-header"],
+        ids=["two-columns", "non-numeric-time", "multi-line-record",
+             "non-numeric-secret", "header-only", "negative-time", "long-field",
+             "long-header", "long-multi-line-field"],
     )
     def test_malformed_rows_exit_2(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.csv"

@@ -3,8 +3,9 @@ import pytest
 
 from leakmit import simplex
 from leakmit.errors import SolverError
-from leakmit.simplex import _pivot, solve_lp
+from leakmit.simplex import _pivot, phase_one, solve_lp, warm_starts
 
+from conftest import same_lp
 from oracles import lp_vertex_oracle, pivot_loop_oracle
 
 
@@ -266,3 +267,75 @@ class TestRank1Pivot:
                 pivot_loop_oracle(want_t, want_b, row, col)
                 assert got_t.tobytes() == want_t.tobytes()
                 assert got_b.tobytes() == want_b.tobytes()
+
+
+class TestPreparedStarts:
+    """A start prepared once answers each solve as its own solve would."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_phase_one_serves_every_objective(self, seed):
+        rng = np.random.default_rng(2000 + seed)
+        n = 5
+        a_ub = rng.uniform(-1.0, 2.0, size=(3, n))
+        b_ub = rng.uniform(-1.0, 5.0, size=3)  # some rows flip
+        a_eq = rng.uniform(0.5, 1.5, size=(1, n))
+        b_eq = np.array([rng.uniform(1.0, 2.0)])
+        bounds = [(0.0, 4.0)] * n
+        start = phase_one(a_ub, b_ub, a_eq, b_eq, bounds)
+        for _ in range(5):
+            c = rng.normal(size=n)
+            for maximize in (True, False):
+                got = solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds, maximize, start)
+                want = solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds, maximize)
+                assert same_lp(got, want)
+
+    def test_infeasible_program_solves_cold(self):
+        program = ([[1.0], [-1.0]], [1.0, -2.0], None, None, [(0.0, None)])
+        start = phase_one(*program)
+        assert start.tableau is None
+        assert solve_lp([1.0], *program, basis=start).status == "infeasible"
+
+    def test_warm_starts_match_one_basis_solve_each(self):
+        rng = np.random.default_rng(3)
+        n = 4
+        a_ub = rng.uniform(-1.0, 2.0, size=(3, n))
+        b_ub = rng.uniform(1.0, 5.0, size=3)
+        c = rng.uniform(-1.0, 1.0, size=n)
+        base = [(0.0, 3.0)] * n
+        root = solve_lp(c, a_ub, b_ub, bounds=base)
+        # one crossed bound pair: that program is infeasible before any start
+        children = [[(v, v)] + base[1:] for v in (0.0, 1.0, 2.0)]
+        children.append([(2.0, 1.0)] + base[1:])
+        starts = warm_starts(a_ub, b_ub, None, None, children, root.basis)
+        assert starts[-1] is None
+        for bounds, start in zip(children, starts):
+            got = solve_lp(c, a_ub, b_ub, bounds=bounds, basis=start)
+            want = solve_lp(c, a_ub, b_ub, bounds=bounds, basis=root.basis)
+            assert same_lp(got, want)
+
+
+class TestAppendedRightHandSides:
+    """The shared refactorization of a branch-and-bound node rests on one
+    property of LAPACK's solve: appending right-hand-side columns leaves
+    the bits of every other column as they are.  If a numpy or BLAS upgrade
+    breaks it, this test fails and names the cause of the shared starts'
+    mismatches.  Shapes run up to the k = 20 min-guess program: 82 rows,
+    293 structural and slack columns."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_appended_columns_keep_their_bits(self, seed):
+        rng = np.random.default_rng(6000 + seed)
+        for _ in range(12):
+            m = int(rng.integers(2, 83))
+            n = int(rng.integers(1, 293 - m + 1))
+            # [A | I] as in a tableau, and a basis mixing both kinds of column
+            full = np.hstack([rng.normal(size=(m, n)), np.eye(m)])
+            basis = rng.permutation(n + m)[:m]
+            if abs(np.linalg.det(full[:, basis])) < 1e-8:
+                continue
+            rhs = rng.normal(size=(m, 2))
+            both = np.linalg.solve(full[:, basis], np.hstack([full, rhs]))
+            for i in (0, 1):
+                one = np.linalg.solve(full[:, basis], np.hstack([full, rhs[:, i:i + 1]]))
+                assert both[:, : n + m].tobytes() == one[:, :-1].tobytes()
+                assert both[:, n + m + i].tobytes() == one[:, -1].tobytes()

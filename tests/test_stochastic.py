@@ -37,7 +37,7 @@ from leakmit.stochastic import (
     synthesize_minguess,
 )
 
-from conftest import make_classset, random_classset
+from conftest import make_classset, random_classset, same_lp
 import oracles
 from oracles import (
     jump_direction_oracle,
@@ -531,10 +531,11 @@ def lockstep_cases():
             yield k, measure, LOCKSTEP_DELTAS[(k + m) % 4], (0, 1, 8)[(k + m) % 3]
 
 
-def assert_matches_oracle(monkeypatch, cs, measure, delta, **kwargs):
+def assert_matches_oracle(monkeypatch, cs, measure, delta, trials=None, **kwargs):
     """Same policy bits and diagnostics as the per-start search, and the
     same jump LPs: every gradient a start stalls at is solved, the same bits
-    in both, and the lockstep search solves each distinct one once."""
+    in both, and the lockstep search solves each distinct one once.
+    ``trials`` collects the per-start search's trial records."""
     solved = []
 
     def recording(c, *args, **kw):
@@ -546,12 +547,33 @@ def assert_matches_oracle(monkeypatch, cs, measure, delta, **kwargs):
     pol, diag = synthesize_local(cs, measure, delta, **kwargs)
     lockstep = list(solved)
     solved.clear()
-    want_pol, want_diag = local_search_oracle(cs, measure, delta, **kwargs)
+    want_pol, want_diag = local_search_oracle(
+        cs, measure, delta, trials=trials, **kwargs
+    )
     assert same_bits(pol.matrix, want_pol.matrix), (cs.k, measure, delta, kwargs)
     assert diag == want_diag
     assert len(set(lockstep)) == len(lockstep)
     assert set(lockstep) == set(solved)
     return len(lockstep), len(solved)
+
+
+def ladders(trials: list[list[bool]], rungs: int):
+    """The halving ladders of the lockstep ascent, read off the per-start
+    trial records: after a rejected trial a start tries up to ``rungs``
+    halvings at once.  One ``(rungs tried, first accepted rung or None,
+    trials left after it)`` per ladder."""
+    out = []
+    for record in trials:
+        i = 0
+        while i < len(record):
+            if i == 0 or record[i - 1]:  # the first trial, or one after a move
+                i += 1
+                continue
+            ladder = record[i : i + rungs]
+            hit = ladder.index(True) if True in ladder else None
+            i += len(ladder) if hit is None else hit + 1
+            out.append((len(ladder), hit, len(record) - i))
+    return out
 
 
 def near_budget_line(cs, share):
@@ -612,6 +634,44 @@ class TestLockstepAscent:
         cs = random_classset(rng, 12)
         assert_matches_oracle(monkeypatch, cs, measure, 0.3, n_starts=8, seed=1)
         assert min(counts) < 8 <= max(counts)
+
+    def test_ladders_accept_late_rungs_and_cross_the_cap(self, monkeypatch):
+        # Recorded, not assumed: these runs accept rungs after the first and
+        # reject whole ladders, then go on with the next.
+        # Most ladders accept nothing; these two k = 7 sets are rarer.
+        trials = []
+        for seed in (6, 9):
+            rng = np.random.default_rng(seed)
+            cs = random_classset(rng, int(rng.integers(2, 14)))
+            for measure in ("shannon", "guessing"):
+                assert_matches_oracle(
+                    monkeypatch, cs, measure, 0.05, trials=trials, n_starts=2,
+                    seed=seed,
+                )
+        rungs = stochastic.LADDER_RUNGS
+        seen = ladders(trials, rungs)
+        assert {hit for _, hit, _ in seen} >= set(range(rungs)) | {None}
+        assert any(n == rungs and hit is None and left for n, hit, left in seen)
+
+    @pytest.mark.parametrize("cap", [3, 7])
+    def test_trial_cap_counts_rungs(self, cap, monkeypatch):
+        # Every start stops after MAX_ASCENT_ITERS trials, rungs included,
+        # as the per-start search stops after that many steps.
+        monkeypatch.setattr(stochastic, "MAX_ASCENT_ITERS", cap)
+        monkeypatch.setattr(oracles, "MAX_ASCENT_ITERS", cap)
+        trials = []
+        rng = np.random.default_rng(5500 + cap)
+        for k in (2, 6, 10):
+            cs = random_classset(rng, k)
+            for measure, delta in (("shannon", 0.1), ("guessing", math.inf)):
+                assert_matches_oracle(
+                    monkeypatch, cs, measure, delta, trials=trials, n_starts=3, seed=k
+                )
+        assert max(map(len, trials)) == cap
+        # the cap cuts a ladder short: a capped start's last ladder
+        rungs = stochastic.LADDER_RUNGS
+        capped = [ladders([record], rungs) for record in trials if len(record) == cap]
+        assert any(seen and seen[-1][0] < rungs for seen in capped)
 
     def test_jump_lps_are_memoised(self, monkeypatch):
         # the per-start search solves 23 jump LPs here, 9 of them repeats
@@ -799,6 +859,96 @@ class TestWarmStart:
         warm = solve_lp(*program, bounds, basis=basis)
         assert warm.status == cold.status
         assert same_bits(warm.x, cold.x)
+
+
+def counting(monkeypatch, module, name: str) -> list:
+    """Patch ``module.name`` to log one entry per call; returns the log."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestSharedStarts:
+    """Work the solvers share gives every LP the bits of its own solve."""
+
+    def test_jumps_share_one_phase_one(self, kernel_classsets, monkeypatch):
+        jumps = []
+
+        def recording(c, *args, **kwargs):
+            res = solve_lp(c, *args, **kwargs)
+            jumps.append((c, args, res))
+            return res
+
+        monkeypatch.setattr(stochastic, "solve_lp", recording)
+        rng = np.random.default_rng(80)
+        several = 0
+        for cs in kernel_classsets:
+            delta = float(rng.choice([0.05, 0.2, 0.6, math.inf]))
+            measure = str(rng.choice(["shannon", "guessing"]))
+            jumps.clear()
+            with monkeypatch.context() as patch:
+                phase_ones = counting(patch, simplex, "_cold_start")
+                synthesize_local(cs, measure, delta, n_starts=3, seed=cs.k)
+            assert len(phase_ones) == min(len(jumps), 1)
+            several += len(jumps) > 1
+            for c, args, res in jumps:
+                assert same_lp(res, solve_lp(c, *args)), (cs.k, measure, delta)
+        assert several > 20
+
+    def test_expansion_refactorizes_once(self, warm_classsets, monkeypatch):
+        rng = np.random.default_rng(81)
+        expanded = 0
+        for cs in warm_classsets[:40]:
+            delta = float(rng.choice([0.05, 0.2, 0.6]))
+            with monkeypatch.context() as patch:
+                solves = counting(patch, np.linalg, "solve")
+                _, diag = synthesize_minguess(cs, delta)
+            # the root is cold; every expansion solves both children
+            assert 2 * len(solves) == diag.nodes_explored - 1
+            expanded += diag.nodes_explored > 1
+        assert expanded > 10
+
+    def test_children_match_separate_warm_solves(self, warm_classsets,
+                                                 monkeypatch):
+        """TestWarmStart's random chains of fixes, both children of each
+        step from one refactorization, against a warm solve each."""
+        rng = np.random.default_rng(82)
+        statuses = Counter()
+        for cs in warm_classsets:
+            delta = float(rng.choice([0.0, 0.05, 0.2, 0.6, math.inf]))
+            *program, iu = _minguess_program(cs, delta)
+            c, a_ub, b_ub, a_eq, b_eq = program
+            n_mu = iu[0].size
+            fixes = {}
+            parent = solve_lp(*program, node_bounds(cs.k, n_mu, fixes))
+            for j in rng.permutation(cs.k - 1)[: int(rng.integers(1, 5))]:
+                children = [{**fixes, int(j): v} for v in (0, 1)]
+                bounds = [node_bounds(cs.k, n_mu, f) for f in children]
+                with monkeypatch.context() as patch:
+                    solves = counting(patch, np.linalg, "solve")
+                    starts = simplex.warm_starts(
+                        a_ub, b_ub, a_eq, b_eq, bounds, parent.basis
+                    )
+                assert len(solves) == 1
+                results = []
+                for child_bounds, start in zip(bounds, starts):
+                    shared = solve_lp(*program, child_bounds, basis=start)
+                    alone = solve_lp(*program, child_bounds, basis=parent.basis)
+                    assert same_lp(shared, alone), (cs.k, delta, child_bounds)
+                    statuses[alone.status] += 1
+                    results.append(shared)
+                optimal = [v for v in (0, 1) if results[v].status == "optimal"]
+                if not optimal:
+                    break
+                v = int(rng.choice(optimal))
+                fixes, parent = children[v], results[v]
+        assert statuses["infeasible"] > 0 and statuses["optimal"] > 0
 
 
 class TestBudgetContract:
