@@ -52,8 +52,13 @@ def double_scheme(
         short = levels < in_quanta
         if not short.any():
             break
-        levels[short] = 2.0 * levels[short] + 1.0
-    mitigated = dataset.with_times(levels * q)
+        # levels = 2 * levels + 1 where short, in place.
+        np.multiply(levels, 2.0, out=levels, where=short)
+        np.add(levels, 1.0, out=levels, where=short)
+    del in_quanta, short
+    levels *= q
+    mitigated = dataset.with_times(levels)
+    del levels
     return mitigated, cluster_functions(mitigated, epsilon)
 
 
@@ -129,6 +134,5 @@ def apply_buckets(
     times = dataset.times
     if float(times.max()) > bounds[-1]:
         raise ValueError("an observation exceeds the top bucket boundary")
-    idx = np.searchsorted(bounds, times, side="left")
-    mitigated = dataset.with_times(bounds[idx])
+    mitigated = dataset.with_times(bounds[np.searchsorted(bounds, times, side="left")])
     return mitigated, cluster_functions(mitigated, epsilon)

@@ -89,7 +89,14 @@ def _write_text(path: Path, text: str) -> Path:
 
 
 def _write_json(path: Path, data) -> Path:
-    return _write_text(path, json.dumps(data, indent=2) + "\n")
+    # json.dump writes the text of json.dumps piece by piece, so a large
+    # report is never one string.
+    def write(tmp: Path) -> None:
+        with open(tmp, "w") as fh:
+            json.dump(data, fh, indent=2)
+            fh.write("\n")
+
+    return _write_atomic(path, write)
 
 
 def _write_dataset(path: Path, dataset) -> Path:
@@ -253,26 +260,29 @@ def cmd_baseline(config: PipelineConfig) -> list[Path]:
     return written
 
 
+def _features(dataset, config: PipelineConfig):
+    """A generator's cost model gives simulated instrumentation counters; a
+    measured dataset has only its times."""
+    if config.gen is None:
+        return enforcement.timing_features(dataset)
+    if config.gen == "mod_exp":
+        return enforcement.counter_features(
+            dataset, enforcement.mod_exp_counts(dataset)
+        )
+    return enforcement.counter_features(
+        dataset,
+        enforcement.branch_loop_counts(dataset, config.group_sizes, config.slopes),
+    )
+
+
 def run_pipeline(config: PipelineConfig) -> list[Path]:
     """Cluster, synthesize, train the classifier, enforce, and report."""
     dataset, classes = _load_classes(config)
     algo = config.algo or "det"
     policy, report, diag = _solve(classes, config, algo, config.delta)
 
-    # A generator's cost model gives simulated instrumentation counters; a
-    # measured dataset has only its times.
-    if config.gen is None:
-        features = enforcement.timing_features(dataset)
-    else:
-        if config.gen == "mod_exp":
-            counts = enforcement.mod_exp_counts(dataset)
-        else:
-            counts = enforcement.branch_loop_counts(
-                dataset, config.group_sizes, config.slopes
-            )
-        features = enforcement.counter_features(dataset, counts)
-    samples = enforcement.training_samples(features, classes)
-    tree = enforcement.learn_tree(samples)
+    features = _features(dataset, config)
+    tree = enforcement.learn_tree(enforcement.training_samples(features, classes))
     mitigated, enforce_report = enforcement.enforce(
         dataset, classes, policy, tree, config.seed, features,
         epsilon=config.epsilon,
@@ -454,7 +464,7 @@ def compare(config: PipelineConfig) -> list[Path]:
 
     rows = [row("initial", classes.k, classes.sizes, 0.0)]
     for method in ("double", "bucketing"):
-        _, after, overhead = _run_baseline(dataset, config, method)
+        after, overhead = _run_baseline(dataset, config, method)[1:]
         rows.append(row(method, after.k, after.sizes, overhead))
     for algo in ("det", "stoch"):
         policy, report, _ = _solve(classes, config, algo, config.delta)

@@ -5,16 +5,23 @@ A CART-style decision tree is trained on per-execution features
 time-derived ratios as a fallback) labeled with observation classes.  All
 features of a dataset live in one ``(n_secrets, n_grid, n_features)`` array.
 
-The split search sorts each feature once per node and scores every cut of
-it at once from prefix class counts (Breiman et al. 1984, CART): one
-``bincount`` of (cut, class) and one ``cumsum`` give the left counts, the
-node totals minus them the right counts.  The Gini values are computed in
-blocks of ``SPLIT_BLOCK`` cuts, which bounds the temporaries, and the lowest
+The tree sorts each feature once per tree, stably, and grows on index arrays
+into those orders, the presorting of SLIQ (Mehta, Agrawal & Rissanen, EDBT
+1996): a node hands each child the rows of its orders that fall on the
+child's side.  A stable filter of a stable order is the stable order of the
+child's rows, so no node sorts or copies its rows again.  The split search
+scores every cut of a feature at once from prefix class counts (Breiman et
+al. 1984, CART): a class's left count at a cut is how many of its rows lie
+before the cut, one ``searchsorted`` per class, and the node totals minus
+them are the right counts.  The Gini values are computed in blocks of
+``SPLIT_BLOCK`` cuts, which bounds the temporaries, and the lowest
 ``(impurity, feature, threshold)`` wins.
 
 At enforcement time each secret draws one target class from its policy row,
 the tree classifies every execution, and the execution is padded by the gap
 between the predicted class representative and the target representative.
+Executions are classified and padded ``PAD_BLOCK`` at a time, in whole
+secrets, into one copy of the times.
 """
 
 from __future__ import annotations
@@ -51,6 +58,10 @@ __all__ = [
 # Cuts whose Gini values the split search computes at once.  It bounds the
 # (cuts x classes) float temporaries on features with many distinct values.
 SPLIT_BLOCK = 4096
+
+# Executions that ``enforce`` classifies and pads at once, rounded to whole
+# secrets.  It bounds the prediction and delay temporaries.
+PAD_BLOCK = 16384
 
 # Deepest tree ``learn_tree`` grows.  Growing the tree, and writing it out
 # as JSON, recurse once per level, so the cap stays well below the
@@ -133,24 +144,22 @@ def _gini(counts: np.ndarray) -> np.ndarray:
 
 def _best_cut(
     xs: np.ndarray, ys: np.ndarray, totals: np.ndarray
-) -> tuple[float, int] | None:
-    """``(impurity, cut)`` of the lowest-impurity cut of one sorted feature.
+) -> tuple[float, float] | None:
+    """``(impurity, threshold)`` of the lowest-impurity cut of one sorted
+    feature.
 
     ``xs`` is the sorted feature and ``ys`` the labels in that order.  A cut
     at ``c`` puts ``ys[:c]`` on the left; it must fall between two different
-    values.  The first cut wins a tie.
+    values, and its threshold is their midpoint.  The first cut wins a tie.
     """
     n = ys.size
     cuts = np.flatnonzero(xs[1:] != xs[:-1]) + 1
     if cuts.size == 0:
         return None
-    k = totals.size
-    # Row r lies in segment s when cuts[s-1] <= r < cuts[s]; the running sum
-    # of the per-segment class counts is the left counts at every cut.
-    segment = np.repeat(np.arange(cuts.size), np.diff(cuts, prepend=0))
-    left = np.bincount(segment * k + ys[: cuts[-1]], minlength=cuts.size * k)
-    left = left.reshape(cuts.size, k)
-    np.cumsum(left, axis=0, out=left)
+    # Class c's left count at a cut is the number of its rows before the cut.
+    left = np.zeros((cuts.size, totals.size), dtype=np.intp)
+    for c in np.flatnonzero(totals):
+        left[:, c] = np.searchsorted(np.flatnonzero(ys == c), cuts)
     best = None
     for start in range(0, cuts.size, SPLIT_BLOCK):
         cut = cuts[start : start + SPLIT_BLOCK]
@@ -159,7 +168,8 @@ def _best_cut(
         i = int(np.argmin(impurity))
         if best is None or impurity[i] < best[0]:
             best = (float(impurity[i]), int(cut[i]))
-    return best
+    value, c = best
+    return value, _midpoint(float(xs[c - 1]), float(xs[c]))
 
 
 def _midpoint(a: float, b: float) -> float:
@@ -168,10 +178,17 @@ def _midpoint(a: float, b: float) -> float:
     return mid if math.isfinite(mid) else a / 2.0 + b / 2.0
 
 
-def _grow(x: np.ndarray, y: np.ndarray, depth: int):
-    """The subtree grown from ``(x, y)`` and how many of its rows the leaf
-    majorities label correctly."""
-    counts = np.bincount(y)
+def _grow(x: np.ndarray, y: np.ndarray, orders: list[np.ndarray], depth: int):
+    """The subtree grown from the rows in ``orders`` and how many of them the
+    leaf majorities label correctly.
+
+    ``orders[f]`` lists the node's rows of ``(x, y)`` sorted by feature f,
+    stably.  The node empties ``orders`` once its children have theirs, so
+    the recursion holds the orders of the current node and of the pending
+    right siblings on its path, not of every ancestor.
+    """
+    # With no features the root is the only node, and it holds every row.
+    counts = np.bincount(y[orders[0]] if orders else y)
     # np.argmax takes the smallest id on ties.
     majority = int(np.argmax(counts))
     leaf = TreeLeaf(majority), int(counts[majority])
@@ -179,20 +196,29 @@ def _grow(x: np.ndarray, y: np.ndarray, depth: int):
     if depth >= MAX_DEPTH or parent_gini == 0.0:
         return leaf
     best = None
-    for f in range(x.shape[1]):
-        order = np.argsort(x[:, f], kind="stable")
-        xs = x[order, f]
-        found = _best_cut(xs, y[order], counts)
+    scored = [_best_cut(x[order, f], y[order], counts) for f, order in enumerate(orders)]
+    for f, found in enumerate(scored):
         if found is not None and (best is None or found[0] < best[0]):
-            impurity, cut = found
-            best = (impurity, f, _midpoint(float(xs[cut - 1]), float(xs[cut])))
+            best = (*found, f)
     if best is None or best[0] >= parent_gini - 1e-12:
         return leaf
-    _, f, threshold = best
-    mask = x[:, f] <= threshold
-    left, left_hits = _grow(x[mask], y[mask], depth + 1)
-    right, right_hits = _grow(x[~mask], y[~mask], depth + 1)
+    _, threshold, f = best
+    left, right = _partition(x, orders, f, threshold)
+    left, left_hits = _grow(x, y, left, depth + 1)
+    right, right_hits = _grow(x, y, right, depth + 1)
     return TreeSplit(f, float(threshold), left, right), left_hits + right_hits
+
+
+def _partition(x: np.ndarray, orders: list[np.ndarray], f: int, threshold: float):
+    """The rows of each order with ``x[:, f] <= threshold``, and the rest,
+    both in their order.  ``orders`` is emptied."""
+    left, right = [], []
+    for order in orders:
+        goes_left = x[order, f] <= threshold
+        left.append(order[goes_left])
+        right.append(order[~goes_left])
+    orders.clear()
+    return left, right
 
 
 def learn_tree(samples: tuple[np.ndarray, np.ndarray, Sequence[str]]) -> DecisionTree:
@@ -207,7 +233,9 @@ def learn_tree(samples: tuple[np.ndarray, np.ndarray, Sequence[str]]) -> Decisio
     """
     x, y, names = samples
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=int)
+    y = np.asarray(y)
+    if y.dtype.kind not in "iu":
+        y = y.astype(int)
     names = tuple(names)
     if y.size == 0:
         raise ValueError("need at least one training sample")
@@ -217,14 +245,29 @@ def learn_tree(samples: tuple[np.ndarray, np.ndarray, Sequence[str]]) -> Decisio
         raise ValueError("class ids must be non-negative")
     if not np.all(np.isfinite(x)):
         raise ValueError("feature values must be finite")
-    root, hits = _grow(x, y, 0)
+    # Ids in the narrowest type that holds them, as training_samples gives
+    # them: each node gathers its labels once per feature.
+    labels = y.astype(np.min_scalar_type(int(y.max())), copy=False)
+    orders = [np.argsort(column, kind="stable") for column in x.T]
+    root, hits = _grow(x, labels, orders, 0)
     return DecisionTree(root, names, hits / y.size)
 
 
 def mod_exp_counts(dataset: TimingDataset) -> np.ndarray:
-    """Inner-loop iteration counts setbits(secret) * y for the modexp model."""
-    setbits = np.asarray([int(s).bit_count() for s in dataset.secrets], dtype=float)
-    return setbits[:, None] * dataset.grid.points[None, :]
+    """Inner-loop iteration counts setbits(secret) * y for the modexp model.
+
+    The set bits of |secret| are counted by shifting all secrets at once.
+    """
+    try:
+        # As unsigned, |-2**63| fits too.
+        rest = np.abs(np.array(dataset.secrets, dtype=np.int64)).view(np.uint64)
+    except OverflowError:  # a secret wider than 64 bits
+        rest = np.abs(np.array(dataset.secrets, dtype=object))
+    setbits = np.zeros_like(rest)
+    while rest.any():
+        setbits += rest & 1
+        rest >>= 1
+    return setbits.astype(float)[:, None] * dataset.grid.points[None, :]
 
 
 def branch_loop_counts(
@@ -245,6 +288,7 @@ def counter_features(dataset: TimingDataset, counts: np.ndarray) -> FeatureTable
     if counts.shape != dataset.times.shape:
         raise ValueError("counts must be n_secrets x n_grid_points")
     per_unit = counts / dataset.grid.points
+    del counts  # freed here when the caller passed a temporary
     return FeatureTable(("iterations_per_unit",), per_unit[:, :, None], dataset.secrets)
 
 
@@ -258,8 +302,10 @@ def timing_features(dataset: TimingDataset) -> FeatureTable:
 
 
 def _labels(classes: ObservationClassSet, secrets: Sequence[int]) -> np.ndarray:
+    """The class id of each secret, in the narrowest unsigned type."""
     label = classes.class_of()
-    return np.asarray([label[s] for s in secrets], dtype=int)
+    dtype = np.min_scalar_type(classes.k - 1)
+    return np.fromiter((label[s] for s in secrets), dtype=dtype, count=len(secrets))
 
 
 def training_samples(
@@ -268,7 +314,7 @@ def training_samples(
     """One labeled sample per execution (secret, grid point), secret-major.
 
     Returns ``(x, y, names)``: the ``(N, n_features)`` feature array, the
-    ``N`` class ids and the feature names.
+    ``N`` class ids in the narrowest unsigned type, and the feature names.
     """
     n_secrets, n_grid, n_features = features.values.shape
     x = features.values.reshape(n_secrets * n_grid, n_features)
@@ -294,8 +340,8 @@ def _draw_targets(
     """Target class of each secret, given the class id of each secret.
 
     One uniform draw per secret counts the entries of its class's normalised
-    CDF that are <= the draw: the same CDF, draws and
-    ``searchsorted(side="right")`` as ``rng.choice(k, p=row / row.sum())``
+    CDF that are <= the draw, one ``searchsorted(side="right")`` per class:
+    the same CDF, draws and search as ``rng.choice(k, p=row / row.sum())``
     called once per secret.  On a point-mass row the CDF steps from 0 to 1 at
     the mass, so every draw lands there.
     """
@@ -303,7 +349,11 @@ def _draw_targets(
     u = rng.random(labels.size)
     cdf = np.cumsum(matrix / matrix.sum(axis=1, keepdims=True), axis=1)
     cdf /= cdf[:, -1:]
-    return np.count_nonzero(cdf[labels] <= u[:, None], axis=1)
+    targets = np.empty(labels.size, dtype=np.intp)
+    for c, row in enumerate(cdf):
+        mine = labels == c
+        targets[mine] = np.searchsorted(row, u[mine], side="right")
+    return targets
 
 
 def enforce(
@@ -333,14 +383,21 @@ def enforce(
     reps = classes.representatives
     targets = _draw_targets(policy, labels, np.random.default_rng(seed))
 
-    x = features.values.reshape(dataset.n_secrets * n_grid, -1)
-    pred = tree.predict(x).reshape(dataset.n_secrets, n_grid)
-    wrong = int(np.count_nonzero(pred != labels[:, None]))
     points = np.arange(n_grid)
-    delays = np.maximum(0.0, reps[targets[:, None], points] - reps[pred, points])
-    mitigated_times = dataset.times + delays
-
-    mitigated = dataset.with_times(mitigated_times)
+    padded = np.array(dataset.times)
+    wrong = 0
+    step = max(1, PAD_BLOCK // n_grid)
+    for lo in range(0, dataset.n_secrets, step):
+        hi = lo + step
+        block = features.values[lo:hi]
+        x = block.reshape(block.shape[0] * n_grid, block.shape[2])
+        pred = tree.predict(x).reshape(-1, n_grid)
+        wrong += int(np.count_nonzero(pred != labels[lo:hi, None]))
+        padded[lo:hi] += np.maximum(
+            0.0, reps[targets[lo:hi, None], points] - reps[pred, points]
+        )
+    mitigated = dataset.with_times(padded)
+    del padded
     overhead = relative_overhead(dataset, mitigated)
     after = cluster_functions(mitigated, epsilon)
     entropies = tuple(
@@ -349,7 +406,7 @@ def enforce(
     )
     report = EnforcementReport(
         realized_overhead=overhead,
-        misclassification_rate=wrong / pred.size,
+        misclassification_rate=wrong / dataset.times.size,
         classes_after=after,
         entropies=entropies,
     )

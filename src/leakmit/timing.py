@@ -277,12 +277,18 @@ def read_csv(path: str | Path) -> TimingDataset:
                     itertools.chain([first], lines), delimiter=",", ndmin=1,
                     comments=None, dtype=[("secret", "i8"), ("public", "f8"), ("time", "f8")],
                 )
+                # A secret's rows come in runs.  The runs' secrets in order
+                # of first appearance, and each run's rank, repeated over it.
+                secret = table["secret"]
+                starts = np.flatnonzero(np.r_[True, secret[1:] != secret[:-1]])
                 ids, firsts, index = np.unique(
-                    table["secret"], return_index=True, return_inverse=True)
-                # Secrets in order of first appearance, and each row's rank.
+                    secret[starts], return_index=True, return_inverse=True)
                 order = np.argsort(firsts)
-                return _assemble(path, ids[order].tolist(), np.argsort(order)[index],
-                                 table["public"], table["time"])
+                run_rank = np.argsort(order)[index]
+                return _assemble(
+                    path, ids[order].tolist(),
+                    np.repeat(run_rank, np.diff(starts, append=secret.size)),
+                    table["public"], table["time"])
         except (ValueError, OverflowError, csv.Error):
             pass
     return _read_rows(path)
@@ -339,6 +345,17 @@ def _read_rows(path: str | Path) -> TimingDataset:
                      np.frombuffer(publics), np.frombuffer(times), lines)
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values, return_inverse=True)[0]``: the same sort, so where
+    0.0 and -0.0 both occur, the same one of them is kept.  Without the
+    inverse, it holds two of the N-row arrays that ``np.unique`` holds
+    six of."""
+    ordered = values[np.argsort(values, kind="quicksort")]
+    keep = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def _assemble(path, secrets: list[int], rows: np.ndarray, publics: np.ndarray,
               times: np.ndarray, lines: Sequence[int] | None = None) -> TimingDataset:
     """The dataset whose observation i is (secrets[rows[i]], publics[i], times[i]).
@@ -355,23 +372,28 @@ def _assemble(path, secrets: list[int], rows: np.ndarray, publics: np.ndarray,
     negative = times < 0
     if negative.any():
         raise ValueError(f"{at(np.argmax(negative))}: execution times must be non-negative")
-    grid_points, cols = np.unique(publics, return_inverse=True)
-    cell = rows * grid_points.size + cols
-    # The first row whose cell an earlier row already filled.
-    order = np.argsort(cell, kind="stable")
-    repeat = order[1:][np.diff(cell[order]) == 0]
-    if repeat.size:
-        first = int(repeat.min())
+    grid_points = _distinct(publics)
+    cols = np.searchsorted(grid_points, publics)
+    filled = np.zeros((len(secrets), grid_points.size), dtype=bool)
+    filled[rows, cols] = True
+    if np.count_nonzero(filled) < rows.size:
+        # The first row whose cell an earlier row already filled.
+        cell = rows * grid_points.size + cols
+        order = np.argsort(cell, kind="stable")
+        first = int(order[1:][np.diff(cell[order]) == 0].min())
         raise ValueError(
             f"{at(first)}: duplicate observation for secret {secrets[rows[first]]}"
         )
-    short = np.bincount(rows, minlength=len(secrets)) != grid_points.size
+    # With no cell filled twice, a secret with fewer rows than grid points
+    # leaves a cell empty.
+    short = ~filled.all(axis=1)
     if short.any():
         raise ValueError(
             f"{path}: secret {secrets[np.argmax(short)]} is missing grid points"
         )
     matrix = np.empty((len(secrets), grid_points.size))
-    matrix.reshape(-1)[cell] = times
+    matrix[rows, cols] = times
+    del rows, cols  # the dataset copies the matrix next
     try:
         return TimingDataset(tuple(secrets), PublicGrid(grid_points), matrix)
     except ValueError as exc:  # an overflowing total

@@ -1,8 +1,12 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from leakmit import enforcement
 from leakmit.clustering import cluster_functions
 from leakmit.enforcement import (
     MAX_DEPTH,
@@ -28,7 +32,13 @@ from leakmit.policy import (
     full_merge_policy,
     identity_policy,
 )
-from leakmit.timing import gen_branch_loop, gen_mod_exp, relative_overhead
+from leakmit.timing import (
+    PublicGrid,
+    TimingDataset,
+    gen_branch_loop,
+    gen_mod_exp,
+    relative_overhead,
+)
 
 from oracles import cart_loop_oracle, choice_loop_oracle, stump_oracle
 
@@ -79,6 +89,20 @@ class TestLearnTree:
             # equal-gain splits may differ; accuracy of the chosen stump
             # must still match the best achievable
             assert hits / len(samples) == pytest.approx(oracle_acc)
+
+    def test_no_features_is_one_leaf(self, binomial_dataset, binomial_classes):
+        tree = learn_tree((np.ones((3, 0)), np.array([0, 1, 1]), ()))
+        assert tree.root == TreeLeaf(1)
+        assert tree.train_accuracy == 2 / 3
+        # and enforce classifies every execution as that leaf
+        n_grid = len(binomial_dataset.grid)
+        none = FeatureTable((), np.ones((binomial_dataset.n_secrets, n_grid, 0)),
+                            binomial_dataset.secrets)
+        tree = fitted(binomial_dataset, binomial_classes, none)
+        policy = identity_policy(binomial_classes.k)
+        _, report = enforce(binomial_dataset, binomial_classes, policy, tree, 0, none)
+        majority = binomial_classes.sizes.max() / binomial_classes.sizes.sum()
+        assert report.misclassification_rate == pytest.approx(1 - majority)
 
     def test_threshold_of_huge_features_stays_finite(self):
         # the midpoint 1.35e308 of the first cut overflows as (a + b) / 2
@@ -165,6 +189,70 @@ class TestSplitSearchMatchesCutLoop:
         assert tree_json(x, y, ("a", "b")) == loop_tree_json(x, y, ("a", "b"))
 
 
+def n_splits(node) -> int:
+    if isinstance(node, TreeLeaf):
+        return 0
+    return 1 + n_splits(node.left) + n_splits(node.right)
+
+
+@st.composite
+def tied_samples(draw):
+    """Features of a few small integers, some columns copies of others, so
+    rows tie within and across features."""
+    n = draw(st.integers(1, 60))
+    cols = []
+    for _ in range(draw(st.integers(1, 4))):
+        if cols and draw(st.booleans()):
+            cols.append(cols[draw(st.integers(0, len(cols) - 1))])
+        else:
+            cols.append(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    y = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    x = np.array(cols, dtype=float).T
+    return x, np.array(y), tuple(f"f{i}" for i in range(len(cols)))
+
+
+class TestPresortedOrders:
+    """``learn_tree`` sorts each feature once per tree, and every node
+    filters its parent's orders down to its own rows."""
+
+    def test_each_feature_is_sorted_once_per_tree(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        x = rng.integers(0, 4, size=(300, 3)).astype(float)
+        y = rng.integers(0, 5, size=300)
+        calls = []
+        argsort = np.argsort
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counted)
+        tree = learn_tree((x, y, ("a", "b", "c")))
+        # A sort per feature and node would be at least 3 per split.
+        assert n_splits(tree.root) >= 5
+        assert len(calls) == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_samples())
+    def test_a_node_holds_the_stable_order_of_its_rows(self, samples):
+        x, y, names = samples
+        nodes = []
+        grow = enforcement._grow
+
+        def recorded(x, y, orders, depth):
+            nodes.append([order.copy() for order in orders])
+            return grow(x, y, orders, depth)
+
+        with mock.patch.object(enforcement, "_grow", recorded):
+            learn_tree(samples)
+        assert np.array_equal(np.sort(nodes[0][0]), np.arange(y.size))
+        for orders in nodes:
+            rows = np.sort(orders[0])
+            for f, order in enumerate(orders):
+                stable = np.argsort(x[rows, f], kind="stable")
+                assert np.array_equal(order, rows[stable])
+
+
 class TestPredict:
     def test_routes_every_row_like_a_walk_down_the_tree(self):
         rng = np.random.default_rng(11)
@@ -192,6 +280,24 @@ class TestFeatures:
         counts = mod_exp_counts(ds)
         i = ds.secrets.index(5)  # two set bits
         assert counts[i].tolist() == [2.0 * y for y in ds.grid.points]
+
+    def test_mod_exp_counts_match_int_bit_count(self):
+        for n_bits in range(1, 17):
+            ds = gen_mod_exp(n_bits)
+            setbits = np.array([int(s).bit_count() for s in ds.secrets], dtype=float)
+            want = setbits[:, None] * ds.grid.points[None, :]
+            got = mod_exp_counts(ds)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("secrets", [
+        (0, -1, 12345, 2**63 - 1, -(2**63)),
+        (2**70 + 5, -(2**80) - 3, 7),
+    ], ids=["int64", "wider"])
+    def test_mod_exp_counts_of_negative_and_wide_secrets(self, secrets):
+        grid = PublicGrid((1.0, 2.5))
+        ds = TimingDataset(secrets, grid, np.ones((len(secrets), 2)))
+        want = [[int(s).bit_count() * y for y in (1.0, 2.5)] for s in secrets]
+        assert mod_exp_counts(ds).tolist() == want
 
     def test_counter_features_are_constant_per_secret(self, binomial_dataset):
         table = perfect_features(binomial_dataset)
