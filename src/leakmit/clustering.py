@@ -53,6 +53,9 @@ __all__ = [
 # Re-clustering tolerance: padded functions that should coincide differ by rounding.
 RECLUSTER_EPS = 1e-9
 
+# Cells of sorted neighbouring rows that ``_unique_rows`` compares at once.
+UNIQUE_BLOCK = 16384
+
 
 @dataclass(frozen=True)
 class ObservationClass:
@@ -144,15 +147,20 @@ def _unique_rows(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows in lexicographic order and each row's index among them.
 
     Same result as ``np.unique(times, axis=0, return_inverse=True)``, from
-    one stable lexsort and an adjacent-row comparison.
+    one stable lexsort and a comparison of neighbours in that order.  The
+    neighbours are gathered ``UNIQUE_BLOCK`` cells at a time, and only the
+    distinct rows are gathered whole, so no sorted copy of ``times`` is made.
     """
     order = np.lexsort(times.T[::-1])
-    ordered = times[order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(order), dtype=np.intp)
+    n = len(order)
+    starts = np.ones(n, dtype=bool)
+    step = max(1, UNIQUE_BLOCK // times.shape[1])
+    for lo in range(0, n - 1, step):
+        rows = times[order[lo : lo + step + 1]]
+        starts[lo + 1 : lo + len(rows)] = (rows[1:] != rows[:-1]).any(axis=1)
+    inverse = np.empty(n, dtype=np.intp)
     inverse[order] = np.cumsum(starts) - 1
-    return ordered[starts], inverse
+    return times[order[starts]], inverse
 
 
 def _mean_l1_matrix(rows: np.ndarray) -> np.ndarray:

@@ -10,18 +10,21 @@ into those orders, the presorting of SLIQ (Mehta, Agrawal & Rissanen, EDBT
 1996): a node hands each child the rows of its orders that fall on the
 child's side.  A stable filter of a stable order is the stable order of the
 child's rows, so no node sorts or copies its rows again.  The split search
-scores every cut of a feature at once from prefix class counts (Breiman et
-al. 1984, CART): a class's left count at a cut is how many of its rows lie
-before the cut, one ``searchsorted`` per class, and the node totals minus
-them are the right counts.  The Gini values are computed in blocks of
-``SPLIT_BLOCK`` cuts, which bounds the temporaries, and the lowest
-``(impurity, feature, threshold)`` wins.
+reads a feature through the node's order, ``SCAN_BLOCK`` rows at a time, to
+find the cuts, and scores them ``SPLIT_BLOCK`` at a time from prefix class
+counts (Breiman et al. 1984, CART): a class's left count at a cut is its
+count at the previous block's last cut plus how many of its rows lie in
+between, one ``searchsorted`` per class, and the node totals minus them are
+the right counts.  So the search holds one block of counts, never a cuts x
+classes matrix, and the lowest ``(impurity, feature, threshold)`` wins.
 
-At enforcement time each secret draws one target class from its policy row,
-the tree classifies every execution, and the execution is padded by the gap
-between the predicted class representative and the target representative.
-Executions are classified and padded ``PAD_BLOCK`` at a time, in whole
-secrets, into one copy of the times.
+At enforcement time each secret takes one target class from its policy row:
+a randomized policy draws it from a seeded generator, and a deterministic
+one reads its point mass without one.  The tree classifies every execution,
+and the execution is padded by the gap between the predicted class
+representative and the target representative.  Executions are classified
+and padded ``PAD_BLOCK`` at a time, in whole secrets, into one copy of the
+times.
 """
 
 from __future__ import annotations
@@ -55,9 +58,14 @@ __all__ = [
     "tree_to_json",
 ]
 
-# Cuts whose Gini values the split search computes at once.  It bounds the
-# (cuts x classes) float temporaries on features with many distinct values.
+# Cuts whose class counts and Gini values the split search computes at once.
+# It bounds the (cuts x classes) temporaries on features with many distinct
+# values.
 SPLIT_BLOCK = 4096
+
+# Rows of a node's order whose feature values the split search reads at once
+# to find the cuts.
+SCAN_BLOCK = 16384
 
 # Executions that ``enforce`` classifies and pads at once, rounded to whole
 # secrets.  It bounds the prediction and delay temporaries.
@@ -143,33 +151,51 @@ def _gini(counts: np.ndarray) -> np.ndarray:
 
 
 def _best_cut(
-    xs: np.ndarray, ys: np.ndarray, totals: np.ndarray
+    column: np.ndarray, order: np.ndarray, y: np.ndarray, totals: np.ndarray
 ) -> tuple[float, float] | None:
-    """``(impurity, threshold)`` of the lowest-impurity cut of one sorted
-    feature.
+    """``(impurity, threshold)`` of the lowest-impurity cut of one feature.
 
-    ``xs`` is the sorted feature and ``ys`` the labels in that order.  A cut
-    at ``c`` puts ``ys[:c]`` on the left; it must fall between two different
-    values, and its threshold is their midpoint.  The first cut wins a tie.
+    ``column`` is the feature of every row and ``order`` the node's rows
+    sorted by it.  A cut at ``c`` puts the rows ``order[:c]`` on the left; it
+    must fall between two different values, and its threshold is their
+    midpoint.  The first cut wins a tie.  The column is read ``SCAN_BLOCK``
+    rows of the order at a time.  The cuts are scored ``SPLIT_BLOCK`` at a
+    time: a block's left counts are the counts at the previous block's last
+    cut plus those of the rows from there to the cut, so the search holds
+    one block of class counts, never a cuts x classes matrix.
     """
-    n = ys.size
-    cuts = np.flatnonzero(xs[1:] != xs[:-1]) + 1
+    n = order.size
+    # steps[i]: the values at order[i] and order[i + 1] differ.
+    steps = np.empty(n - 1, dtype=bool)
+    for lo in range(0, n - 1, SCAN_BLOCK):
+        xs = column[order[lo : lo + SCAN_BLOCK + 1]]
+        np.not_equal(xs[1:], xs[:-1], out=steps[lo : lo + SCAN_BLOCK])
+    cuts = np.flatnonzero(steps)
+    cuts += 1
     if cuts.size == 0:
         return None
-    # Class c's left count at a cut is the number of its rows before the cut.
-    left = np.zeros((cuts.size, totals.size), dtype=np.intp)
-    for c in np.flatnonzero(totals):
-        left[:, c] = np.searchsorted(np.flatnonzero(ys == c), cuts)
+    present = np.flatnonzero(totals)
     best = None
+    # Left counts at the previous block's last cut, and where that cut is.
+    running, lo = None, 0
     for start in range(0, cuts.size, SPLIT_BLOCK):
         cut = cuts[start : start + SPLIT_BLOCK]
-        block = left[start : start + SPLIT_BLOCK]
-        impurity = (cut * _gini(block) + (n - cut) * _gini(totals - block)) / n
+        hi = int(cut[-1])
+        ys = y[order[lo:hi]]
+        at = cut - lo if lo else cut
+        # Class c's left count at a cut is the number of its rows before it.
+        left = np.zeros((cut.size, totals.size), dtype=np.intp)
+        for c in present:
+            left[:, c] = np.searchsorted(np.flatnonzero(ys == c), at)
+        if running is not None:
+            left += running
+        impurity = (cut * _gini(left) + (n - cut) * _gini(totals - left)) / n
         i = int(np.argmin(impurity))
         if best is None or impurity[i] < best[0]:
             best = (float(impurity[i]), int(cut[i]))
+        running, lo = left[-1], hi
     value, c = best
-    return value, _midpoint(float(xs[c - 1]), float(xs[c]))
+    return value, _midpoint(float(column[order[c - 1]]), float(column[order[c]]))
 
 
 def _midpoint(a: float, b: float) -> float:
@@ -196,7 +222,7 @@ def _grow(x: np.ndarray, y: np.ndarray, orders: list[np.ndarray], depth: int):
     if depth >= MAX_DEPTH or parent_gini == 0.0:
         return leaf
     best = None
-    scored = [_best_cut(x[order, f], y[order], counts) for f, order in enumerate(orders)]
+    scored = [_best_cut(x[:, f], order, y, counts) for f, order in enumerate(orders)]
     for f, found in enumerate(scored):
         if found is not None and (best is None or found[0] < best[0]):
             best = (*found, f)
@@ -356,6 +382,15 @@ def _draw_targets(
     return targets
 
 
+def _targets(policy: MitigationPolicy, labels: np.ndarray, seed: int) -> np.ndarray:
+    """Target class of each secret: drawn from ``seed`` for a randomized
+    policy, and read off the point masses, with no generator, for a
+    deterministic one; the mass is where ``_draw_targets`` lands."""
+    if policy.deterministic:
+        return policy.matrix.argmax(axis=1)[labels]
+    return _draw_targets(policy, labels, np.random.default_rng(seed))
+
+
 def enforce(
     dataset: TimingDataset,
     classes: ObservationClassSet,
@@ -367,10 +402,11 @@ def enforce(
 ) -> tuple[TimingDataset, EnforcementReport]:
     """Apply a policy through the classifier and measure what actually happened.
 
-    Each secret samples its target class once, every execution is padded by
-    the representative gap between the predicted class and the target, and
-    the padded dataset is re-clustered to report the realized class
-    structure.
+    Each secret takes its target class once, drawn from ``seed`` only for a
+    randomized policy (a deterministic one needs no generator); every
+    execution is padded by the representative gap between the predicted
+    class and the target, and the padded dataset is re-clustered to report
+    the realized class structure.
     """
     if policy.k != classes.k:
         raise ValueError(
@@ -381,7 +417,7 @@ def enforce(
         raise ValueError("features must cover the dataset secrets and grid")
     labels = _labels(classes, dataset.secrets)
     reps = classes.representatives
-    targets = _draw_targets(policy, labels, np.random.default_rng(seed))
+    targets = _targets(policy, labels, seed)
 
     points = np.arange(n_grid)
     padded = np.array(dataset.times)

@@ -85,6 +85,10 @@ LADDER_RUNGS = 4
 # synthesize_local builds every start before it ascends any, n x k x k floats
 # at once; more random starts than this is a mistake, not a search.
 MAX_STARTS = 1_000
+# Classes synthesize_local takes on.  Its cost grows steeply in k (guessing
+# at delta 0.3 with 2 starts on random class sets, one 2-vCPU core: k 40 took
+# 0.3 s and 57 MB, k 80 12 s and 198 MB), so a larger set is refused up front.
+MAX_LOCAL_CLASSES = 100
 
 
 @dataclass(frozen=True)
@@ -325,7 +329,8 @@ def synthesize_local(
     previous (feasible) iterate, which the affine budget makes closed-form.
     Deterministic for a fixed (seed, n_starts).  ``warm_starts`` accepts
     extra feasible matrices, e.g. a neighboring solve during a budget sweep.
-    ``n_starts`` outside 0..``MAX_STARTS`` is a ValueError.
+    ``n_starts`` outside 0..``MAX_STARTS``, or more than
+    ``MAX_LOCAL_CLASSES`` classes, is a ValueError.
     """
     measure = EntropyMeasure(measure)
     if measure is EntropyMeasure.MINGUESS:
@@ -335,6 +340,12 @@ def synthesize_local(
     n_starts = int(n_starts)
     if not 0 <= n_starts <= MAX_STARTS:
         raise ValueError(f"n_starts must be in 0..{MAX_STARTS}, got {n_starts}")
+    if classes.k > MAX_LOCAL_CLASSES:
+        raise ValueError(
+            f"local search takes at most {MAX_LOCAL_CLASSES} classes, got "
+            f"k = {classes.k}; a larger --epsilon merges more secrets into one "
+            "class, and --algo det takes any k"
+        )
     row = MEASURES[measure]
     k = classes.k
     sizes = classes.sizes

@@ -148,6 +148,17 @@ class TestExitCodes:
         assert "big.csv: execution times must sum to a finite total" in capsys.readouterr().err
         assert not (tmp_path / "policy.json").exists()
 
+    def test_too_many_classes_for_local_search_exits_2(self, tmp_path, capsys):
+        # Noise at a tiny epsilon leaves each of the 511 secrets its own
+        # class; local search refuses them before it starts.
+        args = ["enforce", "--gen", "mod_exp", "--n-bits", "9", "--algo", "stoch",
+                "--measure", "guessing", "--noise-sigma", "0.3", "--epsilon",
+                "1e-6", "--n-starts", "2"]
+        assert run(args, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "got k = 511" in err and "--algo det" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_solver_failures_map_to_3(self, tmp_path, monkeypatch, capsys):
         def explode(config):
             raise SolverError("no policy")
@@ -161,14 +172,17 @@ class TestModuleEntryPoint:
     """``python -m leakmit`` runs the same CLI, exit codes included."""
 
     @staticmethod
-    def run_module(args, cwd):
+    def run_python(args, cwd):
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
-            [sys.executable, "-m", "leakmit", *args], capture_output=True,
+            [sys.executable, *args], capture_output=True,
             text=True, cwd=cwd, env={**os.environ, "PYTHONPATH": path},
             timeout=120,
         )
+
+    def run_module(self, args, cwd):
+        return self.run_python(["-m", "leakmit", *args], cwd)
 
     def test_help(self, tmp_path):
         done = self.run_module(["--help"], tmp_path)
@@ -180,6 +194,21 @@ class TestModuleEntryPoint:
         done = self.run_module(["cluster", "--bogus", "1"], tmp_path)
         assert done.returncode == 1
         assert "configuration error" in done.stderr
+
+    def test_deterministic_enforce_loads_no_random_generator(self, tmp_path):
+        # A point-mass policy ignores every draw, so enforce --algo det on
+        # measured data never imports numpy.random.
+        data = gen_branch_loop((5, 5, 5, 10), (1, 2, 3, 4), 50, 0.05, seed=1)
+        write_csv(data, tmp_path / "noisy.csv")
+        code = (
+            "import sys\n"
+            "from leakmit.cli import main\n"
+            "rc = main(['enforce', '--input', 'noisy.csv', '--epsilon', '1.0',"
+            " '--algo', 'det', '--out', 'out'])\n"
+            "print(rc, 'numpy.random' in sys.modules)\n"
+        )
+        done = self.run_python(["-c", code], tmp_path)
+        assert done.stdout.split()[-2:] == ["0", "False"], done.stderr
 
 
 class TestDeepTree:

@@ -159,6 +159,20 @@ class TestLinkageTieOrder:
         assert np.array_equal(uniq, want_uniq)
         assert np.array_equal(inverse, want_inverse)
 
+    def test_unique_rows_with_ties_at_block_edges(self, monkeypatch):
+        # Long runs of equal rows, signed zeros among them, cross the block
+        # edges: 3 blocks at the module's size, then blocks of 1 to 8 rows.
+        rng = np.random.default_rng(6)
+        times = rng.integers(0, 3, size=(20_000, 2)).astype(float)
+        times[rng.random(times.shape) < 0.2] = -0.0
+        for cells in (clustering.UNIQUE_BLOCK, 1, 2, 5, 16):
+            monkeypatch.setattr(clustering, "UNIQUE_BLOCK", cells)
+            rows = times if cells > 16 else times[:500]
+            want_uniq, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+            uniq, inverse = _unique_rows(rows)
+            assert np.array_equal(uniq, want_uniq)
+            assert np.array_equal(inverse, want_inverse)
+
 
 class TestBlockedLinkage:
     """Clustering block by block, split at wide mean gaps and with tight

@@ -188,6 +188,37 @@ class TestSplitSearchMatchesCutLoop:
         y = (x[:, 0] + 0.3 * rng.random(n) > 0.6).astype(int) + 2 * (x[:, 1] > 0.7)
         assert tree_json(x, y, ("a", "b")) == loop_tree_json(x, y, ("a", "b"))
 
+    def test_random_inputs_in_tiny_blocks(self, monkeypatch):
+        # Blocks of 1-3 cuts and 1-4 rows: nearly every segment crosses a
+        # block edge, runs of tied values straddle the scan edges, and most
+        # segments lack some of the node's classes.
+        rng = np.random.default_rng(2025)
+        for trial in range(400):
+            monkeypatch.setattr(enforcement, "SPLIT_BLOCK", 1 + trial % 3)
+            monkeypatch.setattr(enforcement, "SCAN_BLOCK", 1 + trial % 4)
+            x, y, names = random_cart_input(rng)
+            assert tree_json(x, y, names) == loop_tree_json(x, y, names)
+
+    def test_class_missing_from_a_segment(self):
+        # Class 2 holds the first and last rows only, so the segments of the
+        # middle blocks of cuts carry its count without holding any of it.
+        n = 3 * SPLIT_BLOCK + 100
+        x = np.arange(n, dtype=float)[:, None]
+        y = np.zeros(n, dtype=int)
+        y[n // 2 :] = 1
+        y[:5] = y[-5:] = 2
+        assert tree_json(x, y, ("f",)) == loop_tree_json(x, y, ("f",))
+
+    def test_tied_runs_across_scan_blocks(self):
+        # Runs of 7 equal values straddle the edges of the scan blocks, and
+        # the best cut falls in the second block of rows.
+        n = 2 * enforcement.SCAN_BLOCK + 100
+        x = np.floor(np.arange(n) / 7.0)[:, None]
+        y = (np.arange(n) >= enforcement.SCAN_BLOCK + 3).astype(int)
+        tree = learn_tree((x, y, ("f",)))
+        assert tree_json(x, y, ("f",)) == loop_tree_json(x, y, ("f",))
+        assert isinstance(tree.root, TreeSplit)
+
 
 def n_splits(node) -> int:
     if isinstance(node, TreeLeaf):
@@ -535,6 +566,22 @@ class TestDrawTargets:
                     matrix, policy.deterministic, labels, seed
                 )
                 assert got.tolist() == want.tolist()
+
+    def test_deterministic_targets_are_the_draws(self):
+        # A point-mass policy's targets are read off its matrix with no
+        # generator, and they are the bits every draw lands on.
+        rng = np.random.default_rng(10)
+        for seed in range(300):
+            k = int(rng.integers(1, 21))
+            matrix = np.zeros((k, k))
+            matrix[np.arange(k), rng.integers(np.arange(k), k)] = 1.0
+            policy = MitigationPolicy(matrix)
+            labels = rng.integers(0, k, int(rng.integers(1, 200)))
+            labels = labels.astype(np.min_scalar_type(k - 1))
+            with mock.patch.object(np.random, "default_rng", side_effect=AssertionError):
+                got = enforcement._targets(policy, labels, seed)
+            want = _draw_targets(policy, labels, np.random.default_rng(seed))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestTreeSerialization:

@@ -9,10 +9,12 @@ and caches are not counted.
 import gc
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from leakmit.cli import main
-from leakmit.timing import gen_mod_exp, write_csv
+from leakmit.enforcement import SPLIT_BLOCK, _best_cut
+from leakmit.timing import gen_branch_loop, gen_mod_exp, write_csv
 
 N_BITS = 14
 JOB = ["--algo", "stoch", "--measure", "minguess", "--delta", "0.5"]
@@ -20,6 +22,12 @@ JOB = ["--algo", "stoch", "--measure", "minguess", "--delta", "0.5"]
 
 def traced_peak(argv) -> int:
     """Bytes traced at the peak of one ``main(argv)`` call, above its start."""
+    return traced_call_peak(lambda: main(argv) == 0)
+
+
+def traced_call_peak(call) -> int:
+    """Bytes traced at the peak of one call, above its start; the call must
+    return a true value."""
     gc.collect()
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -27,7 +35,7 @@ def traced_peak(argv) -> int:
     tracemalloc.reset_peak()
     start = tracemalloc.get_traced_memory()[0]
     try:
-        assert main(argv) == 0
+        assert call()
         return tracemalloc.get_traced_memory()[1] - start
     finally:
         if not tracing:
@@ -60,3 +68,35 @@ def test_measured_csv_enforce_peak(tmp_path):
     assert main([a.format("warm") for a in argv]) == 0
     peak = traced_peak([a.format("job") for a in argv])
     assert peak <= 8.0 * times_nbytes()
+
+
+def test_noisy_measured_csv_det_peak(tmp_path):
+    # The benchmark's measured-data job: every time distinct, so the tree
+    # searches ~80k cuts, and a deterministic policy.  Before the split
+    # search counted in blocks of cuts, and before a point-mass policy
+    # stopped drawing targets, it read 11.15.
+    groups = {"warm": (8, 8, 8, 16), "job": (320, 320, 320, 640)}
+    for name, sizes in groups.items():
+        data = gen_branch_loop(sizes, (1, 2, 3, 4), 50, 0.05, 1)
+        write_csv(data, tmp_path / f"{name}.csv")
+    argv = ["enforce", "--input", str(tmp_path / "{}.csv"), "--epsilon", "1.0",
+            "--algo", "det", "--out", str(tmp_path / "{}")]
+    assert main([a.format("warm") for a in argv]) == 0
+    peak = traced_peak([a.format("job") for a in argv])
+    assert peak <= 8.0 * data.times.nbytes
+
+
+def test_split_search_peak_does_not_grow_with_classes():
+    # On n distinct values a cuts x classes count matrix grows by
+    # n * (40 - 4) intp from k = 4 to k = 40, 57.6 MB here; counted in blocks
+    # of cuts, the growth is a few blocks' worth, whatever n is.
+    n = 200_000
+    rng = np.random.default_rng(0)
+    column = rng.permutation(n).astype(float)
+    order = np.argsort(column, kind="stable")
+    peaks = {}
+    for k in (4, 40):
+        y = rng.integers(0, k, n).astype(np.uint8)
+        totals = np.bincount(y, minlength=k)
+        peaks[k] = traced_call_peak(lambda: _best_cut(column, order, y, totals))
+    assert peaks[40] - peaks[4] <= 8 * SPLIT_BLOCK * (40 - 4) * 8

@@ -691,6 +691,17 @@ class TestLockstepAscent:
         with pytest.raises(ValueError, match="n_starts must be in 0..1000"):
             synthesize_local(tiny_instance(), "shannon", 0.1, n_starts=n_starts)
 
+    def test_class_count_is_checked_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the class count must be checked first")
+
+        monkeypatch.setattr(stochastic, "synthesize_det", no_work)
+        k = stochastic.MAX_LOCAL_CLASSES + 1
+        classes = random_classset(np.random.default_rng(0), k)
+        message = f"at most {k - 1} classes, got k = {k}; .*--epsilon.*--algo det"
+        with pytest.raises(ValueError, match=message):
+            synthesize_local(classes, "guessing", 0.3, n_starts=2)
+
 
 @pytest.fixture(scope="module")
 def kernel_classsets():
