@@ -30,7 +30,8 @@ padded up to any later class.
 The penalty matrix prices each upward move i -> j as the mean extra delay
 needed to lift the i-th representative onto the j-th, normalized by the
 dataset-wide mean execution time so budgets read as overhead fractions.
-Downward moves are forbidden and carry an infinite sentinel.
+Downward moves are forbidden and carry an infinite sentinel.  A class set
+derives it from its own representatives, once, so no caller can supply it.
 """
 
 from __future__ import annotations
@@ -75,22 +76,24 @@ class ObservationClass:
 
 @dataclass(frozen=True)
 class ObservationClassSet:
-    """Ordered observation classes plus the move-penalty matrix.
+    """Ordered observation classes and the prices of moves between them.
 
     A class's position is its id.  Every class has at least one member, no
     secret is in two classes, and classes are sorted by ascending
     representative mean.  ``representatives[i]`` is class i's function on
     the grid (finite and non-negative) and ``sizes[i]`` its member count,
-    both read-only.  ``penalty[i, j]`` prices elevating class i to class j:
-    exactly 0 on the diagonal, finite and non-negative above it, and +inf
-    below it.
+    both read-only.  ``baseline_mean`` is the dataset's mean execution time.
+    ``penalty`` is ``penalty_matrix`` of those two, computed here and
+    read-only: ``penalty[i, j]`` prices elevating class i to class j, exactly
+    0 on the diagonal, finite and non-negative above it, and +inf below it.
     """
 
     grid: PublicGrid
     classes: tuple[ObservationClass, ...]
-    penalty: np.ndarray
+    baseline_mean: float
     representatives: np.ndarray = field(init=False, repr=False, compare=False)
     sizes: np.ndarray = field(init=False, repr=False, compare=False)
+    penalty: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         classes = tuple(self.classes)
@@ -110,25 +113,16 @@ class ObservationClassSet:
             raise ValueError("representative times must be finite")
         if np.any(reps < 0):
             raise ValueError("representative times must be non-negative")
-        pen = np.array(self.penalty, dtype=float)
-        if pen.shape != (len(classes), len(classes)):
-            raise ValueError("penalty matrix must be k x k")
-        if np.any(np.diagonal(pen) != 0.0):
-            raise ValueError("penalty diagonal must be exactly 0")
-        above = pen[np.triu_indices(len(classes), 1)]
-        if not np.all(np.isfinite(above) & (above >= 0)):
-            raise ValueError("penalties above the diagonal must be finite and >= 0")
-        if not np.all(pen[np.tril_indices(len(classes), -1)] == np.inf):
-            raise ValueError("penalties below the diagonal must be +inf")
+        pen = penalty_matrix(reps, self.baseline_mean)
         for arr in (reps, sizes, pen):
             arr.flags.writeable = False
         classes = tuple(
             ObservationClass(rep, c.members) for rep, c in zip(reps, classes)
         )
         object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "penalty", pen)
         object.__setattr__(self, "representatives", reps)
         object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "penalty", pen)
 
     @property
     def k(self) -> int:
@@ -258,16 +252,21 @@ def penalty_matrix(representatives: np.ndarray, baseline_mean: float) -> np.ndar
     ``representatives`` holds one function per row (k x grid points).  For
     i <= j the entry is mean_p(max(0, rep_j(p) - rep_i(p))) divided by
     ``baseline_mean``; for i > j it is +inf.  The diagonal is exactly zero.
+    A baseline that is not positive and finite, or an entry above the
+    diagonal that overflows, is a ValueError.
     """
-    if baseline_mean <= 0:
-        raise ValueError("baseline mean must be positive")
+    if not 0 < baseline_mean < math.inf:
+        raise ValueError("baseline mean must be positive and finite")
     v = np.asarray(representatives, dtype=float)
     k = v.shape[0]
     pen = np.full((k, k), np.inf)
-    for i in range(k):
-        pen[i, i] = 0.0
-        gap = np.maximum(0.0, v[i + 1 :] - v[i])
-        pen[i, i + 1 :] = gap.mean(axis=1) / baseline_mean
+    with np.errstate(over="ignore"):
+        for i in range(k):
+            pen[i, i] = 0.0
+            gap = np.maximum(0.0, v[i + 1 :] - v[i])
+            pen[i, i + 1 :] = gap.mean(axis=1) / baseline_mean
+    if not np.all(np.isfinite(pen[np.triu_indices(k, 1)])):
+        raise ValueError("a move's penalty overflows: the baseline mean is too small")
     return pen
 
 
@@ -292,9 +291,7 @@ def cluster_functions(dataset: TimingDataset, epsilon: float) -> ObservationClas
     drafts.sort(key=lambda d: (d[0], d[1]))
 
     classes = tuple(ObservationClass(rep, members) for _, _, rep, members in drafts)
-    reps = np.array([c.representative for c in classes])
-    pen = penalty_matrix(reps, float(times.mean()))
-    return ObservationClassSet(dataset.grid, classes, pen)
+    return ObservationClassSet(dataset.grid, classes, float(times.mean()))
 
 
 def classset_to_json(cs: ObservationClassSet) -> dict:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .clustering import ObservationClassSet
 from .entropy import MEASURES, EntropyMeasure
-from .policy import MitigationPolicy, blocks_policy
+from .policy import MitigationPolicy, blocks_policy, check_class_count
 
 __all__ = ["synthesize_det", "brute_force_det"]
 
@@ -80,13 +80,15 @@ def synthesize_det(
 
     Returns the policy and its partition: the ``(lo, hi)`` class range of
     each block, in order.  Every block count is scanned; ``scan_all_r``
-    accepts only ``True``.
+    accepts only ``True``.  More than ``policy.MAX_CLASSES`` classes is a
+    ValueError.
     """
     if scan_all_r is not True:
         raise ValueError("synthesize_det always scans every block count")
     measure = EntropyMeasure(measure)
     if not delta >= 0:
         raise ValueError("delta must be >= 0")
+    check_class_count(classes)
     k = classes.k
     block_cost, block_raw, total = _block_tables(classes, measure)
     combine = MEASURES[measure].combine

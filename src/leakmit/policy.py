@@ -33,6 +33,13 @@ __all__ = [
 ROW_TOL = 1e-9
 DUST_TOL = 1e-9  # solver output entries smaller in magnitude are rounding dust
 BUDGET_TOL = 1e-9  # a policy is within budget when its overhead is <= delta + this
+# Classes any solver takes on.  Past this the solvers' time and memory run
+# away (one 2-vCPU core: the min-guess DP at delta 0.5 takes 1.1 s at k 100
+# and 16 s at k 200; local search, guessing at delta 0.3 with 2 starts, 12 s
+# and 198 MB at k 80; the B&B's link rows alone hold about k^3 floats, 33 GB
+# at k 1 600), so a larger set is refused before any work.  It caps the
+# size of a program, not the B&B's node count.
+MAX_CLASSES = 100
 
 
 @dataclass(frozen=True)
@@ -81,6 +88,15 @@ class MitigationPolicy:
     def deterministic(self) -> bool:
         """Every row is a point mass: each entry is exactly 0 or 1."""
         return bool(np.all((self.matrix == 0.0) | (self.matrix == 1.0)))
+
+
+def check_class_count(classes: ObservationClassSet) -> None:
+    """Refuse more than ``MAX_CLASSES`` classes with a ValueError."""
+    if classes.k > MAX_CLASSES:
+        raise ValueError(
+            f"a solver takes at most {MAX_CLASSES} classes, got k = {classes.k}; "
+            "a larger --epsilon merges more secrets into one class"
+        )
 
 
 def identity_policy(k: int) -> MitigationPolicy:

@@ -68,6 +68,7 @@ from .errors import SolverError
 from .policy import (
     BUDGET_TOL,
     MitigationPolicy,
+    check_class_count,
     full_merge_policy,
     identity_policy,
     sanitize_matrix,
@@ -85,10 +86,6 @@ LADDER_RUNGS = 4
 # synthesize_local builds every start before it ascends any, n x k x k floats
 # at once; more random starts than this is a mistake, not a search.
 MAX_STARTS = 1_000
-# Classes synthesize_local takes on.  Its cost grows steeply in k (guessing
-# at delta 0.3 with 2 starts on random class sets, one 2-vCPU core: k 40 took
-# 0.3 s and 57 MB, k 80 12 s and 198 MB), so a larger set is refused up front.
-MAX_LOCAL_CLASSES = 100
 
 
 @dataclass(frozen=True)
@@ -186,9 +183,13 @@ def _matrix_from_mu(x: np.ndarray, iu, k: int) -> np.ndarray:
 def synthesize_minguess(
     classes: ObservationClassSet, delta: float
 ) -> tuple[MitigationPolicy, SolveDiagnostics]:
-    """Exact min-guess maximization by branch and bound over the indicators."""
+    """Exact min-guess maximization by branch and bound over the indicators.
+
+    More than ``policy.MAX_CLASSES`` classes is a ValueError.
+    """
     if not delta >= 0:
         raise ValueError("delta must be >= 0")
+    check_class_count(classes)
     k = classes.k
     c, a_ub, b_ub, a_eq, b_eq, iu = _minguess_program(classes, delta)
     z0 = iu[0].size
@@ -330,7 +331,7 @@ def synthesize_local(
     Deterministic for a fixed (seed, n_starts).  ``warm_starts`` accepts
     extra feasible matrices, e.g. a neighboring solve during a budget sweep.
     ``n_starts`` outside 0..``MAX_STARTS``, or more than
-    ``MAX_LOCAL_CLASSES`` classes, is a ValueError.
+    ``policy.MAX_CLASSES`` classes, is a ValueError.
     """
     measure = EntropyMeasure(measure)
     if measure is EntropyMeasure.MINGUESS:
@@ -340,12 +341,7 @@ def synthesize_local(
     n_starts = int(n_starts)
     if not 0 <= n_starts <= MAX_STARTS:
         raise ValueError(f"n_starts must be in 0..{MAX_STARTS}, got {n_starts}")
-    if classes.k > MAX_LOCAL_CLASSES:
-        raise ValueError(
-            f"local search takes at most {MAX_LOCAL_CLASSES} classes, got "
-            f"k = {classes.k}; a larger --epsilon merges more secrets into one "
-            "class, and --algo det takes any k"
-        )
+    check_class_count(classes)
     row = MEASURES[measure]
     k = classes.k
     sizes = classes.sizes

@@ -14,6 +14,7 @@ import csv
 import io
 import itertools
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,7 +75,11 @@ class TimingDataset:
     times: np.ndarray
 
     def __post_init__(self):
-        secrets = tuple(int(s) for s in self.secrets)
+        try:
+            # Integers of any kind and size; a float or a string is refused.
+            secrets = tuple(map(operator.index, self.secrets))
+        except TypeError:
+            raise ValueError("secret identifiers must be integers") from None
         if not secrets:
             raise ValueError("dataset must contain at least one secret")
         if len(set(secrets)) != len(secrets):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from leakmit import cluster_functions, gen_branch_loop, gen_mod_exp, penalty_matrix
+from leakmit import cluster_functions, gen_branch_loop, gen_mod_exp
 from leakmit.clustering import ObservationClass, ObservationClassSet
 from leakmit.timing import PublicGrid
 
@@ -38,8 +38,7 @@ def make_classset(sizes, reps=None, grid_points=4, rng=None, baseline=None):
         classes.append(ObservationClass(raw[i], members))
     if baseline is None:
         baseline = float(raw.mean())
-    pen = penalty_matrix(raw, baseline)
-    return ObservationClassSet(grid, tuple(classes), pen)
+    return ObservationClassSet(grid, tuple(classes), baseline)
 
 
 def random_classset(rng, k, grid_points=4, size_hi=50):

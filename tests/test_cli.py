@@ -156,8 +156,21 @@ class TestExitCodes:
                 "1e-6", "--n-starts", "2"]
         assert run(args, tmp_path) == 2
         err = capsys.readouterr().err
-        assert "data error" in err and "got k = 511" in err and "--algo det" in err
+        assert "data error" in err and "got k = 511" in err and "--epsilon" in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["enforce", "compare"])
+    def test_too_many_classes_for_any_solver_exits_2(self, tmp_path, capsys, command):
+        # 101 noisy secrets stay 101 classes at the default epsilon; every
+        # solver refuses them, the default --algo det included.
+        gen = ["generate", "--gen", "branch_loop", "--group-sizes", "101",
+               "--slopes", "1", "--noise-sigma", "0.05"]
+        assert run(gen, tmp_path) == 0
+        out = tmp_path / "out"
+        assert run([command, "--input", str(tmp_path / "dataset.csv")], out) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "got k = 101" in err and "--epsilon" in err
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_solver_failures_map_to_3(self, tmp_path, monkeypatch, capsys):
         def explode(config):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from leakmit.clustering import (
 )
 from leakmit.timing import PublicGrid, TimingDataset, gen_branch_loop, gen_mod_exp
 
-from conftest import BINOMIAL_SIZES
+from conftest import BINOMIAL_SIZES, make_classset, random_classset
 from oracles import (
     greedy_linkage_oracle,
     linkage_oracle,
@@ -321,6 +322,20 @@ class TestPenaltyMatrix:
         with pytest.raises(ValueError):
             penalty_matrix(np.array([[1.0]]), 0.0)
 
+    @pytest.mark.parametrize("baseline", [math.inf, math.nan])
+    def test_baseline_must_be_finite(self, baseline):
+        # An infinite baseline would price every move at 0, and nan at nan.
+        values = np.array([[1.0, 2.0], [2.0, 4.0]])
+        with pytest.raises(ValueError, match="positive and finite"):
+            penalty_matrix(values, baseline)
+
+    def test_an_overflowing_sum_of_gaps_is_a_value_error(self):
+        # finite representatives whose gaps sum past the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="penalty overflows"):
+                penalty_matrix(np.array([[0.0, 0.0], [1.7e308, 1.7e308]]), 1.0)
+
     @pytest.mark.parametrize("n_points", [1, 4, 8, 50, 137])
     def test_matches_pair_loop_bit_for_bit(self, n_points):
         # crossing, tied and noisy representatives, on odd-sized grids
@@ -342,6 +357,38 @@ class TestPenaltyMatrix:
         b = [3.0, 3.0]  # higher mean
         pen = penalty_matrix(np.array([a, b]), 1.0)
         assert pen[0, 1] == pytest.approx(1.5)  # mean(max(0, [3,-1])) = 1.5
+
+
+class TestDerivedPenalty:
+    """A class set prices its moves from its own representatives and mean
+    time, whichever producer built it."""
+
+    @staticmethod
+    def assert_derived(cs):
+        want = penalty_matrix(cs.representatives, cs.baseline_mean)
+        assert cs.penalty.tobytes() == want.tobytes()
+        oracle = penalty_loop_oracle(cs.representatives, cs.baseline_mean)
+        assert cs.penalty.tobytes() == oracle.tobytes()
+        assert not cs.penalty.flags.writeable
+
+    def test_clustered_sets(self, binomial_dataset, grouped_dataset):
+        noisy = gen_branch_loop(
+            (20, 20, 20, 40), (1.0, 2.0, 3.0, 4.0), noise_sigma=0.05, seed=3
+        )
+        for ds, eps in [(binomial_dataset, 1e-6), (grouped_dataset, 1e-6),
+                        (noisy, 1e-6), (noisy, 1.0),
+                        (gen_mod_exp(6, 1.0, 0.5, seed=4), 0.3)]:
+            cs = cluster_functions(ds, eps)
+            assert cs.baseline_mean == float(ds.times.mean())
+            self.assert_derived(cs)
+
+    def test_made_sets(self):
+        rng = np.random.default_rng(29)
+        for k in range(1, 13):
+            self.assert_derived(random_classset(rng, k, grid_points=1 + k % 5))
+        cs = make_classset([1.0, 2.0, 3.0], baseline=1.0)
+        self.assert_derived(cs)
+        assert cs.penalty[0, 2] == 2.0
 
 
 class TestJsonRoundTrip:
@@ -377,7 +424,7 @@ class TestJsonRoundTrip:
         """``cs`` with class i replaced, through the constructor."""
         classes = list(cs.classes)
         classes[i] = ObservationClass(representative, frozenset(members))
-        return ObservationClassSet(cs.grid, tuple(classes), cs.penalty)
+        return ObservationClassSet(cs.grid, tuple(classes), cs.baseline_mean)
 
     def test_empty_class_rejected(self, binomial_classes):
         rep = binomial_classes.representatives[2]
@@ -405,25 +452,19 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match=self.MALFORMED[fault]):
             self.with_class(binomial_classes, 1, rep, members)
 
-    BAD_PENALTIES = {
-        "nan_diagonal": ((1, 1), math.nan, "diagonal must be exactly 0"),
-        "nonzero_diagonal": ((0, 0), 1e-300, "diagonal must be exactly 0"),
-        "nan_above": ((0, 1), math.nan, "above the diagonal must be finite"),
-        "inf_above": ((0, 2), math.inf, "above the diagonal must be finite"),
-        "negative_above": ((0, 1), -1.0, "above the diagonal must be finite"),
-        "finite_below": ((1, 0), 0.5, r"below the diagonal must be \+inf"),
-        "zero_below": ((2, 1), 0.0, r"below the diagonal must be \+inf"),
-        "nan_below": ((2, 0), math.nan, r"below the diagonal must be \+inf"),
-        "minus_inf_below": ((1, 0), -math.inf, r"below the diagonal must be \+inf"),
-    }
+    @pytest.mark.parametrize("baseline", [0.0, -1.0, math.nan, math.inf])
+    def test_baseline_must_be_positive_and_finite(self, binomial_classes, baseline):
+        cs = binomial_classes
+        with pytest.raises(ValueError, match="positive and finite"):
+            ObservationClassSet(cs.grid, cs.classes, baseline)
 
-    @pytest.mark.parametrize("fault", BAD_PENALTIES)
-    def test_malformed_penalty_rejected(self, binomial_classes, fault):
-        (i, j), value, message = self.BAD_PENALTIES[fault]
-        pen = binomial_classes.penalty.copy()
-        pen[i, j] = value
-        with pytest.raises(ValueError, match=message):
-            ObservationClassSet(binomial_classes.grid, binomial_classes.classes, pen)
+    def test_overflowing_penalty_rejected_without_a_warning(self, binomial_classes):
+        # A positive, finite but tiny mean time overflows the division.
+        cs = binomial_classes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="penalty overflows"):
+                ObservationClassSet(cs.grid, cs.classes, 1e-310)
 
     def test_overflowing_times_fail_at_the_class_set(self):
         # The total time overflows, so a finite gap over an infinite baseline
@@ -434,12 +475,9 @@ class TestJsonRoundTrip:
 
     def test_no_classes_rejected(self, binomial_classes):
         with pytest.raises(ValueError, match="at least one class"):
-            ObservationClassSet(binomial_classes.grid, (), np.zeros((0, 0)))
-
-    def test_penalty_shape_rejected(self, binomial_classes):
-        pen = binomial_classes.penalty[:-1, :-1]
-        with pytest.raises(ValueError, match="k x k"):
-            ObservationClassSet(binomial_classes.grid, binomial_classes.classes, pen)
+            ObservationClassSet(
+                binomial_classes.grid, (), binomial_classes.baseline_mean
+            )
 
     def test_mean_l1_matches_oracle(self):
         rng = np.random.default_rng(11)

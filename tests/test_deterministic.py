@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from leakmit.entropy import MEASURES, EntropyMeasure, entropy, post_policy_entropy
-from leakmit.policy import expected_overhead
+from leakmit import deterministic
+from leakmit.policy import MAX_CLASSES, expected_overhead
 from leakmit.deterministic import _block_tables, brute_force_det, synthesize_det
 
 from conftest import make_classset, random_classset
@@ -68,6 +69,19 @@ class TestSmallCases:
         cs = make_classset([1.0] * 13)
         with pytest.raises(ValueError):
             brute_force_det(cs, EntropyMeasure.SHANNON, 1.0)
+
+    def test_class_count_is_checked_before_any_work(self, monkeypatch):
+        # The min-guess tables take 1 s at k = 100 and 16 s at k = 200.
+        def no_work(*args, **kwargs):
+            raise AssertionError("the class count must be checked first")
+
+        monkeypatch.setattr(deterministic, "_block_tables", no_work)
+        with pytest.raises(AssertionError, match="checked first"):
+            synthesize_det(make_classset([1.0] * MAX_CLASSES), "minguess", 0.5)
+        k = MAX_CLASSES + 1
+        message = f"at most {k - 1} classes, got k = {k}; .*--epsilon"
+        with pytest.raises(ValueError, match=message):
+            synthesize_det(make_classset([1.0] * k), "minguess", 0.5)
 
 
 class TestExactness:

@@ -20,6 +20,7 @@ from leakmit.entropy import (
     post_policy_entropy,
 )
 from leakmit.policy import (
+    MAX_CLASSES,
     MitigationPolicy,
     build_report,
     expected_overhead,
@@ -155,6 +156,20 @@ class TestMinguessExact:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             synthesize_minguess(tiny_instance(), -0.5)
+
+    def test_class_count_is_checked_before_any_work(self, monkeypatch):
+        # At k = 1 600 the program's link rows alone would need 33 GB.
+        def no_work(*args, **kwargs):
+            raise AssertionError("the class count must be checked first")
+
+        monkeypatch.setattr(stochastic, "_minguess_program", no_work)
+        rng = np.random.default_rng(0)
+        with pytest.raises(AssertionError, match="checked first"):
+            synthesize_minguess(random_classset(rng, MAX_CLASSES), 0.5)
+        k = MAX_CLASSES + 1
+        message = f"at most {k - 1} classes, got k = {k}; .*--epsilon"
+        with pytest.raises(ValueError, match=message):
+            synthesize_minguess(random_classset(rng, k), 0.5)
 
 
 class TestDeterministicIsReadOffTheMatrix:
@@ -696,9 +711,9 @@ class TestLockstepAscent:
             raise AssertionError("the class count must be checked first")
 
         monkeypatch.setattr(stochastic, "synthesize_det", no_work)
-        k = stochastic.MAX_LOCAL_CLASSES + 1
+        k = MAX_CLASSES + 1
         classes = random_classset(np.random.default_rng(0), k)
-        message = f"at most {k - 1} classes, got k = {k}; .*--epsilon.*--algo det"
+        message = f"at most {k - 1} classes, got k = {k}; .*--epsilon"
         with pytest.raises(ValueError, match=message):
             synthesize_local(classes, "guessing", 0.3, n_starts=2)
 

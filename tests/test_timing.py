@@ -429,6 +429,21 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError, match="finite"):
             TimingDataset((1, 2), grid(1, 2), [[1.0, 2.0], [bad, 2.0]])
 
+    @pytest.mark.parametrize(
+        "secrets", [(1.5, 2.9), (1.0, 2.0), ("3", "4"), (np.float64(1.0), 2)],
+        ids=["fractional", "integral-float", "string", "numpy-float"],
+    )
+    def test_secret_ids_must_be_integers(self, secrets):
+        # int() would turn (1.5, 2.9) into secrets 1 and 2 without a word.
+        with pytest.raises(ValueError, match="must be integers"):
+            TimingDataset(secrets, grid(1, 2), np.ones((2, 2)))
+
+    def test_integer_secret_ids_of_any_kind_pass(self):
+        secrets = (np.int64(-3), np.uint64(2**64 - 1), 2**70, np.int8(7))
+        ds = TimingDataset(secrets, grid(1), np.ones((4, 1)))
+        assert ds.secrets == (-3, 2**64 - 1, 2**70, 7)
+        assert all(type(s) is int for s in ds.secrets)
+
     def test_relative_overhead(self):
         ds = TimingDataset((1, 2), grid(1, 2), [[1.0, 2.0], [3.0, 4.0]])
         padded = ds.with_times([[1.5, 2.0], [3.0, 5.5]])
