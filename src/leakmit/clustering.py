@@ -23,6 +23,10 @@ is tight and O(sum of b^2 P) over the other blocks, not O(U^2 P).
 A class's representative is the mean of its members' rows of the dataset's
 ``times``; the class set stacks them into one read-only ``representatives``
 matrix, one row per class, and a class's position in the set is its id.
+Membership is one array too: beside the dataset's secret ids, the class set
+holds one label per secret, each secret's class id, written straight from
+the distinct rows' inverse index and the linkage groups.  A class's members
+are listed only on demand, from the labels.
 Classes are ordered by the mean of their representative function, which for
 monotone benchmarks realizes the pointwise order on functions: a class can be
 padded up to any later class.
@@ -41,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .timing import PublicGrid, TimingDataset
+from .timing import PublicGrid, TimingDataset, secret_ids
 
 __all__ = [
     "ObservationClass",
@@ -58,83 +62,95 @@ RECLUSTER_EPS = 1e-9
 UNIQUE_BLOCK = 16384
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationClass:
-    """One group of secrets and the timing function they share on the grid.
-
-    In a class set, ``representative`` is a read-only row of its
-    ``representatives``.
-    """
+    """One class of a class set, as ``ObservationClassSet.classes`` gives it:
+    its read-only row of ``representatives`` and its member secrets,
+    ascending, in a read-only array."""
 
     representative: np.ndarray
-    members: frozenset[int]
+    members: np.ndarray
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return self.members.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationClassSet:
-    """Ordered observation classes and the prices of moves between them.
+    """Ordered observation classes of a set of secrets, and the prices of
+    moves between them.
 
-    A class's position is its id.  Every class has at least one member, no
-    secret is in two classes, and classes are sorted by ascending
-    representative mean.  ``representatives[i]`` is class i's function on
-    the grid (finite and non-negative) and ``sizes[i]`` its member count,
-    both read-only.  ``baseline_mean`` is the dataset's mean execution time.
-    ``penalty`` is ``penalty_matrix`` of those two, computed here and
-    read-only: ``penalty[i, j]`` prices elevating class i to class j, exactly
-    0 on the diagonal, finite and non-negative above it, and +inf below it.
+    ``secrets`` is one read-only id array, checked as a dataset checks its
+    own, and ``labels[i]`` is the class id of ``secrets[i]``, read-only, in
+    the narrowest unsigned type.  A class's position is its id.
+    ``representatives[c]`` is class c's function on the grid (finite and
+    non-negative, one read-only row per class), and classes are sorted by
+    ascending representative mean.  Every class has at least one member.
+    ``sizes[c]`` is its member count, the labels' bincount as floats.
+    ``baseline_mean`` is the dataset's mean execution time.  ``penalty`` is
+    ``penalty_matrix`` of the representatives and that mean, computed here
+    and read-only: ``penalty[i, j]`` prices elevating class i to class j,
+    exactly 0 on the diagonal, finite and non-negative above it, and +inf
+    below it.
     """
 
     grid: PublicGrid
-    classes: tuple[ObservationClass, ...]
+    secrets: np.ndarray
+    labels: np.ndarray
+    representatives: np.ndarray
     baseline_mean: float
-    representatives: np.ndarray = field(init=False, repr=False, compare=False)
-    sizes: np.ndarray = field(init=False, repr=False, compare=False)
-    penalty: np.ndarray = field(init=False, repr=False, compare=False)
+    sizes: np.ndarray = field(init=False, repr=False)
+    penalty: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        classes = tuple(self.classes)
-        if not classes:
+        secrets = secret_ids(self.secrets)
+        reps = np.array(self.representatives, dtype=float)
+        if not len(reps):
             raise ValueError("class set must contain at least one class")
-        empty = [i for i, c in enumerate(classes) if not c.members]
-        if empty:
-            raise ValueError(f"observation classes {empty} have no members")
-        sizes = np.array([len(c.members) for c in classes], dtype=float)
-        if len(frozenset().union(*(c.members for c in classes))) != sizes.sum():
-            raise ValueError("a secret is in more than one observation class")
-        n = len(self.grid)
-        if any(np.shape(c.representative) != (n,) for c in classes):
+        if reps.ndim != 2 or reps.shape[1] != len(self.grid):
             raise ValueError("representatives must align with the public grid")
-        reps = np.array([c.representative for c in classes], dtype=float)
         if not np.all(np.isfinite(reps)):
             raise ValueError("representative times must be finite")
         if np.any(reps < 0):
             raise ValueError("representative times must be non-negative")
+        k = len(reps)
+        labels = np.asarray(self.labels)
+        if labels.shape != secrets.shape or labels.dtype.kind not in "iu":
+            raise ValueError("labels must be one integer class id per secret")
+        if labels.min() < 0 or labels.max() >= k:
+            raise ValueError(f"class ids must be in [0, {k - 1}]")
+        labels = labels.astype(np.min_scalar_type(k - 1))
+        sizes = np.bincount(labels, minlength=k).astype(float)
+        empty = np.flatnonzero(sizes == 0).tolist()
+        if empty:
+            raise ValueError(f"observation classes {empty} have no members")
         pen = penalty_matrix(reps, self.baseline_mean)
-        for arr in (reps, sizes, pen):
+        for arr in (labels, reps, sizes, pen):
             arr.flags.writeable = False
-        classes = tuple(
-            ObservationClass(rep, c.members) for rep, c in zip(reps, classes)
-        )
-        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "secrets", secrets)
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "representatives", reps)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "penalty", pen)
 
     @property
     def k(self) -> int:
-        return len(self.classes)
+        return len(self.representatives)
 
     @property
     def total_size(self) -> int:
-        return int(self.sizes.sum())
+        return self.secrets.size
 
-    def class_of(self) -> dict[int, int]:
-        """Map each secret to its class id."""
-        return {s: i for i, c in enumerate(self.classes) for s in c.members}
+    @property
+    def classes(self) -> tuple[ObservationClass, ...]:
+        """Every class, in id order, derived from the labels on each access."""
+        # By secret, then stably by label: each class's members ascending.
+        order = np.argsort(self.secrets, kind="stable")
+        members = self.secrets[order[np.argsort(self.labels[order], kind="stable")]]
+        members.flags.writeable = False
+        ends = np.cumsum(self.sizes.astype(np.intp))[:-1]
+        return tuple(map(ObservationClass, self.representatives, np.split(members, ends)))
 
 
 def _unique_rows(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -279,19 +295,25 @@ def cluster_functions(dataset: TimingDataset, epsilon: float) -> ObservationClas
     # complete-linkage distance, so collapse them before the linkage.
     uniq, inverse = _unique_rows(times)
     groups = _linkage_groups(uniq, float(epsilon))
-
-    drafts = []
-    for group in groups:
-        row_mask = np.isin(inverse, group)
-        members = frozenset(
-            dataset.secrets[i] for i in np.flatnonzero(row_mask)
-        )
-        rep = times[row_mask].mean(axis=0)
-        drafts.append((float(rep.mean()), min(members), rep, members))
-    drafts.sort(key=lambda d: (d[0], d[1]))
-
-    classes = tuple(ObservationClass(rep, members) for _, _, rep, members in drafts)
-    return ObservationClassSet(dataset.grid, classes, float(times.mean()))
+    group_of = np.empty(len(uniq), dtype=np.min_scalar_type(len(groups) - 1))
+    for g, rows in enumerate(groups):
+        group_of[rows] = g
+    group = group_of[inverse]
+    # Each group's rows ascending: one stable sort of the group ids.
+    order = np.argsort(group, kind="stable")
+    reps, keys = [], []
+    for rows in np.split(order, np.cumsum(np.bincount(group))[:-1]):
+        rep = times[rows].mean(axis=0)
+        reps.append(rep)
+        keys.append((float(rep.mean()), dataset.secrets[rows].min()))
+    # Class ids by ascending representative mean, then smallest member.
+    ranked = sorted(range(len(groups)), key=keys.__getitem__)
+    label_of = np.empty(len(groups), dtype=np.intp)
+    label_of[ranked] = np.arange(len(groups))
+    return ObservationClassSet(
+        dataset.grid, dataset.secrets, label_of[group],
+        [reps[g] for g in ranked], float(times.mean()),
+    )
 
 
 def classset_to_json(cs: ObservationClassSet) -> dict:
@@ -308,7 +330,7 @@ def classset_to_json(cs: ObservationClassSet) -> dict:
             {
                 "id": i,
                 "size": c.size,
-                "members": sorted(c.members),
+                "members": c.members.tolist(),
                 "representative": c.representative.tolist(),
             }
             for i, c in enumerate(cs.classes)

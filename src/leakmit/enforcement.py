@@ -38,7 +38,7 @@ import numpy as np
 from .clustering import RECLUSTER_EPS, ObservationClassSet, cluster_functions
 from .entropy import EntropyMeasure, entropy
 from .policy import MitigationPolicy
-from .timing import TimingDataset, relative_overhead
+from .timing import TimingDataset, relative_overhead, secret_ids
 
 __all__ = [
     "MAX_DEPTH",
@@ -82,18 +82,19 @@ class FeatureTable:
     """Features of every execution of a dataset.
 
     ``values[i, p, f]`` is feature ``names[f]`` of ``secrets[i]`` at grid
-    point ``p``.  The array is frozen, finite and non-negative.
+    point ``p``.  The array is frozen, finite and non-negative, and
+    ``secrets`` is the dataset's read-only id array.
     """
 
     names: tuple[str, ...]
     values: np.ndarray
-    secrets: tuple[int, ...]
+    secrets: np.ndarray
 
     def __post_init__(self):
         names = tuple(self.names)
-        secrets = tuple(self.secrets)
+        secrets = secret_ids(self.secrets)
         values = np.array(self.values, dtype=float)
-        if values.ndim != 3 or values.shape[::2] != (len(secrets), len(names)):
+        if values.ndim != 3 or values.shape[::2] != (secrets.size, len(names)):
             raise ValueError("feature values must be n_secrets x n_grid x n_features")
         if not np.all(np.isfinite(values) & (values >= 0)):
             raise ValueError("feature values must be finite and non-negative")
@@ -284,11 +285,9 @@ def mod_exp_counts(dataset: TimingDataset) -> np.ndarray:
 
     The set bits of |secret| are counted by shifting all secrets at once.
     """
-    try:
-        # As unsigned, |-2**63| fits too.
-        rest = np.abs(np.array(dataset.secrets, dtype=np.int64)).view(np.uint64)
-    except OverflowError:  # a secret wider than 64 bits
-        rest = np.abs(np.array(dataset.secrets, dtype=object))
+    rest = np.abs(dataset.secrets)
+    if rest.dtype == np.int64:
+        rest = rest.view(np.uint64)  # as unsigned, |-2**63| fits too
     setbits = np.zeros_like(rest)
     while rest.any():
         setbits += rest & 1
@@ -327,11 +326,12 @@ def timing_features(dataset: TimingDataset) -> FeatureTable:
     return FeatureTable(("time_per_unit",), per_unit[:, :, None], dataset.secrets)
 
 
-def _labels(classes: ObservationClassSet, secrets: Sequence[int]) -> np.ndarray:
-    """The class id of each secret, in the narrowest unsigned type."""
-    label = classes.class_of()
-    dtype = np.min_scalar_type(classes.k - 1)
-    return np.fromiter((label[s] for s in secrets), dtype=dtype, count=len(secrets))
+def _labels(classes: ObservationClassSet, secrets: np.ndarray, whose: str) -> np.ndarray:
+    """The class id of each of ``secrets``: the class set's labels, once its
+    secrets are known to be these, in this order."""
+    if not np.array_equal(classes.secrets, secrets):
+        raise ValueError(f"the class set's secrets are not the {whose} secrets, in order")
+    return classes.labels
 
 
 def training_samples(
@@ -344,7 +344,7 @@ def training_samples(
     """
     n_secrets, n_grid, n_features = features.values.shape
     x = features.values.reshape(n_secrets * n_grid, n_features)
-    y = np.repeat(_labels(classes, features.secrets), n_grid)
+    y = np.repeat(_labels(classes, features.secrets, "features'"), n_grid)
     return x, y, features.names
 
 
@@ -413,9 +413,10 @@ def enforce(
             f"policy is {policy.k} x {policy.k} but there are {classes.k} classes"
         )
     n_grid = len(dataset.grid)
-    if features.secrets != dataset.secrets or features.values.shape[1] != n_grid:
+    if (not np.array_equal(features.secrets, dataset.secrets)
+            or features.values.shape[1] != n_grid):
         raise ValueError("features must cover the dataset secrets and grid")
-    labels = _labels(classes, dataset.secrets)
+    labels = _labels(classes, dataset.secrets, "dataset's")
     reps = classes.representatives
     targets = _targets(policy, labels, seed)
 
@@ -454,7 +455,7 @@ def report_to_json(report: EnforcementReport) -> dict:
         "realized_overhead": report.realized_overhead,
         "misclassification_rate": report.misclassification_rate,
         "classes_after": report.n_classes_after,
-        "class_sizes_after": [c.size for c in report.classes_after.classes],
+        "class_sizes_after": report.classes_after.sizes.astype(int).tolist(),
         "entropies": [
             {
                 "measure": m.value,

@@ -2,10 +2,11 @@
 
 A timing function maps a public input magnitude to an execution time for one
 fixed secret.  A dataset holds one such function per secret, sampled on a
-shared grid of public values, as one row of its ``times`` matrix.  The two
-generators model a square-and-multiply style loop (cost proportional to the
-number of set bits of the secret) and a secret-dependent branch whose loop
-count grows linearly in the public value.
+shared grid of public values, as one row of its ``times`` matrix, and the
+secrets themselves as one read-only id array beside it, not one Python
+object per secret.  The two generators model a square-and-multiply style
+loop (cost proportional to the number of set bits of the secret) and a
+secret-dependent branch whose loop count grows linearly in the public value.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 __all__ = [
     "PublicGrid",
     "TimingDataset",
+    "secret_ids",
     "relative_overhead",
     "gen_mod_exp",
     "gen_branch_loop",
@@ -62,30 +64,61 @@ class PublicGrid:
         return self.points.size
 
 
+def secret_ids(values) -> np.ndarray:
+    """Secret identifiers as one read-only array, checked once.
+
+    Integers of any kind and size are accepted; a float or a string is a
+    ValueError, and so are no ids or a repeated one.  The array is int64,
+    or holds Python ints (dtype object) when an id does not fit in int64.
+    A read-only int64 array is kept as it is; anything else is copied.
+    """
+    try:
+        ids = np.asarray(values)
+    except ValueError:  # a ragged sequence
+        ids = np.asarray(None)
+    if ids.ndim == 1 and ids.dtype.kind in "biu" and np.can_cast(ids.dtype, np.int64):
+        ids = ids.astype(np.int64, copy=ids is values and ids.flags.writeable)
+    else:
+        # NumPy saw no int64-sized integers: floats, strings, ids beyond
+        # 64 bits, or ints it widened to float.  Each id decides for itself.
+        try:
+            ids = [operator.index(v) for v in values]
+        except TypeError:
+            raise ValueError("secret identifiers must be integers") from None
+        try:
+            ids = np.array(ids, dtype=np.int64)
+        except OverflowError:
+            ids = np.array(ids, dtype=object)
+    if not ids.size:
+        raise ValueError("dataset must contain at least one secret")
+    # Ascending ids, as the generators make and CSVs mostly hold, are
+    # unique without a sort.
+    if not (ids[1:] > ids[:-1]).all():
+        ordered = np.sort(ids)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError("secret identifiers must be unique")
+    ids.flags.writeable = False
+    return ids
+
+
 @dataclass(frozen=True)
 class TimingDataset:
     """Per-secret timing functions over a shared grid.
 
+    ``secrets`` is one read-only id array (see :func:`secret_ids`), and
     ``times[i, p]`` is the observed execution time of ``secrets[i]`` at grid
-    point ``p``.  The matrix is frozen; derived datasets are new objects.
+    point ``p``.  Both are frozen; derived datasets are new objects that
+    share the ids.
     """
 
-    secrets: tuple[int, ...]
+    secrets: np.ndarray
     grid: PublicGrid
     times: np.ndarray
 
     def __post_init__(self):
-        try:
-            # Integers of any kind and size; a float or a string is refused.
-            secrets = tuple(map(operator.index, self.secrets))
-        except TypeError:
-            raise ValueError("secret identifiers must be integers") from None
-        if not secrets:
-            raise ValueError("dataset must contain at least one secret")
-        if len(set(secrets)) != len(secrets):
-            raise ValueError("secret identifiers must be unique")
+        secrets = secret_ids(self.secrets)
         times = np.array(self.times, dtype=float)
-        if times.shape != (len(secrets), len(self.grid)):
+        if times.shape != (secrets.size, len(self.grid)):
             raise ValueError("times matrix must be n_secrets x n_grid_points")
         if not np.all(np.isfinite(times)):
             raise ValueError("execution times must be finite")
@@ -102,7 +135,7 @@ class TimingDataset:
 
     @property
     def n_secrets(self) -> int:
-        return len(self.secrets)
+        return self.secrets.size
 
     def with_times(self, times: np.ndarray) -> "TimingDataset":
         return TimingDataset(self.secrets, self.grid, times)
@@ -149,7 +182,7 @@ def gen_mod_exp(
     grid = PublicGrid(np.arange(1.0, n_bits + 1))
     base = unit_cost * setbits[:, None].astype(float) * grid.points[None, :]
     times = _apply_noise(base, noise_sigma, seed)
-    return TimingDataset(tuple(int(s) for s in secrets), grid, times)
+    return TimingDataset(secrets, grid, times)
 
 
 def gen_branch_loop(
@@ -184,7 +217,7 @@ def gen_branch_loop(
     grid = PublicGrid(np.arange(1.0, int(n_publics) + 1))
     base = slope_per_secret[:, None] * grid.points[None, :]
     times = _apply_noise(base, noise_sigma, seed)
-    return TimingDataset(tuple(range(len(slope_per_secret))), grid, times)
+    return TimingDataset(np.arange(slope_per_secret.size), grid, times)
 
 
 def write_table(path: str | Path, header: Sequence[str], blocks: Iterable) -> None:
@@ -243,11 +276,7 @@ def _strings(column) -> list[str]:
 
 def write_csv(dataset: TimingDataset, path: str | Path) -> None:
     """Write rows secret-major, grid-ascending: secret_id,public_value,time_seconds."""
-    points = dataset.grid.points
-    try:
-        secrets = np.array(dataset.secrets, dtype=np.int64)
-    except OverflowError:
-        secrets = np.array(dataset.secrets, dtype=object)
+    points, secrets = dataset.grid.points, dataset.secrets
     # Blocks of whole secrets, about CSV_BLOCK_ROWS rows each: a block per
     # secret pays more in per-block overhead than the rows cost to write.
     step = max(1, CSV_BLOCK_ROWS // points.size)
@@ -291,7 +320,7 @@ def read_csv(path: str | Path) -> TimingDataset:
                 order = np.argsort(firsts)
                 run_rank = np.argsort(order)[index]
                 return _assemble(
-                    path, ids[order].tolist(),
+                    path, ids[order],
                     np.repeat(run_rank, np.diff(starts, append=secret.size)),
                     table["public"], table["time"])
         except (ValueError, OverflowError, csv.Error):
@@ -361,7 +390,7 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return ordered[keep]
 
 
-def _assemble(path, secrets: list[int], rows: np.ndarray, publics: np.ndarray,
+def _assemble(path, secrets, rows: np.ndarray, publics: np.ndarray,
               times: np.ndarray, lines: Sequence[int] | None = None) -> TimingDataset:
     """The dataset whose observation i is (secrets[rows[i]], publics[i], times[i]).
 
@@ -400,6 +429,6 @@ def _assemble(path, secrets: list[int], rows: np.ndarray, publics: np.ndarray,
     matrix[rows, cols] = times
     del rows, cols  # the dataset copies the matrix next
     try:
-        return TimingDataset(tuple(secrets), PublicGrid(grid_points), matrix)
+        return TimingDataset(secrets, PublicGrid(grid_points), matrix)
     except ValueError as exc:  # an overflowing total
         raise ValueError(f"{path}: {exc}") from None

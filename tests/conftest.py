@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from leakmit import cluster_functions, gen_branch_loop, gen_mod_exp
-from leakmit.clustering import ObservationClass, ObservationClassSet
+from leakmit.clustering import ObservationClassSet
 from leakmit.timing import PublicGrid
 
 BINOMIAL_SIZES = (10.0, 45.0, 120.0, 210.0, 252.0, 210.0, 120.0, 45.0, 10.0, 1.0)
@@ -29,16 +29,12 @@ def make_classset(sizes, reps=None, grid_points=4, rng=None, baseline=None):
             )
     else:
         raw = np.asarray(reps, dtype=float)
-    classes = []
-    next_secret = 0
-    for i in range(k):
-        count = max(1, int(round(sizes[i])))
-        members = frozenset(range(next_secret, next_secret + count))
-        next_secret += count
-        classes.append(ObservationClass(raw[i], members))
+    # Class i holds the next max(1, round(sizes[i])) secrets 0, 1, 2, ...
+    counts = [max(1, int(round(s))) for s in sizes]
+    labels = np.repeat(np.arange(k), counts)
     if baseline is None:
         baseline = float(raw.mean())
-    return ObservationClassSet(grid, tuple(classes), baseline)
+    return ObservationClassSet(grid, np.arange(labels.size), labels, raw, baseline)
 
 
 def random_classset(rng, k, grid_points=4, size_hi=50):

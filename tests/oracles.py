@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from leakmit.clustering import _linkage_groups, _unique_rows
 from leakmit.deterministic import synthesize_det
 from leakmit.enforcement import TreeLeaf, TreeSplit
 from leakmit.entropy import MEASURES, EntropyMeasure
@@ -128,6 +129,31 @@ def greedy_linkage_oracle(dist, eps: float) -> list[list[int]]:
         work[b, :] = np.inf
         work[:, b] = np.inf
     return [groups[g] for g in sorted(groups)]
+
+
+def member_sets_oracle(dataset, epsilon: float):
+    """The classes of ``cluster_functions`` as it built them when each class
+    held a frozenset of secrets, frozen as the reference for the labels.
+
+    One ``np.isin`` mask and one frozenset of Python-int secrets per linkage
+    group, ordered by (representative mean, smallest member).  Returns
+    ``[(representative, members)]`` in class-id order.
+    """
+    uniq, inverse = _unique_rows(dataset.times)
+    secrets = dataset.secrets.tolist()
+    drafts = []
+    for group in _linkage_groups(uniq, float(epsilon)):
+        row_mask = np.isin(inverse, group)
+        members = frozenset(secrets[i] for i in np.flatnonzero(row_mask))
+        rep = dataset.times[row_mask].mean(axis=0)
+        drafts.append((float(rep.mean()), min(members), rep, members))
+    drafts.sort(key=lambda d: (d[0], d[1]))
+    return [(rep, members) for _, _, rep, members in drafts]
+
+
+def class_of_oracle(member_sets) -> dict[int, int]:
+    """Each secret's class id, from ``member_sets_oracle``'s classes."""
+    return {s: i for i, (_, members) in enumerate(member_sets) for s in members}
 
 
 def penalty_loop_oracle(representatives, baseline_mean: float):

@@ -23,7 +23,13 @@ from leakmit.enforcement import MAX_DEPTH
 from leakmit.errors import SolverError
 from leakmit.policy import full_merge_policy
 from leakmit.stochastic import MAX_STARTS
-from leakmit.timing import gen_branch_loop, gen_mod_exp, read_csv, write_csv
+from leakmit.timing import (
+    TimingDataset,
+    gen_branch_loop,
+    gen_mod_exp,
+    read_csv,
+    write_csv,
+)
 
 
 MOD_EXP = ["--gen", "mod_exp", "--n-bits", "6"]
@@ -287,7 +293,7 @@ class TestSingleCommands:
         assert run(["generate"] + MOD_EXP, tmp_path) == 0
         ds = read_csv(tmp_path / "dataset.csv")
         want = gen_mod_exp(6, 1.0, 0.0, seed=0)
-        assert ds.secrets == want.secrets
+        assert np.array_equal(ds.secrets, want.secrets)
         assert np.array_equal(ds.times, want.times)
 
     def test_cluster_writes_classes(self, tmp_path):
@@ -486,6 +492,40 @@ class TestGoldenArtifacts:
             for path in sorted(tmp_path.iterdir())
         }
         assert got == want
+
+
+class TestWideShuffledIds:
+    """``enforce --input`` on a measured CSV whose secret ids are shuffled,
+    negative and, once, beyond int64 (so ``read_csv`` takes its row loop),
+    with a randomized policy.  The hashes were taken before secrets and
+    class membership became arrays, when every id was a Python int and
+    every class a frozenset of them; ``summary.csv`` names the input path,
+    so it is not pinned."""
+
+    WANT = {
+        "classes.json": "7d27d77145196fdbe74a1cf50c492497c52767c611b451b998d35fc7dfb53e3b",
+        "enforcement.json": "a225559b3c6411cadc9b7040d5f94c7fdced3f573634721d8609b36eb48c4ab3",
+        "mitigated.csv": "5ee88e24a8216705c59f3634feaf03aef73dd52147aa24f33ffa33a08959f91a",
+        "policy.json": "4df3b0158a6d09053f999e5f3d2e5662906ac239cdcca58e92dd953db16232e6",
+        "tree.json": "ed7b8363021e88a3a97d8d14d6e947f7c0c0a66b61a70a708fe3fabc9be9e125",
+    }
+
+    def test_artifact_hashes(self, tmp_path):
+        ds = gen_branch_loop((6, 6, 6, 12), (1.0, 2.0, 3.0, 4.0), 10, 0.3, seed=5)
+        ids = (np.random.default_rng(7).permutation(30) * 1000 - 5000).tolist()
+        ids[4] = 2**70
+        path = tmp_path / "in.csv"
+        write_csv(TimingDataset(ids, ds.grid, ds.times), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "2fb1ccd18fe3a9eb6d8d5a1b6a045f8e90ffa6192e33785bc271cba032aafa3b")
+        args = ["enforce", "--input", str(path), "--epsilon", "1.0", "--algo",
+                "stoch", "--delta", "0.3", "--seed", "2"]
+        assert run(args, tmp_path / "out") == 0
+        got = {
+            name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in self.WANT
+        }
+        assert got == self.WANT
 
 
 NINE_CLASS_SWEEP = [

@@ -7,7 +7,6 @@ import pytest
 
 from leakmit import clustering
 from leakmit.clustering import (
-    ObservationClass,
     ObservationClassSet,
     _complete_linkage_groups,
     _linkage_groups,
@@ -17,13 +16,22 @@ from leakmit.clustering import (
     cluster_functions,
     penalty_matrix,
 )
-from leakmit.timing import PublicGrid, TimingDataset, gen_branch_loop, gen_mod_exp
+from leakmit.timing import (
+    PublicGrid,
+    TimingDataset,
+    gen_branch_loop,
+    gen_mod_exp,
+    read_csv,
+    write_csv,
+)
 
 from conftest import BINOMIAL_SIZES, make_classset, random_classset
 from oracles import (
+    class_of_oracle,
     greedy_linkage_oracle,
     linkage_oracle,
     mean_l1_oracle,
+    member_sets_oracle,
     penalty_loop_oracle,
 )
 
@@ -68,17 +76,18 @@ class TestClusterFunctions:
 
     def test_members_partition_the_secret_set(self, binomial_dataset,
                                                binomial_classes):
-        seen = set()
-        for oc in binomial_classes.classes:
-            assert not (seen & oc.members)
-            seen |= oc.members
-        assert seen == set(binomial_dataset.secrets)
+        cs = binomial_classes
+        assert cs.secrets is binomial_dataset.secrets
+        members = np.concatenate([oc.members for oc in cs.classes])
+        assert np.array_equal(np.sort(members), np.sort(binomial_dataset.secrets))
+        for i, oc in enumerate(cs.classes):
+            assert np.array_equal(oc.members, np.sort(cs.secrets[cs.labels == i]))
 
     def test_ids_follow_ascending_representative_mean(self, binomial_classes):
         means = [c.representative.mean() for c in binomial_classes.classes]
         assert means == sorted(means)
-        class_of = binomial_classes.class_of()
-        assert all(i == int(s).bit_count() - 1 for s, i in class_of.items())
+        cs = binomial_classes
+        assert cs.labels.tolist() == [s.bit_count() - 1 for s in cs.secrets.tolist()]
 
     def test_representative_is_member_mean(self):
         ds = dataset_from_rows([[1, 1], [3, 3], [100, 100]])
@@ -94,7 +103,8 @@ class TestClusterFunctions:
             assert np.array_equal(c.representative, reps[i])
         assert list(grouped_classes.sizes) == [5.0, 5.0, 5.0, 10.0]
         first = grouped_classes.classes[0].representative
-        for arr in (reps, grouped_classes.sizes, first):
+        for arr in (reps, grouped_classes.sizes, first, grouped_classes.labels,
+                    grouped_classes.secrets, grouped_classes.classes[1].members):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
 
@@ -105,7 +115,8 @@ class TestClusterFunctions:
     def test_deterministic(self, binomial_dataset):
         a = cluster_functions(binomial_dataset, 1e-6)
         b = cluster_functions(binomial_dataset, 1e-6)
-        assert [c.members for c in a.classes] == [c.members for c in b.classes]
+        assert np.array_equal(a.labels, b.labels)
+        assert a.representatives.tobytes() == b.representatives.tobytes()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_naive_complete_linkage(self, seed):
@@ -117,6 +128,59 @@ class TestClusterFunctions:
         got = {frozenset(c.members) for c in cluster_functions(ds, eps).classes}
         want = set(linkage_oracle([list(r) for r in rows], eps))
         assert got == want
+
+
+def noisy_branch_loop():
+    return gen_branch_loop((20, 20, 20, 40), (1.0, 2.0, 3.0, 4.0),
+                           noise_sigma=0.3, seed=2)
+
+
+def renamed(ds, ids):
+    return TimingDataset(ids, ds.grid, ds.times)
+
+
+def beyond_int64(tmp_path):
+    """Shuffled ids, one of them 2**70, read back through the row loop."""
+    ds = noisy_branch_loop()
+    ids = (np.random.default_rng(5).permutation(ds.n_secrets) * 3 - 7).tolist()
+    ids[17] = 2**70
+    write_csv(renamed(ds, ids), tmp_path / "wide.csv")
+    back = read_csv(tmp_path / "wide.csv")
+    assert back.secrets.dtype == object
+    return back
+
+
+# name -> (dataset from a scratch directory, epsilon)
+LABEL_CASES = {
+    "mod-exp": (lambda tmp: gen_mod_exp(8), 1e-6),
+    "noisy-mod-exp": (lambda tmp: gen_mod_exp(6, 1.0, 0.5, seed=4), 0.3),
+    "noisy-branch-loop": (lambda tmp: noisy_branch_loop(), 1.0),
+    "shuffled-ids": (lambda tmp: renamed(
+        noisy_branch_loop(), np.random.default_rng(3).permutation(100) * 5 - 250), 1.0),
+    "descending-ids": (lambda tmp: renamed(noisy_branch_loop(), np.arange(100)[::-1]), 1.0),
+    "beyond-int64": (beyond_int64, 1.0),
+}
+
+
+class TestLabelsMatchTheMemberSets:
+    """One label per secret gives the classes the per-group frozensets gave:
+    the same members, sizes, representatives and class order."""
+
+    @pytest.mark.parametrize("name", LABEL_CASES)
+    def test_against_the_oracle(self, tmp_path, name):
+        make, eps = LABEL_CASES[name]
+        ds = make(tmp_path)
+        cs = cluster_functions(ds, eps)
+        want = member_sets_oracle(ds, eps)
+        assert cs.k == len(want) > 1
+        class_of = class_of_oracle(want)
+        assert cs.labels.tolist() == [class_of[s] for s in ds.secrets.tolist()]
+        assert cs.sizes.tolist() == [len(members) for _, members in want]
+        assert [c.members.tolist() for c in cs.classes] == [
+            sorted(members) for _, members in want
+        ]
+        reps = np.array([rep for rep, _ in want])
+        assert cs.representatives.tobytes() == reps.tobytes()
 
 
 class TestLinkageTieOrder:
@@ -281,8 +345,8 @@ class TestBlockedLinkage:
         )
         cs = cluster_functions(ds, 1.0)
         bounds = [0, 20, 40, 60, 100]
-        assert [c.members for c in cs.classes] == [
-            frozenset(range(a, b)) for a, b in zip(bounds, bounds[1:])
+        assert [c.members.tolist() for c in cs.classes] == [
+            list(range(a, b)) for a, b in zip(bounds, bounds[1:])
         ]
 
 
@@ -404,7 +468,7 @@ class TestJsonRoundTrip:
         assert [c["id"] for c in data["classes"]] == list(range(cs.k))
         for written, c in zip(data["classes"], cs.classes):
             assert written["size"] == c.size
-            assert written["members"] == sorted(c.members)
+            assert written["members"] == sorted(c.members.tolist())
             # the floats come back bit for bit
             rep = np.array(written["representative"], dtype=float)
             assert rep.tobytes() == c.representative.tobytes()
@@ -420,51 +484,78 @@ class TestJsonRoundTrip:
         assert data["penalty"][0][1] is not None
 
     @staticmethod
-    def with_class(cs, i, representative, members):
-        """``cs`` with class i replaced, through the constructor."""
-        classes = list(cs.classes)
-        classes[i] = ObservationClass(representative, frozenset(members))
-        return ObservationClassSet(cs.grid, tuple(classes), cs.baseline_mean)
+    def rebuilt(cs, **change):
+        """``cs`` through the constructor, with some arguments changed."""
+        args = dict(grid=cs.grid, secrets=cs.secrets, labels=cs.labels,
+                    representatives=cs.representatives,
+                    baseline_mean=cs.baseline_mean)
+        return ObservationClassSet(**{**args, **change})
 
     def test_empty_class_rejected(self, binomial_classes):
-        rep = binomial_classes.representatives[2]
+        labels = binomial_classes.labels.copy()
+        labels[labels == 2] = 3
         with pytest.raises(ValueError, match=r"classes \[2\] have no members"):
-            self.with_class(binomial_classes, 2, rep, ())
+            self.rebuilt(binomial_classes, labels=labels)
 
     MALFORMED = {
-        "shared_member": "more than one observation class",
+        "shared_member": "secret identifiers must be unique",
         "nan": "finite",
         "inf": "finite",
         "negative": "non-negative",
         "short": "align with the public grid",
+        "label_out_of_range": r"class ids must be in \[0, 9\]",
+        "negative_label": r"class ids must be in \[0, 9\]",
+        "short_labels": "one integer class id per secret",
+        "float_labels": "one integer class id per secret",
+        "float_secrets": "must be integers",
     }
 
     @pytest.mark.parametrize("fault", MALFORMED)
     def test_malformed_class_rejected(self, binomial_classes, fault):
-        first, second = binomial_classes.classes[:2]
-        rep, members = second.representative.copy(), set(second.members)
+        cs = binomial_classes
+        reps, labels = cs.representatives.copy(), cs.labels.astype(int)
+        secrets = cs.secrets.copy()
         if fault == "shared_member":
-            members.add(min(first.members))
+            # a secret of class 0 listed again, in class 1
+            secrets[np.argmax(labels == 1)] = secrets[np.argmax(labels == 0)]
         elif fault == "short":
-            rep = rep[:-1]
+            reps = reps[:, :-1]
+        elif fault == "label_out_of_range":
+            labels[5] = cs.k
+        elif fault == "negative_label":
+            labels[5] = -1
+        elif fault == "short_labels":
+            labels = labels[:-1]
+        elif fault == "float_labels":
+            labels = labels.astype(float)
+        elif fault == "float_secrets":
+            secrets = secrets.astype(float)
         else:
-            rep[3] = {"nan": math.nan, "inf": math.inf, "negative": -1.0}[fault]
+            reps[1, 3] = {"nan": math.nan, "inf": math.inf, "negative": -1.0}[fault]
         with pytest.raises(ValueError, match=self.MALFORMED[fault]):
-            self.with_class(binomial_classes, 1, rep, members)
+            self.rebuilt(cs, secrets=secrets, labels=labels, representatives=reps)
+
+    def test_labels_are_stored_in_the_narrowest_unsigned_type(self):
+        for k, dtype in ((1, np.uint8), (256, np.uint8), (257, np.uint16)):
+            cs = make_classset([1.0] * k)
+            assert cs.labels.dtype == dtype
+            assert cs.labels.tolist() == list(range(k))
+        cs = make_classset([1.0] * 3)
+        wide = self.rebuilt(cs, labels=cs.labels.astype(np.uint64))
+        assert wide.labels.dtype == np.uint8
+        assert wide.sizes.tolist() == [1.0, 1.0, 1.0]
 
     @pytest.mark.parametrize("baseline", [0.0, -1.0, math.nan, math.inf])
     def test_baseline_must_be_positive_and_finite(self, binomial_classes, baseline):
-        cs = binomial_classes
         with pytest.raises(ValueError, match="positive and finite"):
-            ObservationClassSet(cs.grid, cs.classes, baseline)
+            self.rebuilt(binomial_classes, baseline_mean=baseline)
 
     def test_overflowing_penalty_rejected_without_a_warning(self, binomial_classes):
         # A positive, finite but tiny mean time overflows the division.
-        cs = binomial_classes
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="penalty overflows"):
-                ObservationClassSet(cs.grid, cs.classes, 1e-310)
+                self.rebuilt(binomial_classes, baseline_mean=1e-310)
 
     def test_overflowing_times_fail_at_the_class_set(self):
         # The total time overflows, so a finite gap over an infinite baseline
@@ -475,9 +566,7 @@ class TestJsonRoundTrip:
 
     def test_no_classes_rejected(self, binomial_classes):
         with pytest.raises(ValueError, match="at least one class"):
-            ObservationClassSet(
-                binomial_classes.grid, (), binomial_classes.baseline_mean
-            )
+            self.rebuilt(binomial_classes, representatives=np.zeros((0, 10)))
 
     def test_mean_l1_matches_oracle(self):
         rng = np.random.default_rng(11)

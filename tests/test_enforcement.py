@@ -40,7 +40,13 @@ from leakmit.timing import (
     relative_overhead,
 )
 
-from oracles import cart_loop_oracle, choice_loop_oracle, stump_oracle
+from oracles import (
+    cart_loop_oracle,
+    choice_loop_oracle,
+    class_of_oracle,
+    member_sets_oracle,
+    stump_oracle,
+)
 
 
 def perfect_features(dataset):
@@ -309,7 +315,7 @@ class TestFeatures:
     def test_mod_exp_counts_scale_with_popcount_and_grid(self):
         ds = gen_mod_exp(3, 1.0, 0.0, seed=0)
         counts = mod_exp_counts(ds)
-        i = ds.secrets.index(5)  # two set bits
+        i = ds.secrets.tolist().index(5)  # two set bits
         assert counts[i].tolist() == [2.0 * y for y in ds.grid.points]
 
     def test_mod_exp_counts_match_int_bit_count(self):
@@ -333,7 +339,7 @@ class TestFeatures:
     def test_counter_features_are_constant_per_secret(self, binomial_dataset):
         table = perfect_features(binomial_dataset)
         assert table.names == ("iterations_per_unit",)
-        assert table.secrets == binomial_dataset.secrets
+        assert table.secrets is binomial_dataset.secrets  # shared, not copied
         assert table.values.shape == binomial_dataset.times.shape + (1,)
         for secret, per_point in zip(table.secrets, table.values):
             assert set(per_point[:, 0]) == {float(int(secret).bit_count())}
@@ -342,7 +348,7 @@ class TestFeatures:
         ds = gen_mod_exp(3, 2.0, 0.0, seed=0)
         table = timing_features(ds)
         assert table.names == ("time_per_unit",)
-        i = ds.secrets.index(1)
+        i = ds.secrets.tolist().index(1)
         for p, y in enumerate(ds.grid.points):
             assert table.values[i, p, 0] == pytest.approx(ds.times[i, p] / y)
 
@@ -383,9 +389,9 @@ class TestFeatures:
         n_grid = len(binomial_dataset.grid)
         assert x.shape == (binomial_dataset.n_secrets * n_grid, 1)
         assert names == ("iterations_per_unit",)
-        label = binomial_classes.class_of()
+        label = class_of_oracle(member_sets_oracle(binomial_dataset, 1e-6))
         # secret-major: row i * n_grid + p is secret i at grid point p
-        for i, secret in enumerate(binomial_dataset.secrets):
+        for i, secret in enumerate(binomial_dataset.secrets.tolist()):
             assert set(y[i * n_grid:(i + 1) * n_grid]) == {label[secret]}
             assert x[i * n_grid + 2, 0] == table.values[i, 2, 0]
 
@@ -501,12 +507,12 @@ class TestEnforce:
         policy = MitigationPolicy(matrix)
         mitigated, report = enforce(ds, classes, policy, tree, 5, features)
 
-        label = classes.class_of()
-        reps = [c.representative for c in classes.classes]
+        label = class_of_oracle(member_sets_oracle(ds, 2.0))
+        reps = classes.representatives
         rng = np.random.default_rng(5)
         want = np.array(ds.times)
         wrong = 0
-        for i, secret in enumerate(ds.secrets):
+        for i, secret in enumerate(ds.secrets.tolist()):
             row = matrix[label[secret]]
             target = int(rng.choice(k, p=row / row.sum()))
             for p in range(len(ds.grid)):
@@ -516,6 +522,22 @@ class TestEnforce:
         assert wrong > 0
         assert np.array_equal(mitigated.times, want)
         assert report.misclassification_rate == wrong / want.size
+
+    def test_a_class_set_of_other_secrets_is_a_value_error(self):
+        # The same times under ids 10-15: the class set's labels say
+        # nothing about these secrets.
+        ds = gen_branch_loop((3, 3), (1.0, 2.0), 5)
+        classes = cluster_functions(ds, 1e-6)
+        tree = fitted(ds, classes, timing_features(ds))
+        policy = identity_policy(classes.k)
+        renamed = TimingDataset(np.arange(10, 16), ds.grid, ds.times)
+        reordered = TimingDataset(ds.secrets[::-1], ds.grid, ds.times[::-1])
+        for other in (renamed, reordered):
+            features = timing_features(other)
+            with pytest.raises(ValueError, match="not the features' secrets, in order"):
+                training_samples(features, classes)
+            with pytest.raises(ValueError, match="not the dataset's secrets, in order"):
+                enforce(other, classes, policy, tree, 0, features)
 
     def test_features_must_match_the_dataset(self, grouped_dataset, grouped_classes):
         features = timing_features(grouped_dataset)

@@ -80,7 +80,7 @@ class TestModExpGenerator:
         ds = gen_mod_exp(10, 1.0, 0.0, seed=0)
         secret = next(s for s in ds.secrets if int(s).bit_count() == 3)
         y_index = list(ds.grid.points).index(4.0)
-        assert ds.times[ds.secrets.index(secret), y_index] == 12.0
+        assert ds.times[ds.secrets.tolist().index(secret), y_index] == 12.0
 
     def test_popcount_groups_have_binomial_sizes(self):
         ds = gen_mod_exp(10, 1.0, 0.0, seed=0)
@@ -93,7 +93,7 @@ class TestModExpGenerator:
 
     def test_single_bit_space(self):
         ds = gen_mod_exp(1, 1.0, 0.0, seed=0)
-        assert ds.secrets == (1,)
+        assert ds.secrets.tolist() == [1]
         assert ds.times.shape == (1, 1)
 
     def test_equal_popcount_secrets_share_a_function(self):
@@ -102,7 +102,7 @@ class TestModExpGenerator:
         for s in ds.secrets:
             by_weight.setdefault(int(s).bit_count(), []).append(s)
         for members in by_weight.values():
-            rows = ds.times[[ds.secrets.index(s) for s in members]]
+            rows = ds.times[np.isin(ds.secrets, members)]
             assert np.array_equal(rows, np.broadcast_to(rows[0], rows.shape))
 
     def test_seed_reproducibility_with_noise(self):
@@ -161,7 +161,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "data.csv"
         write_csv(ds, path)
         back = read_csv(path)
-        assert back.secrets == ds.secrets
+        assert np.array_equal(back.secrets, ds.secrets)
         assert np.array_equal(back.grid.points, ds.grid.points)
         assert np.array_equal(back.times, ds.times)
 
@@ -196,7 +196,7 @@ class TestCsvRoundTrip:
             "7,2,4.0\n3,1,1.0\n7,1,3.0\n3,2,2.0\n"
         )
         back = read_csv(path)
-        assert back.secrets == (7, 3)
+        assert back.secrets.tolist() == [7, 3]
         assert back.grid.points.tolist() == [1.0, 2.0]
         assert back.times.tolist() == [[3.0, 4.0], [1.0, 2.0]]
 
@@ -284,7 +284,8 @@ def _outcome(read, path):
         ds = read(path)
     except Exception as exc:  # the loop's exception is the reference
         return type(exc), str(exc)
-    return ds.secrets, ds.grid.points.tobytes(), ds.times.tobytes()
+    return (ds.secrets.dtype, ds.secrets.tolist(), ds.grid.points.tobytes(),
+            ds.times.tobytes())
 
 
 def _assert_read_matches_the_loop(path):
@@ -346,7 +347,7 @@ class TestWriteTable:
         write_csv(ds, tmp_path / "a.csv")
         dataset_csv_oracle(ds, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-        assert read_csv(tmp_path / "a.csv").secrets == secrets
+        assert read_csv(tmp_path / "a.csv").secrets.tolist() == list(secrets)
 
     CELL_TABLES = [
         ([
@@ -441,8 +442,43 @@ class TestDatasetInvariants:
     def test_integer_secret_ids_of_any_kind_pass(self):
         secrets = (np.int64(-3), np.uint64(2**64 - 1), 2**70, np.int8(7))
         ds = TimingDataset(secrets, grid(1), np.ones((4, 1)))
-        assert ds.secrets == (-3, 2**64 - 1, 2**70, 7)
+        assert ds.secrets.tolist() == [-3, 2**64 - 1, 2**70, 7]
         assert all(type(s) is int for s in ds.secrets)
+
+    def test_secrets_are_one_read_only_id_array(self):
+        ds = gen_mod_exp(4)
+        assert ds.secrets.dtype == np.int64
+        assert ds.secrets.tolist() == list(range(1, 16))
+        with pytest.raises(ValueError, match="read-only"):
+            ds.secrets[0] = 9
+        # a derived dataset shares the ids; a caller's writable array is copied
+        assert ds.with_times(ds.times).secrets is ds.secrets
+        given = np.array([5, 3])
+        ds = TimingDataset(given, grid(1), np.ones((2, 1)))
+        given[0] = 9
+        assert ds.secrets.tolist() == [5, 3]
+
+    @pytest.mark.parametrize("secrets, dtype", [
+        ((2**70, np.int64(-3)), object),
+        (np.array([2**64 - 1, 1], dtype=np.uint64), object),
+        (np.array([2**63 - 1, 1], dtype=np.uint64), np.int64),
+        (np.array([7, 1], dtype=np.int8), np.int64),
+    ], ids=["beyond-int64", "uint64-beyond", "uint64-within", "int8"])
+    def test_ids_are_int64_unless_one_does_not_fit(self, secrets, dtype):
+        ds = TimingDataset(secrets, grid(1), np.ones((2, 1)))
+        assert ds.secrets.dtype == dtype and not ds.secrets.flags.writeable
+        assert ds.secrets.tolist() == [int(s) for s in secrets]
+        assert all(type(s) is int for s in ds.secrets.tolist())
+
+    @pytest.mark.parametrize("secrets, message", [
+        ((2**70, 5, 2**70), "unique"),
+        (np.array([4, 2, 4], dtype=np.uint8), "unique"),
+        ([[1], [2, 3], [4]], "must be integers"),
+        (np.ones((3, 1), dtype=int), "must be integers"),
+    ], ids=["wide-repeat", "uint8-repeat", "ragged", "two-dimensional"])
+    def test_bad_id_arrays_rejected(self, secrets, message):
+        with pytest.raises(ValueError, match=message):
+            TimingDataset(secrets, grid(1), np.ones((3, 1)))
 
     def test_relative_overhead(self):
         ds = TimingDataset((1, 2), grid(1, 2), [[1.0, 2.0], [3.0, 4.0]])
