@@ -1,22 +1,20 @@
 """Runtime enforcement: classify an execution, then pad it to its target.
 
-A CART-style decision tree is trained on per-execution features
-(simulated instrumentation counters for the synthetic benchmarks, or
-time-derived ratios as a fallback) labeled with observation classes.  All
-features of a dataset live in one ``(n_secrets, n_grid, n_features)`` array.
+A CART-style decision tree is trained on one feature per execution
+(a simulated instrumentation counter for the synthetic benchmarks, or a
+time-derived ratio as a fallback) labeled with observation classes.  The
+feature of a dataset lives in one ``(n_secrets, n_grid)`` array.
 
-The tree sorts each feature once per tree, stably, and grows on index arrays
-into those orders, the presorting of SLIQ (Mehta, Agrawal & Rissanen, EDBT
-1996): a node hands each child the rows of its orders that fall on the
+The tree sorts the feature once per tree, stably, and grows on index arrays
+into that order, the presorting of SLIQ (Mehta, Agrawal & Rissanen, EDBT
+1996): a node hands each child the rows of its order that fall on the
 child's side.  A stable filter of a stable order is the stable order of the
 child's rows, so no node sorts or copies its rows again.  The split search
-reads a feature through the node's order, ``SCAN_BLOCK`` rows at a time, to
-find the cuts, and scores them ``SPLIT_BLOCK`` at a time from prefix class
-counts (Breiman et al. 1984, CART): a class's left count at a cut is its
-count at the previous block's last cut plus how many of its rows lie in
-between, one ``searchsorted`` per class, and the node totals minus them are
-the right counts.  So the search holds one block of counts, never a cuts x
-classes matrix, and the lowest ``(impurity, feature, threshold)`` wins.
+scores a node's cuts in blocks from prefix class counts (Breiman et al.
+1984, CART), so it holds one block of counts, never a cuts x classes
+matrix, and the lowest ``(impurity, threshold)`` wins.  A tree on one
+feature cuts the line into one interval per leaf, so it predicts by looking
+a value up among its thresholds, not by walking it down the nodes.
 
 At enforcement time each secret takes one target class from its policy row:
 a randomized policy draws it from a seeded generator, and a deterministic
@@ -30,7 +28,7 @@ times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -71,35 +69,33 @@ SCAN_BLOCK = 16384
 # secrets.  It bounds the prediction and delay temporaries.
 PAD_BLOCK = 16384
 
-# Deepest tree ``learn_tree`` grows.  Growing the tree, and writing it out
-# as JSON, recurse once per level, so the cap stays well below the
+# Deepest tree ``learn_tree`` grows.  Growing the tree, listing its
+# intervals, and writing it out as JSON recurse once per level, so the cap stays well below the
 # interpreter's recursion limit (1 000 by default).
 MAX_DEPTH = 256
 
 
 @dataclass(frozen=True)
 class FeatureTable:
-    """Features of every execution of a dataset.
+    """The feature of every execution of a dataset.
 
-    ``values[i, p, f]`` is feature ``names[f]`` of ``secrets[i]`` at grid
-    point ``p``.  The array is frozen, finite and non-negative, and
-    ``secrets`` is the dataset's read-only id array.
+    ``values[i, p]`` is feature ``name`` of ``secrets[i]`` at grid point
+    ``p``.  The array is frozen, finite and non-negative, and ``secrets`` is
+    the dataset's read-only id array.
     """
 
-    names: tuple[str, ...]
+    name: str
     values: np.ndarray
     secrets: np.ndarray
 
     def __post_init__(self):
-        names = tuple(self.names)
         secrets = secret_ids(self.secrets)
         values = np.array(self.values, dtype=float)
-        if values.ndim != 3 or values.shape[::2] != (secrets.size, len(names)):
-            raise ValueError("feature values must be n_secrets x n_grid x n_features")
+        if values.ndim != 2 or values.shape[0] != secrets.size:
+            raise ValueError("feature values must be n_secrets x n_grid")
         if not np.all(np.isfinite(values) & (values >= 0)):
             raise ValueError("feature values must be finite and non-negative")
         values.flags.writeable = False
-        object.__setattr__(self, "names", names)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "secrets", secrets)
 
@@ -111,7 +107,6 @@ class TreeLeaf:
 
 @dataclass(frozen=True)
 class TreeSplit:
-    feature: int
     threshold: float
     left: "TreeSplit | TreeLeaf"
     right: "TreeSplit | TreeLeaf"
@@ -119,26 +114,41 @@ class TreeSplit:
 
 @dataclass(frozen=True)
 class DecisionTree:
+    """A tree on one feature, and the intervals its leaves cover.
+
+    A split sends values at or below its threshold left.  In order, the
+    thresholds rise strictly: a left subtree's lie below its parent's, a
+    right subtree's above.  So the number of thresholds below a value is the
+    in-order index of the leaf a walk down the tree takes it to.
+    """
+
     root: TreeSplit | TreeLeaf
-    feature_names: tuple[str, ...]
+    feature_name: str
     train_accuracy: float
+    thresholds: np.ndarray = field(init=False, repr=False, compare=False)
+    leaves: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        thresholds, leaves = [], []
+        _in_order(self.root, thresholds, leaves)
+        thresholds = np.array(thresholds, dtype=float)
+        if not np.all(thresholds[1:] > thresholds[:-1]):
+            raise ValueError("the tree's thresholds must rise from left to right")
+        object.__setattr__(self, "thresholds", thresholds)
+        object.__setattr__(self, "leaves", np.array(leaves, dtype=int))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Class id of every row of an ``(N, n_features)`` array."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != len(self.feature_names):
-            raise ValueError("predict expects an n_samples x n_features array")
-        out = np.empty(x.shape[0], dtype=int)
-        pending = [(self.root, np.arange(x.shape[0]))]
-        while pending:
-            node, rows = pending.pop()
-            if isinstance(node, TreeLeaf):
-                out[rows] = node.class_id
-                continue
-            left = x[rows, node.feature] <= node.threshold
-            pending.append((node.left, rows[left]))
-            pending.append((node.right, rows[~left]))
-        return out
+        """Class id of every feature value in ``x``, in its shape."""
+        return self.leaves[np.searchsorted(self.thresholds, x, side="left")]
+
+
+def _in_order(node, thresholds: list, leaves: list) -> None:
+    if isinstance(node, TreeLeaf):
+        leaves.append(node.class_id)
+        return
+    _in_order(node.left, thresholds, leaves)
+    thresholds.append(node.threshold)
+    _in_order(node.right, thresholds, leaves)
 
 
 def _gini(counts: np.ndarray) -> np.ndarray:
@@ -152,14 +162,14 @@ def _gini(counts: np.ndarray) -> np.ndarray:
 
 
 def _best_cut(
-    column: np.ndarray, order: np.ndarray, y: np.ndarray, totals: np.ndarray
+    x: np.ndarray, order: np.ndarray, y: np.ndarray, totals: np.ndarray
 ) -> tuple[float, float] | None:
-    """``(impurity, threshold)`` of the lowest-impurity cut of one feature.
+    """``(impurity, threshold)`` of the node's lowest-impurity cut.
 
-    ``column`` is the feature of every row and ``order`` the node's rows
-    sorted by it.  A cut at ``c`` puts the rows ``order[:c]`` on the left; it
+    ``x`` is the feature of every row and ``order`` the node's rows sorted
+    by it.  A cut at ``c`` puts the rows ``order[:c]`` on the left; it
     must fall between two different values, and its threshold is their
-    midpoint.  The first cut wins a tie.  The column is read ``SCAN_BLOCK``
+    midpoint.  The first cut wins a tie.  The feature is read ``SCAN_BLOCK``
     rows of the order at a time.  The cuts are scored ``SPLIT_BLOCK`` at a
     time: a block's left counts are the counts at the previous block's last
     cut plus those of the rows from there to the cut, so the search holds
@@ -169,7 +179,7 @@ def _best_cut(
     # steps[i]: the values at order[i] and order[i + 1] differ.
     steps = np.empty(n - 1, dtype=bool)
     for lo in range(0, n - 1, SCAN_BLOCK):
-        xs = column[order[lo : lo + SCAN_BLOCK + 1]]
+        xs = x[order[lo : lo + SCAN_BLOCK + 1]]
         np.not_equal(xs[1:], xs[:-1], out=steps[lo : lo + SCAN_BLOCK])
     cuts = np.flatnonzero(steps)
     cuts += 1
@@ -196,88 +206,76 @@ def _best_cut(
             best = (float(impurity[i]), int(cut[i]))
         running, lo = left[-1], hi
     value, c = best
-    return value, _midpoint(float(column[order[c - 1]]), float(column[order[c]]))
+    return value, _midpoint(float(x[order[c - 1]]), float(x[order[c]]))
 
 
 def _midpoint(a: float, b: float) -> float:
-    """(a + b) / 2, or a / 2 + b / 2 where the sum overflows to inf."""
+    """A threshold ``t`` between ``a < b`` with ``a <= t < b``: (a + b) / 2,
+    or a / 2 + b / 2 where the sum overflows to inf, or ``a`` where the
+    midpoint rounds onto ``b`` (adjacent or subnormal floats)."""
     mid = (a + b) / 2.0
-    return mid if math.isfinite(mid) else a / 2.0 + b / 2.0
+    if not math.isfinite(mid):
+        mid = a / 2.0 + b / 2.0
+    return mid if mid < b else a
 
 
-def _grow(x: np.ndarray, y: np.ndarray, orders: list[np.ndarray], depth: int):
-    """The subtree grown from the rows in ``orders`` and how many of them the
-    leaf majorities label correctly.
+def _grow(x: np.ndarray, y: np.ndarray, rows: list[np.ndarray], depth: int):
+    """The subtree grown from the node's rows and how many of them the leaf
+    majorities label correctly.
 
-    ``orders[f]`` lists the node's rows of ``(x, y)`` sorted by feature f,
-    stably.  The node empties ``orders`` once its children have theirs, so
-    the recursion holds the orders of the current node and of the pending
-    right siblings on its path, not of every ancestor.
+    ``rows`` holds one array, the node's rows of ``(x, y)`` sorted by ``x``,
+    stably.  The node takes it out, so the recursion holds the order of the
+    current node and of the pending right siblings on its path, not of
+    every ancestor.
     """
-    # With no features the root is the only node, and it holds every row.
-    counts = np.bincount(y[orders[0]] if orders else y)
+    order = rows.pop()
+    counts = np.bincount(y[order])
     # np.argmax takes the smallest id on ties.
     majority = int(np.argmax(counts))
     leaf = TreeLeaf(majority), int(counts[majority])
     parent_gini = float(_gini(counts))
     if depth >= MAX_DEPTH or parent_gini == 0.0:
         return leaf
-    best = None
-    scored = [_best_cut(x[:, f], order, y, counts) for f, order in enumerate(orders)]
-    for f, found in enumerate(scored):
-        if found is not None and (best is None or found[0] < best[0]):
-            best = (*found, f)
+    best = _best_cut(x, order, y, counts)
     if best is None or best[0] >= parent_gini - 1e-12:
         return leaf
-    _, threshold, f = best
-    left, right = _partition(x, orders, f, threshold)
+    _, threshold = best
+    goes_left = x[order] <= threshold
+    left, right = [order[goes_left]], [order[~goes_left]]
+    del order, goes_left
     left, left_hits = _grow(x, y, left, depth + 1)
     right, right_hits = _grow(x, y, right, depth + 1)
-    return TreeSplit(f, float(threshold), left, right), left_hits + right_hits
+    return TreeSplit(threshold, left, right), left_hits + right_hits
 
 
-def _partition(x: np.ndarray, orders: list[np.ndarray], f: int, threshold: float):
-    """The rows of each order with ``x[:, f] <= threshold``, and the rest,
-    both in their order.  ``orders`` is emptied."""
-    left, right = [], []
-    for order in orders:
-        goes_left = x[order, f] <= threshold
-        left.append(order[goes_left])
-        right.append(order[~goes_left])
-    orders.clear()
-    return left, right
+def learn_tree(samples: tuple[np.ndarray, np.ndarray, str]) -> DecisionTree:
+    """Fit a Gini-split CART tree on ``(x, y, feature name)``.
 
-
-def learn_tree(samples: tuple[np.ndarray, np.ndarray, Sequence[str]]) -> DecisionTree:
-    """Fit a Gini-split CART tree on ``(x, y, feature names)``.
-
-    ``x`` is an ``(N, n_features)`` finite feature array and ``y`` the ``N``
-    class ids, as :func:`training_samples` returns them.  A node becomes a
-    leaf (its majority class, the smallest id on ties) when it is pure, when
-    no cut lowers its Gini impurity by more than 1e-12, or at ``MAX_DEPTH``.
-    Otherwise it splits at the midpoint of the cut with the lowest weighted
-    impurity; ties go to the lower feature, then the lower threshold.
+    ``x`` holds the finite feature value and ``y`` the class id of each of
+    ``N`` samples, as :func:`training_samples` returns them.  A node becomes
+    a leaf (its majority class, the smallest id on ties) when it is pure,
+    when no cut lowers its Gini impurity by more than 1e-12, or at
+    ``MAX_DEPTH``.  Otherwise it splits at the midpoint of the cut with the
+    lowest weighted impurity; ties go to the lower threshold.
     """
-    x, y, names = samples
+    x, y, name = samples
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
     if y.dtype.kind not in "iu":
         y = y.astype(int)
-    names = tuple(names)
     if y.size == 0:
         raise ValueError("need at least one training sample")
-    if y.ndim != 1 or x.shape != (y.size, len(names)):
-        raise ValueError("x must be n_samples x n_features, y one id per sample")
+    if y.ndim != 1 or x.shape != y.shape:
+        raise ValueError("x and y must hold one feature value and one class id per sample")
     if np.any(y < 0):
         raise ValueError("class ids must be non-negative")
     if not np.all(np.isfinite(x)):
         raise ValueError("feature values must be finite")
     # Ids in the narrowest type that holds them, as training_samples gives
-    # them: each node gathers its labels once per feature.
+    # them: each node gathers its labels once.
     labels = y.astype(np.min_scalar_type(int(y.max())), copy=False)
-    orders = [np.argsort(column, kind="stable") for column in x.T]
-    root, hits = _grow(x, labels, orders, 0)
-    return DecisionTree(root, names, hits / y.size)
+    root, hits = _grow(x, labels, [np.argsort(x, kind="stable")], 0)
+    return DecisionTree(root, name, hits / y.size)
 
 
 def mod_exp_counts(dataset: TimingDataset) -> np.ndarray:
@@ -314,7 +312,7 @@ def counter_features(dataset: TimingDataset, counts: np.ndarray) -> FeatureTable
         raise ValueError("counts must be n_secrets x n_grid_points")
     per_unit = counts / dataset.grid.points
     del counts  # freed here when the caller passed a temporary
-    return FeatureTable(("iterations_per_unit",), per_unit[:, :, None], dataset.secrets)
+    return FeatureTable("iterations_per_unit", per_unit, dataset.secrets)
 
 
 def timing_features(dataset: TimingDataset) -> FeatureTable:
@@ -322,8 +320,12 @@ def timing_features(dataset: TimingDataset) -> FeatureTable:
     low = float(dataset.grid.points[0])  # the grid ascends
     if low <= 0:
         raise ValueError(f"time_per_unit needs positive public values, got {low!r}")
-    per_unit = dataset.times / dataset.grid.points
-    return FeatureTable(("time_per_unit",), per_unit[:, :, None], dataset.secrets)
+    with np.errstate(over="ignore"):
+        per_unit = dataset.times / dataset.grid.points
+    if not np.all(np.isfinite(per_unit)):
+        at = float(dataset.grid.points[np.isinf(per_unit).any(axis=0)][0])
+        raise ValueError(f"time_per_unit overflows to inf at public value {at!r}")
+    return FeatureTable("time_per_unit", per_unit, dataset.secrets)
 
 
 def _labels(classes: ObservationClassSet, secrets: np.ndarray, whose: str) -> np.ndarray:
@@ -336,16 +338,15 @@ def _labels(classes: ObservationClassSet, secrets: np.ndarray, whose: str) -> np
 
 def training_samples(
     features: FeatureTable, classes: ObservationClassSet
-) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+) -> tuple[np.ndarray, np.ndarray, str]:
     """One labeled sample per execution (secret, grid point), secret-major.
 
-    Returns ``(x, y, names)``: the ``(N, n_features)`` feature array, the
-    ``N`` class ids in the narrowest unsigned type, and the feature names.
+    Returns ``(x, y, name)``: the ``N`` feature values, the ``N`` class ids
+    in the narrowest unsigned type, and the feature name.
     """
-    n_secrets, n_grid, n_features = features.values.shape
-    x = features.values.reshape(n_secrets * n_grid, n_features)
-    y = np.repeat(_labels(classes, features.secrets, "features'"), n_grid)
-    return x, y, features.names
+    x = features.values.reshape(-1)
+    y = np.repeat(_labels(classes, features.secrets, "features'"), features.values.shape[1])
+    return x, y, features.name
 
 
 @dataclass(frozen=True)
@@ -426,9 +427,7 @@ def enforce(
     step = max(1, PAD_BLOCK // n_grid)
     for lo in range(0, dataset.n_secrets, step):
         hi = lo + step
-        block = features.values[lo:hi]
-        x = block.reshape(block.shape[0] * n_grid, block.shape[2])
-        pred = tree.predict(x).reshape(-1, n_grid)
+        pred = tree.predict(features.values[lo:hi])
         wrong += int(np.count_nonzero(pred != labels[lo:hi, None]))
         padded[lo:hi] += np.maximum(
             0.0, reps[targets[lo:hi, None], points] - reps[pred, points]
@@ -472,7 +471,7 @@ def _node_to_json(node) -> dict:
         return {"kind": "leaf", "class_id": node.class_id}
     return {
         "kind": "split",
-        "feature": node.feature,
+        "feature": 0,
         "threshold": node.threshold,
         "left": _node_to_json(node.left),
         "right": _node_to_json(node.right),
@@ -481,7 +480,7 @@ def _node_to_json(node) -> dict:
 
 def tree_to_json(tree: DecisionTree) -> dict:
     return {
-        "feature_names": list(tree.feature_names),
+        "feature_names": [tree.feature_name],
         "train_accuracy": tree.train_accuracy,
         "root": _node_to_json(tree.root),
     }

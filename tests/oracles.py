@@ -970,7 +970,6 @@ def _loop_grow(x: np.ndarray, y: np.ndarray, depth: int, max_depth: int, min_lea
     _, f, threshold = best
     mask = x[:, f] <= threshold
     return TreeSplit(
-        f,
         float(threshold),
         _loop_grow(x[mask], y[mask], depth + 1, max_depth, min_leaf),
         _loop_grow(x[~mask], y[~mask], depth + 1, max_depth, min_leaf),

@@ -140,6 +140,30 @@ class TestExitCodes:
         assert f"positive public values, got {float(public)!r}" in err
         assert not (tmp_path / "e").exists()
 
+    def test_time_per_unit_overflow_in_enforce_exits_2(self, tmp_path, capsys):
+        # 1.0 / 1e-310 overflows to inf: the feature names the public value
+        # instead of a numpy warning and a generic finiteness error.
+        data = tmp_path / "tiny.csv"
+        data.write_text(HEADER + "1,1e-310,1.0\n1,1,2.0\n2,1e-310,1.5\n2,1,3.0\n")
+        assert run(["enforce", "--input", str(data)], tmp_path / "e") == 2
+        err = capsys.readouterr().err
+        assert "data error: time_per_unit overflows to inf at public value 1e-310" in err
+        assert not (tmp_path / "e").exists()
+
+    def test_adjacent_float_features_enforce(self, tmp_path):
+        # The two secrets' time_per_unit at y = 1 are adjacent floats, so
+        # their midpoint rounds onto the upper one; the tree splits at the
+        # lower one and separates the two classes.
+        data = tmp_path / "adj.csv"
+        data.write_text(
+            HEADER + "1,1,1.0000000000000002\n1,2,5.0\n2,1,1.0000000000000004\n2,2,10.0\n"
+        )
+        out = tmp_path / "e"
+        assert run(["enforce", "--input", str(data), "--epsilon", "0.5"], out) == 0
+        tree = json.loads((out / "tree.json").read_text())
+        assert tree["train_accuracy"] == 1.0
+        assert tree["root"]["threshold"] == 1.0000000000000002
+
     def test_overflowing_total_exits_2(self, tmp_path, capsys):
         # Every time is finite but their total overflows, so the mean time
         # that prices a move would be inf and every penalty 0.

@@ -59,8 +59,8 @@ def fitted(dataset, classes, features):
 
 
 def one_feature(values, labels):
-    """Samples with a single feature ``f``, as training_samples returns them."""
-    return np.asarray(values, dtype=float)[:, None], np.asarray(labels), ("f",)
+    """Samples of a feature ``f``, as training_samples returns them."""
+    return np.asarray(values, dtype=float), np.asarray(labels), "f"
 
 
 class TestLearnTree:
@@ -79,36 +79,19 @@ class TestLearnTree:
         rng = np.random.default_rng(7)
         for _ in range(10):
             samples = [
-                (
-                    {"a": float(rng.integers(0, 6)), "b": float(rng.integers(0, 6))},
-                    int(rng.integers(0, 3)),
-                )
+                ({"a": float(rng.integers(0, 6))}, int(rng.integers(0, 3)))
                 for _ in range(20)
             ]
-            x = np.array([[fv["a"], fv["b"]] for fv, _ in samples])
+            x = np.array([fv["a"] for fv, _ in samples])
             y = np.array([label for _, label in samples])
-            root = learn_tree((x, y, ("a", "b"))).root
+            root = learn_tree((x, y, "a")).root
             _, _, oracle_acc = stump_oracle(samples)
             # the root split with majority leaves is the tree's best stump
-            left = x[:, root.feature] <= root.threshold
+            left = x <= root.threshold
             hits = sum(np.bincount(y[side]).max() for side in (left, ~left))
             # equal-gain splits may differ; accuracy of the chosen stump
             # must still match the best achievable
             assert hits / len(samples) == pytest.approx(oracle_acc)
-
-    def test_no_features_is_one_leaf(self, binomial_dataset, binomial_classes):
-        tree = learn_tree((np.ones((3, 0)), np.array([0, 1, 1]), ()))
-        assert tree.root == TreeLeaf(1)
-        assert tree.train_accuracy == 2 / 3
-        # and enforce classifies every execution as that leaf
-        n_grid = len(binomial_dataset.grid)
-        none = FeatureTable((), np.ones((binomial_dataset.n_secrets, n_grid, 0)),
-                            binomial_dataset.secrets)
-        tree = fitted(binomial_dataset, binomial_classes, none)
-        policy = identity_policy(binomial_classes.k)
-        _, report = enforce(binomial_dataset, binomial_classes, policy, tree, 0, none)
-        majority = binomial_classes.sizes.max() / binomial_classes.sizes.sum()
-        assert report.misclassification_rate == pytest.approx(1 - majority)
 
     def test_threshold_of_huge_features_stays_finite(self):
         # the midpoint 1.35e308 of the first cut overflows as (a + b) / 2
@@ -117,11 +100,24 @@ class TestLearnTree:
         assert tree.root.threshold == 1e308 / 2.0 + 1.7e308 / 2.0
         assert tree.train_accuracy == 1.0
 
+    @pytest.mark.parametrize("a", [1.0000000000000002, 5e-324, 1.7000000000000001e308])
+    def test_a_midpoint_that_rounds_up_splits_at_the_lower_value(self, a):
+        # b is the next float above a, and the midpoint rounds to even onto
+        # b: (a + b) / 2 for the first two, a / 2 + b / 2 (the sum
+        # overflows) for the third.  x <= b would send both rows left; the
+        # threshold is a.
+        b = float(np.nextafter(a, np.inf))
+        tree = learn_tree(one_feature([a, b], [0, 1]))
+        assert tree.root == TreeSplit(a, TreeLeaf(0), TreeLeaf(1))
+        assert tree.train_accuracy == 1.0
+        assert tree.predict(np.array([a, b])).tolist() == [0, 1]
+
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one"):
             learn_tree(one_feature([], []))
-        with pytest.raises(ValueError, match="n_samples x n_features"):
-            learn_tree((np.ones((2, 2)), np.array([0, 1]), ("f",)))
+        for x in (np.ones((2, 1)), np.ones(3)):
+            with pytest.raises(ValueError, match="one feature value and one class id"):
+                learn_tree((x, np.array([0, 1]), "f"))
         with pytest.raises(ValueError, match="non-negative"):
             learn_tree(one_feature([1.0], [-1]))
         for bad in (np.nan, np.inf, -np.inf):
@@ -129,40 +125,32 @@ class TestLearnTree:
                 learn_tree(one_feature([0.0, 1.0, bad, 3.0], [0, 0, 1, 1]))
 
 
-def loop_tree_json(x, y, names) -> str:
+def loop_tree_json(x, y, name) -> str:
     """tree.json text of the tree the frozen cut loop grows, with the
     accuracy of predicting its own training set."""
-    root = cart_loop_oracle(x, y, MAX_DEPTH, 1)
-    hits = np.count_nonzero(DecisionTree(root, names, 0.0).predict(x) == y)
-    return json.dumps(tree_to_json(DecisionTree(root, names, hits / y.size)))
+    root = cart_loop_oracle(x[:, None], y, MAX_DEPTH, 1)
+    hits = np.count_nonzero(DecisionTree(root, name, 0.0).predict(x) == y)
+    return json.dumps(tree_to_json(DecisionTree(root, name, hits / y.size)))
 
 
-def tree_json(x, y, names) -> str:
-    return json.dumps(tree_to_json(learn_tree((x, y, names))))
+def tree_json(x, y, name) -> str:
+    return json.dumps(tree_to_json(learn_tree((x, y, name))))
 
 
 def random_cart_input(rng):
-    """Features of mixed kinds (tie-heavy integers, continuous, rounded, or a
-    copy of an earlier column, which ties whole features) and labels drawn
-    from a gappy subset of 0..19."""
+    """A feature of one of three kinds (tie-heavy integers, continuous, or
+    rounded) and labels drawn from a gappy subset of 0..19."""
     n = int(rng.integers(2, 41))
-    cols = []
-    for _ in range(int(rng.integers(1, 4))):
-        kind = int(rng.integers(4))
-        if kind == 0:
-            col = rng.integers(0, 5, n).astype(float)
-        elif kind == 1:
-            col = rng.random(n) * 10.0
-        elif kind == 2:
-            col = np.round(rng.normal(2.0, 1.0, n), 1)
-        else:
-            col = cols[-1] if cols else rng.integers(0, 3, n).astype(float)
-        cols.append(col)
-    x = np.column_stack(cols)
+    kind = int(rng.integers(3))
+    if kind == 0:
+        x = rng.integers(0, 5, n).astype(float)
+    elif kind == 1:
+        x = rng.random(n) * 10.0
+    else:
+        x = np.round(rng.normal(2.0, 1.0, n), 1)
     ids = rng.choice(20, size=int(rng.integers(1, 11)), replace=False)
     y = rng.choice(ids, size=n)
-    names = tuple(f"f{i}" for i in range(x.shape[1]))
-    return x, y, names
+    return x, y, "f"
 
 
 class TestSplitSearchMatchesCutLoop:
@@ -173,26 +161,26 @@ class TestSplitSearchMatchesCutLoop:
         rng = np.random.default_rng(2024)
         wide = 0
         for _ in range(1200):
-            x, y, names = random_cart_input(rng)
+            x, y, name = random_cart_input(rng)
             wide += int(y.max()) >= 8
-            assert tree_json(x, y, names) == loop_tree_json(x, y, names)
+            assert tree_json(x, y, name) == loop_tree_json(x, y, name)
         assert wide >= 600  # k >= 8 takes numpy's 8-way pairwise sum
 
     def test_tie_across_blocks_goes_to_the_earlier_cut(self):
         # Cuts a and a + b score the same; they sit in different blocks.
         a = b = SPLIT_BLOCK - 1096
-        x = np.arange(2 * a + b, dtype=float)[:, None]
+        x = np.arange(2 * a + b, dtype=float)
         y = np.array([0] * a + [1] * b + [0] * a)
-        tree = learn_tree((x, y, ("f",)))
+        tree = learn_tree((x, y, "f"))
         assert tree.root.threshold == a - 0.5
-        assert tree_json(x, y, ("f",)) == loop_tree_json(x, y, ("f",))
+        assert tree_json(x, y, "f") == loop_tree_json(x, y, "f")
 
     def test_more_distinct_values_than_one_block(self):
         rng = np.random.default_rng(5)
         n = 2 * SPLIT_BLOCK + 500
-        x = np.column_stack([rng.random(n), np.round(rng.random(n), 2)])
-        y = (x[:, 0] + 0.3 * rng.random(n) > 0.6).astype(int) + 2 * (x[:, 1] > 0.7)
-        assert tree_json(x, y, ("a", "b")) == loop_tree_json(x, y, ("a", "b"))
+        x = rng.random(n)
+        y = (x + 0.3 * rng.random(n) > 0.6).astype(int) + 2 * (x > 0.85)
+        assert tree_json(x, y, "f") == loop_tree_json(x, y, "f")
 
     def test_random_inputs_in_tiny_blocks(self, monkeypatch):
         # Blocks of 1-3 cuts and 1-4 rows: nearly every segment crosses a
@@ -202,27 +190,27 @@ class TestSplitSearchMatchesCutLoop:
         for trial in range(400):
             monkeypatch.setattr(enforcement, "SPLIT_BLOCK", 1 + trial % 3)
             monkeypatch.setattr(enforcement, "SCAN_BLOCK", 1 + trial % 4)
-            x, y, names = random_cart_input(rng)
-            assert tree_json(x, y, names) == loop_tree_json(x, y, names)
+            x, y, name = random_cart_input(rng)
+            assert tree_json(x, y, name) == loop_tree_json(x, y, name)
 
     def test_class_missing_from_a_segment(self):
         # Class 2 holds the first and last rows only, so the segments of the
         # middle blocks of cuts carry its count without holding any of it.
         n = 3 * SPLIT_BLOCK + 100
-        x = np.arange(n, dtype=float)[:, None]
+        x = np.arange(n, dtype=float)
         y = np.zeros(n, dtype=int)
         y[n // 2 :] = 1
         y[:5] = y[-5:] = 2
-        assert tree_json(x, y, ("f",)) == loop_tree_json(x, y, ("f",))
+        assert tree_json(x, y, "f") == loop_tree_json(x, y, "f")
 
     def test_tied_runs_across_scan_blocks(self):
         # Runs of 7 equal values straddle the edges of the scan blocks, and
         # the best cut falls in the second block of rows.
         n = 2 * enforcement.SCAN_BLOCK + 100
-        x = np.floor(np.arange(n) / 7.0)[:, None]
+        x = np.floor(np.arange(n) / 7.0)
         y = (np.arange(n) >= enforcement.SCAN_BLOCK + 3).astype(int)
-        tree = learn_tree((x, y, ("f",)))
-        assert tree_json(x, y, ("f",)) == loop_tree_json(x, y, ("f",))
+        tree = learn_tree((x, y, "f"))
+        assert tree_json(x, y, "f") == loop_tree_json(x, y, "f")
         assert isinstance(tree.root, TreeSplit)
 
 
@@ -234,27 +222,20 @@ def n_splits(node) -> int:
 
 @st.composite
 def tied_samples(draw):
-    """Features of a few small integers, some columns copies of others, so
-    rows tie within and across features."""
+    """A feature of a few small integers, so rows tie."""
     n = draw(st.integers(1, 60))
-    cols = []
-    for _ in range(draw(st.integers(1, 4))):
-        if cols and draw(st.booleans()):
-            cols.append(cols[draw(st.integers(0, len(cols) - 1))])
-        else:
-            cols.append(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    x = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     y = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
-    x = np.array(cols, dtype=float).T
-    return x, np.array(y), tuple(f"f{i}" for i in range(len(cols)))
+    return np.array(x, dtype=float), np.array(y), "f"
 
 
 class TestPresortedOrders:
-    """``learn_tree`` sorts each feature once per tree, and every node
-    filters its parent's orders down to its own rows."""
+    """``learn_tree`` sorts the feature once per tree, and every node
+    filters its parent's order down to its own rows."""
 
-    def test_each_feature_is_sorted_once_per_tree(self, monkeypatch):
+    def test_the_feature_is_sorted_once_per_tree(self, monkeypatch):
         rng = np.random.default_rng(3)
-        x = rng.integers(0, 4, size=(300, 3)).astype(float)
+        x = rng.integers(0, 12, size=300).astype(float)
         y = rng.integers(0, 5, size=300)
         calls = []
         argsort = np.argsort
@@ -264,51 +245,88 @@ class TestPresortedOrders:
             return argsort(*args, **kwargs)
 
         monkeypatch.setattr(np, "argsort", counted)
-        tree = learn_tree((x, y, ("a", "b", "c")))
-        # A sort per feature and node would be at least 3 per split.
+        tree = learn_tree((x, y, "f"))
+        # A sort per node would be at least one per split.
         assert n_splits(tree.root) >= 5
-        assert len(calls) == 3
+        assert len(calls) == 1
 
     @settings(max_examples=200, deadline=None)
     @given(tied_samples())
     def test_a_node_holds_the_stable_order_of_its_rows(self, samples):
-        x, y, names = samples
-        nodes = []
+        x, y, _ = samples
+        orders = []
         grow = enforcement._grow
 
-        def recorded(x, y, orders, depth):
-            nodes.append([order.copy() for order in orders])
-            return grow(x, y, orders, depth)
+        def recorded(x, y, rows, depth):
+            orders.append(rows[0].copy())
+            return grow(x, y, rows, depth)
 
         with mock.patch.object(enforcement, "_grow", recorded):
             learn_tree(samples)
-        assert np.array_equal(np.sort(nodes[0][0]), np.arange(y.size))
-        for orders in nodes:
-            rows = np.sort(orders[0])
-            for f, order in enumerate(orders):
-                stable = np.argsort(x[rows, f], kind="stable")
-                assert np.array_equal(order, rows[stable])
+        assert np.array_equal(np.sort(orders[0]), np.arange(y.size))
+        for order in orders:
+            rows = np.sort(order)
+            assert np.array_equal(order, rows[np.argsort(x[rows], kind="stable")])
+
+
+def walk(tree, value):
+    """The class id a walk down the tree's nodes gives ``value``."""
+    node = tree.root
+    while isinstance(node, TreeSplit):
+        node = node.left if value <= node.threshold else node.right
+    return node.class_id
 
 
 class TestPredict:
+    """Looking a value up among the in-order thresholds gives the leaf a
+    walk down the tree reaches."""
+
     def test_routes_every_row_like_a_walk_down_the_tree(self):
+        # Trees on tie-heavy and on continuous values, queried at their
+        # training values, at each threshold and its neighbours, and
+        # outside the range.
         rng = np.random.default_rng(11)
-        x = rng.integers(0, 8, size=(200, 3)).astype(float)
-        y = rng.integers(0, 4, size=200)
-        tree = learn_tree((x, y, ("a", "b", "c")))
+        for trial in range(100):
+            n = int(rng.integers(2, 300))
+            if trial % 2:
+                x = rng.normal(0.0, 1e3, n)
+            else:
+                x = rng.integers(0, 8, n).astype(float)
+            y = rng.integers(0, int(rng.integers(2, 6)), n)
+            tree = learn_tree((x, y, "f"))
+            t = tree.thresholds
+            queries = np.concatenate([
+                x, t, np.nextafter(t, np.inf), np.nextafter(t, -np.inf),
+                [x.min() - 1.0, x.max() + 1.0, -np.inf, np.inf, 1.7e308],
+                rng.uniform(x.min() - 1.0, x.max() + 1.0, 50),
+            ])
+            assert tree.predict(queries).tolist() == [walk(tree, q) for q in queries]
 
-        def walk(row):
-            node = tree.root
-            while isinstance(node, TreeSplit):
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            return node.class_id
+    def test_a_two_d_block_keeps_its_shape(self):
+        rng = np.random.default_rng(12)
+        x = rng.integers(0, 10, 200).astype(float)
+        tree = learn_tree((x, rng.integers(0, 4, 200), "f"))
+        block = x.reshape(20, 10)
+        pred = tree.predict(block)
+        assert pred.shape == (20, 10)
+        assert pred.tolist() == [[walk(tree, v) for v in row] for row in block]
 
-        assert tree.predict(x).tolist() == [walk(row) for row in x]
+    def test_in_order_thresholds_and_leaves(self):
+        tree = DecisionTree(
+            TreeSplit(2.0, TreeSplit(1.0, TreeLeaf(0), TreeLeaf(1)),
+                      TreeSplit(3.0, TreeLeaf(2), TreeLeaf(0))),
+            "f", 1.0,
+        )
+        assert tree.thresholds.tolist() == [1.0, 2.0, 3.0]
+        assert tree.leaves.tolist() == [0, 1, 2, 0]
+        assert tree.predict([1.0, 1.5, 2.0, 2.5, 3.5]).tolist() == [0, 1, 1, 2, 0]
+        assert DecisionTree(TreeLeaf(3), "f", 1.0).predict([[0.0, 9.0]]).tolist() == [[3, 3]]
 
-    def test_feature_count_checked(self):
-        tree = learn_tree(one_feature(range(4), [0, 0, 1, 1]))
-        with pytest.raises(ValueError, match="n_features"):
-            tree.predict(np.ones((3, 2)))
+    def test_thresholds_must_rise(self):
+        for inner in (2.0, 3.0, np.nan):
+            root = TreeSplit(2.0, TreeSplit(inner, TreeLeaf(0), TreeLeaf(1)), TreeLeaf(2))
+            with pytest.raises(ValueError, match="rise"):
+                DecisionTree(root, "f", 1.0)
 
 
 class TestFeatures:
@@ -338,40 +356,45 @@ class TestFeatures:
 
     def test_counter_features_are_constant_per_secret(self, binomial_dataset):
         table = perfect_features(binomial_dataset)
-        assert table.names == ("iterations_per_unit",)
+        assert table.name == "iterations_per_unit"
         assert table.secrets is binomial_dataset.secrets  # shared, not copied
-        assert table.values.shape == binomial_dataset.times.shape + (1,)
+        assert table.values.shape == binomial_dataset.times.shape
         for secret, per_point in zip(table.secrets, table.values):
-            assert set(per_point[:, 0]) == {float(int(secret).bit_count())}
+            assert set(per_point) == {float(int(secret).bit_count())}
 
     def test_timing_features_divide_by_grid(self):
         ds = gen_mod_exp(3, 2.0, 0.0, seed=0)
         table = timing_features(ds)
-        assert table.names == ("time_per_unit",)
+        assert table.name == "time_per_unit"
         i = ds.secrets.tolist().index(1)
         for p, y in enumerate(ds.grid.points):
-            assert table.values[i, p, 0] == pytest.approx(ds.times[i, p] / y)
+            assert table.values[i, p] == pytest.approx(ds.times[i, p] / y)
+
+    def test_timing_features_that_overflow_name_the_public_value(self):
+        ds = TimingDataset((1, 2), PublicGrid((1e-310, 1.0)), [[1.0, 2.0], [0.0, 3.0]])
+        with pytest.raises(ValueError, match=r"time_per_unit .* public value 1e-310"):
+            timing_features(ds)
 
     def test_feature_table_validation(self):
-        ok = np.ones((2, 3, 1))
-        with pytest.raises(ValueError, match="n_secrets x n_grid x n_features"):
-            FeatureTable(("f",), ok, (1, 2, 3))
-        with pytest.raises(ValueError, match="n_secrets x n_grid x n_features"):
-            FeatureTable(("f", "g"), ok, (1, 2))
-        with pytest.raises(ValueError, match="n_secrets x n_grid x n_features"):
-            FeatureTable(("f",), np.ones((2, 3)), (1, 2))
+        ok = np.ones((2, 3))
+        with pytest.raises(ValueError, match="n_secrets x n_grid"):
+            FeatureTable("f", ok, (1, 2, 3))
+        with pytest.raises(ValueError, match="n_secrets x n_grid"):
+            FeatureTable("f", np.ones((2, 3, 1)), (1, 2))
+        with pytest.raises(ValueError, match="n_secrets x n_grid"):
+            FeatureTable("f", np.ones(2), (1, 2))
         for bad in (np.nan, np.inf):
             values = ok.copy()
-            values[1, 2, 0] = bad
+            values[1, 2] = bad
             with pytest.raises(ValueError, match="finite"):
-                FeatureTable(("f",), values, (1, 2))
+                FeatureTable("f", values, (1, 2))
         values = ok.copy()
-        values[0, 0, 0] = -1.0
+        values[0, 0] = -1.0
         with pytest.raises(ValueError, match="non-negative"):
-            FeatureTable(("f",), values, (1, 2))
-        table = FeatureTable(("f",), ok, (1, 2))
+            FeatureTable("f", values, (1, 2))
+        table = FeatureTable("f", ok, (1, 2))
         with pytest.raises(ValueError):
-            table.values[0, 0, 0] = 5.0
+            table.values[0, 0] = 5.0
 
     def test_branch_loop_counts_group_validation(self, grouped_dataset):
         counts = branch_loop_counts(grouped_dataset, (5, 5, 5, 10), (1, 2, 3, 4))
@@ -385,15 +408,15 @@ class TestFeatures:
 
     def test_training_samples_label_by_class(self, binomial_dataset, binomial_classes):
         table = perfect_features(binomial_dataset)
-        x, y, names = training_samples(table, binomial_classes)
+        x, y, name = training_samples(table, binomial_classes)
         n_grid = len(binomial_dataset.grid)
-        assert x.shape == (binomial_dataset.n_secrets * n_grid, 1)
-        assert names == ("iterations_per_unit",)
+        assert x.shape == (binomial_dataset.n_secrets * n_grid,)
+        assert name == "iterations_per_unit"
         label = class_of_oracle(member_sets_oracle(binomial_dataset, 1e-6))
         # secret-major: row i * n_grid + p is secret i at grid point p
         for i, secret in enumerate(binomial_dataset.secrets.tolist()):
             assert set(y[i * n_grid:(i + 1) * n_grid]) == {label[secret]}
-            assert x[i * n_grid + 2, 0] == table.values[i, 2, 0]
+            assert x[i * n_grid + 2] == table.values[i, 2]
 
 
 class TestEnforce:
@@ -516,7 +539,7 @@ class TestEnforce:
             row = matrix[label[secret]]
             target = int(rng.choice(k, p=row / row.sum()))
             for p in range(len(ds.grid)):
-                (pred,) = tree.predict(features.values[i, p][None, :])
+                pred = int(tree.predict(features.values[i, p]))
                 wrong += int(pred != label[secret])
                 want[i, p] += max(0.0, float(reps[target][p] - reps[pred][p]))
         assert wrong > 0
@@ -613,7 +636,7 @@ class TestTreeSerialization:
         features = perfect_features(binomial_dataset)
         tree = fitted(binomial_dataset, binomial_classes, features)
         data = json.loads(json.dumps(tree_to_json(tree)))
-        assert data["feature_names"] == list(tree.feature_names)
+        assert data["feature_names"] == [tree.feature_name] == ["iterations_per_unit"]
         assert data["train_accuracy"] == tree.train_accuracy
         splits, stack = 0, [(data["root"], tree.root)]
         while stack:
@@ -623,8 +646,6 @@ class TestTreeSerialization:
                 continue
             splits += 1
             assert written["kind"] == "split"
-            assert (written["feature"], written["threshold"]) == (
-                node.feature, node.threshold
-            )
+            assert (written["feature"], written["threshold"]) == (0, node.threshold)
             stack += [(written["left"], node.left), (written["right"], node.right)]
         assert splits == binomial_classes.k - 1
